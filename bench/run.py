@@ -17,8 +17,9 @@ metrics, taken by wrapping the library's public functions from outside (see
 sample counts, failures); the last line of stdout is one JSON object with the
 keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
-Exit codes: 0 on a completed run (even with failed operations, which set
-``correct`` to false), 2 when the library or BENCHMARK.json is missing.
+Exit codes: 0 on a completed run, even one whose operations failed or
+raised (``correct`` is then false, and a metric with no completed operation
+behind it is left out), 2 when the library or BENCHMARK.json is missing.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ for _var in _THREAD_VARS:
 os.environ["NUMPY_MADVISE_HUGEPAGE"] = "0"
 
 import argparse
+import gc
 import json
 import platform
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -52,7 +55,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 DEFAULT_SEED = 1
-SETUP_REPEATS = 3
+#: Imports in fresh processes, and in-process input set-ups, that set-up time
+#: is the median of; single values vary by a third.
+SETUP_REPEATS = 9
 WORKLOAD_NAMES = ("wide-2d", "deep-3d", "locate-5d")
 
 clock = time.perf_counter
@@ -68,11 +73,15 @@ class Measurement:
     attempted: int = 0
     failed: int = 0
     infos: list = field(default_factory=list)
+    #: per kept operation, the host-speed factor around it (see hostspeed.py)
+    factors: list = field(default_factory=list)
 
     @property
-    def op_seconds(self) -> float:
+    def op_seconds(self) -> float | None:
         """Mean seconds per completed operation, both phases together."""
         completed = len(next(iter(self.samples.values())))
+        if not completed:
+            return None
         return sum(sum(v) for v in self.samples.values()) / completed
 
 
@@ -104,6 +113,36 @@ def import_library():
     return workloads
 
 
+def repeat_timed(host, step):
+    """Run ``step``, which returns the seconds it took, ``SETUP_REPEATS``
+    times with the host-speed kernel timed before and after each; return the
+    medians of the measured seconds and of the seconds at nominal speed."""
+    measured, nominal = [], []
+    for _ in range(SETUP_REPEATS):
+        before = host.samples[-1]
+        seconds = step()
+        gc.collect()
+        host.sample()
+        measured.append(seconds)
+        nominal.append(seconds * host.factor([before, host.samples[-1]]))
+    return statistics.median(measured), statistics.median(nominal)
+
+
+def import_probe() -> float:
+    """Seconds to import numpy and the library in a fresh process.
+
+    The import in this process is timed once and pays for a cold file cache;
+    fresh processes see the cache a user's repeated runs see."""
+    probe = ("import sys, time\n"
+             "t = time.perf_counter()\n"
+             f"sys.path[:0] = [{str(SRC)!r}, {str(Path(__file__).resolve().parent)!r}]\n"
+             "import workloads\n"
+             "print(time.perf_counter() - t)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, check=True)
+    return float(proc.stdout.split()[-1])
+
+
 def environment(seed: int) -> dict:
     import numpy as np
 
@@ -125,45 +164,61 @@ def environment(seed: int) -> dict:
     }
 
 
-def measure(workload, phases, seconds: float, tracer=None, *, whole_cycles=False,
-            warmup=False, host=None) -> Measurement:
-    """Run operations over the workload's input pool until ``seconds`` pass
-    (at least one operation, or one cycle with ``whole_cycles``).  Every
-    attempted operation counts; one that raises or fails its check counts as
-    failed.  With ``warmup``, one operation runs first and is checked and
-    counted, but its times are not kept: the first operation in a process
-    pays for first-touch memory and is slower.  With ``host``, the host-speed
-    kernel runs after every operation, outside its timed interval."""
+def measure(workload, phases, seconds: float, tracer=None, *, warmup=False,
+            host=None) -> Measurement:
+    """Run operations in whole cycles over the workload's input pool, so that
+    every input counts equally, and stop at the cycle boundary nearest to
+    ``seconds`` (after one cycle at least).  Every attempted operation
+    counts; one that raises or fails its check counts as failed.  With
+    ``warmup``, one operation runs first and is checked and counted, but its
+    times are not kept: the first operation in a process pays for
+    first-touch memory and is slower.
+
+    With ``host``, the host-speed kernel runs before the first operation and
+    after every one, outside the timed intervals, once the operation's
+    result is dropped and garbage is collected, so that what an operation
+    leaves behind cannot slow the kernel.  Each kept operation gets the
+    factor of the two kernel times on either side of it."""
     m = Measurement({phase: [] for phase in phases})
 
     def attempt(j, keep=True):
         m.attempted += 1
+        before = host.samples[-1] if host else None
+        result = None
         try:
             with tracer.recording() if tracer else nullcontext():
                 times, result = workload.run(j)
             ok, info = workload.check(j, result)
         except Exception:
-            traceback.print_exc()
+            if not m.failed:  # one traceback is enough; every failure is counted
+                traceback.print_exc()
             m.failed += 1
             return
         finally:
+            result = None
             if host:
+                gc.collect()
                 host.sample()
         m.failed += not ok
         if keep:
             for phase, seconds_taken in times.items():
                 m.samples[phase].append(seconds_taken)
             m.infos.append(info)
+            if host:
+                m.factors.append(host.factor([before, host.samples[-1]]))
 
+    if host:
+        gc.collect()
+        host.sample()
     if warmup:
         attempt(0, keep=False)
     start = clock()
-    done = 0
     while True:
-        attempt(done % workload.pool_size)
-        done += 1
-        if clock() - start >= seconds and (
-                not whole_cycles or done % workload.pool_size == 0):
+        cycle_start = clock()
+        for j in range(workload.pool_size):
+            attempt(j)
+        now = clock()
+        if now - start + (now - cycle_start) / 2 >= seconds:
             return m
 
 
@@ -175,31 +230,28 @@ def tail_percentile(values):
     return None
 
 
-def end_to_end(m: Measurement, setup_s: float, host, lines: list) -> dict:
-    """Medians and set-up time, scaled to the host's nominal speed (see
+def end_to_end(m: Measurement, lines: list) -> dict:
+    """Medians and set-up time at the host's nominal speed (see
     ``hostspeed.py``); the ``#`` lines give the measured values too."""
-    factor = host.factor
-    lines.append(f"host_speed_factor {factor:.6g} (kernel median "
-                 f"{statistics.median(host.samples):.6g} s, n={len(host.samples)}); "
-                 "reported seconds = measured seconds x factor")
     metrics = {}
+    if m.factors:
+        lines.append(f"host_speed_factor median {statistics.median(m.factors):.6g} over"
+                     f" {len(m.factors)} operations; reported seconds = measured seconds x factor")
     for phase, values in m.samples.items():
         if not values:
-            raise BenchError(f"no completed sample of {phase}")
-        measured = statistics.median(values)
-        metrics[f"{phase}.p50"] = measured * factor
+            lines.append(f"{phase}.p50 absent: no operation completed")
+            continue
+        reported = [v * f for v, f in zip(values, m.factors)]
+        metrics[f"{phase}.p50"] = statistics.median(reported)
         extra = ""
-        if len(values) >= 2:
-            q1, _, q3 = statistics.quantiles(values, n=4)
+        if len(reported) >= 2:
+            q1, _, q3 = statistics.quantiles(reported, n=4)
             extra = f" q1={q1:.6g} q3={q3:.6g}"
-        tail = tail_percentile(values)
+        tail = tail_percentile(reported)
         if tail:
             extra += f" p{tail[0]}={tail[1]:.6g}"
-        lines.append(f"{phase}.p50 {metrics[f'{phase}.p50']:.6g} s n={len(values)}"
-                     f" measured={measured:.6g}{extra}")
-    metrics["setup_s"] = setup_s * factor
-    lines.append(f"setup_s {metrics['setup_s']:.6g} s n={SETUP_REPEATS} measured={setup_s:.6g}"
-                 " (import plus the median set-up)")
+        lines.append(f"{phase}.p50 {metrics[f'{phase}.p50']:.6g} s n={len(values)}{extra}"
+                     f" measured={statistics.median(values):.6g}")
     # Reported, not gated: the peak moves by up to a third from run to run
     # with the allocator's history, so it cannot carry a regression bound.
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -216,11 +268,11 @@ def per_layer(workload, phases, seconds: int, lines: list):
     for a seed.  Returns (metrics, attempted, failed)."""
     from tracer import Tracer
 
-    reference = measure(workload, phases, 0, whole_cycles=True, warmup=True)
+    reference = measure(workload, phases, 0, warmup=True)
     tracer = Tracer()
     tracer.install()
     try:
-        traced = measure(workload, phases, seconds, tracer, whole_cycles=True)
+        traced = measure(workload, phases, seconds, tracer)
     finally:
         tracer.uninstall()
 
@@ -239,7 +291,8 @@ def per_layer(workload, phases, seconds: int, lines: list):
         metrics["solver.self_s"] = metrics["solver.compute_center_partition.self_s"]
     for key in ("root_iterations", "root_expansions"):
         metrics[f"solver.{key}"] = sum(i.get(key, 0) for i in traced.infos) / ops
-    metrics["trace.overhead_ratio"] = traced.op_seconds / reference.op_seconds
+    if traced.op_seconds and reference.op_seconds:
+        metrics["trace.overhead_ratio"] = traced.op_seconds / reference.op_seconds
 
     lines.append(f"traced operations {ops}, untraced reference operations {reference.attempted}")
     for digest in sorted({i["digest"] for i in traced.infos + reference.infos if "digest" in i}):
@@ -253,22 +306,34 @@ def run(args) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     t0 = clock()
     workloads = import_library()
-    import_s = clock() - t0
+    first_import_s = clock() - t0
     from hostspeed import HostSpeed
 
     lines = [f"workload {args.workload} seed {args.seed} seconds {args.seconds} trace {args.trace}",
              "env " + json.dumps(environment(args.seed), sort_keys=True)]
+    host = HostSpeed()
+    host.sample()
+    import_measured, import_s = repeat_timed(host, import_probe)
+    lines.append(f"import_s {import_s:.6g} s n={SETUP_REPEATS} measured={import_measured:.6g}"
+                 f" (in fresh processes; first import in this process {first_import_s:.6g} s)")
     workdir = ROOT / ".bench_work" / f"{args.workload}-{os.getpid()}"
     workdir.mkdir(parents=True)
     try:
-        host = HostSpeed()
-        setups = []
-        for _ in range(SETUP_REPEATS):
+        workload = None
+
+        def set_up():
+            nonlocal workload
+            workload = None
+            gc.collect()
             t = clock()
             workload = workloads.WORKLOADS[args.workload](args.seed, workdir)
-            setups.append(clock() - t)
-            host.sample()
-        setup_s = import_s + statistics.median(setups)
+            return clock() - t
+
+        inputs_measured, inputs_s = repeat_timed(host, set_up)
+        lines.append(f"inputs_s {inputs_s:.6g} s n={SETUP_REPEATS} measured={inputs_measured:.6g}")
+        setup_s = import_s + inputs_s
+        lines.append(f"setup_s {setup_s:.6g} s measured={import_measured + inputs_measured:.6g}"
+                     " (median import plus median input set-up)")
 
         if args.trace:
             values, attempted, failed = per_layer(
@@ -276,7 +341,9 @@ def run(args) -> int:
             wanted = spec["per_layer"]
         else:
             m = measure(workload, workloads.PHASES, args.seconds, warmup=True, host=host)
-            values, attempted, failed = end_to_end(m, setup_s, host, lines), m.attempted, m.failed
+            values = end_to_end(m, lines)
+            values["setup_s"] = setup_s
+            attempted, failed = m.attempted, m.failed
             wanted = spec["end_to_end"]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -289,7 +356,7 @@ def run(args) -> int:
     for entry in wanted:
         if entry["name"] in values:
             metrics[entry["name"]] = {"value": values[entry["name"]], "unit": entry["unit"]}
-        elif not args.trace:
+        elif not args.trace and failed == 0:
             raise BenchError(f"end-to-end metric {entry['name']} was not measured")
     for line in lines:
         print("# " + line)
@@ -302,7 +369,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return run(args)
-    except (BenchError, OSError, json.JSONDecodeError) as exc:
+    except (BenchError, OSError, json.JSONDecodeError, subprocess.SubprocessError) as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
 

@@ -98,3 +98,18 @@ def test_fails_without_the_library(tmp_path):
     proc = _run("--workload", "deep-3d", "--seconds", "1", cwd=tmp_path)
     assert proc.returncode != 0
     assert '"correct"' not in proc.stdout
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_failing_operations_still_print_a_result(monkeypatch, capsys, trace):
+    import run
+    import workloads
+
+    def broken(self, j):
+        raise RuntimeError("the library is broken")
+
+    monkeypatch.setattr(workloads.Deep3D, "run", broken)
+    assert run.main(["--workload", "deep-3d", "--seconds", "1", "--trace", trace]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["correct"] is False
+    assert result["failed"] == result["attempted"] > 0

@@ -50,15 +50,17 @@ def _root_counts(meta: dict) -> dict:
 
 
 class Wide2D:
-    """CLI ``center`` then ``verify`` on n=2, N=131072 clouds, in-process.
+    """CLI ``center`` then ``verify`` on n=2, N=32768 clouds, in-process.
 
     The large-N user path: few residual evaluations, so per-point work
     (cloud validation, CSV reads, membership tolerances, half-space masses)
-    dominates.
+    dominates.  N=131072 showed the same split of time, but its operations
+    took five to seven seconds on the baseline host, so a run held only four
+    of them and the quartile spread of ten runs' medians was 0.11-0.15.
     """
 
     dimension = 2
-    size = 131072
+    size = 32768
     specs = (
         measures.MeasureSpec.uniform_box([0.0, 0.0], [1.0, 1.0]),
         measures.MeasureSpec.gaussian([0.0, 0.0], [[2.0, 0.0], [0.5, 1.0]]),
