@@ -46,6 +46,7 @@ from .partition import (
 from .solver import (
     AxisSolveTrace,
     BracketNotFoundError,
+    DegenerateInputError,
     NonConvergenceError,
     SolverConfig,
     bracket_and_bisect,

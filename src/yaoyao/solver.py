@@ -14,15 +14,22 @@ d-dimensional center is (alpha, common child center).
 T has a triangular structure that makes the solve sequential: component k-1 of
 T depends only on v_2..v_k, and it runs to -inf/+inf as v_k does.  So each
 component is a one-dimensional root-finding problem: bracket a sign change by
-geometric expansion around 0, bisect, move to the next coordinate.  Earlier
-components stay solved because later coordinates cannot touch them.
+geometric expansion around 0, narrow it to a root, move to the next
+coordinate.  Earlier components stay solved because later coordinates cannot
+touch them.
 
 Only intermediate-value structure is assumed: T is continuous for the
 interpolating median convention (piecewise linear in v for finite clouds), but
-nothing is assumed about monotonicity or smoothness, so the solver is plain
-bisection inside the first sign-changing bracket (left probe before right at
-each expansion; among several roots that bracket's limit is the canonical
-choice).  The final center averages the two child centers, which keeps every
+nothing is assumed about monotonicity or smoothness.  Inside the first
+sign-changing bracket (left probe before right at each expansion) the solver
+takes safeguarded Illinois regula-falsi steps: the interpolated point is kept
+at least root_tol/2 inside the bracket, every 4th step is the midpoint, and
+only midpoints are taken once the remaining step budget is what bisection
+would still need.  Once the bracket sits inside one linear piece the
+interpolation lands on the root, so a coordinate costs a handful of nested
+child solves instead of the ~30 plain bisection needs.  Among several roots
+in the bracket, the canonical one is the deterministic limit of this step
+rule.  The final center averages the two child centers, which keeps every
 convention reflection-equivariant: symmetric inputs get their symmetry center
 exactly, up to roundoff.
 
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
@@ -49,6 +57,7 @@ __all__ = [
     "AxisSolveTrace",
     "CoordinateSolveRecord",
     "BracketNotFoundError",
+    "DegenerateInputError",
     "NonConvergenceError",
     "bracket_and_bisect",
     "evaluate_axis_residual",
@@ -69,8 +78,16 @@ class BracketNotFoundError(RuntimeError):
     records: tuple = ()
 
 
+class DegenerateInputError(BracketNotFoundError):
+    """The axis residual is nonzero and cannot move, so no bracket can exist.
+
+    Raised before any bracket expansion when every point of both halves lies
+    on the cut plane (first coordinate equal to the median): projecting along
+    any axis then leaves both halves unchanged."""
+
+
 class NonConvergenceError(RuntimeError):
-    """Bisection failed to converge within the configured iteration budget.
+    """The root step failed to converge within the configured iteration budget.
 
     Carries the same ``coordinate`` / ``records`` context as
     BracketNotFoundError when raised from an axis solve."""
@@ -83,10 +100,16 @@ class NonConvergenceError(RuntimeError):
 class SolverConfig:
     """Tolerances and budgets for the center solve.
 
-    root_tol is the bisection bracket-width target (axis-coordinate units),
-    residual_tol the acceptable child-center disagreement (center-coordinate
-    units).  Brackets expand from +-bracket_half_width around 0 by factor
-    bracket_growth, at most max_bracket_expansions times.
+    root_tol is the target width of the final sign-change bracket (axis
+    coordinate units): a root step ends when g hits 0 exactly or the bracket is
+    at most root_tol wide (or no float lies strictly inside it).  residual_tol
+    is the child-center disagreement accepted at the starting point: if
+    |g(t0)| <= residual_tol no bracket is built.  Brackets expand from
+    +-bracket_half_width around the start by factor bracket_growth, at most
+    max_bracket_expansions times.
+    max_bisections caps the root steps (interpolation or midpoint) per
+    coordinate; midpoints take over before it runs out, so it never fails
+    where bisection alone would finish.
     """
 
     root_tol: float = 1e-10
@@ -96,7 +119,6 @@ class SolverConfig:
     max_bracket_expansions: int = 60
     max_bisections: int = 200
     max_dimension: int = 8
-    memoize: bool = False
 
     def __post_init__(self):
         for name in ("root_tol", "residual_tol", "bracket_half_width"):
@@ -149,11 +171,21 @@ def _opposite(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
-def _bracket_and_bisect(g, t0: float, cfg: SolverConfig):
-    """Root of g near t0; returns (root, bracket, expansions, iterations, residual)."""
+def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
+    """Root of g near t0; returns (root, bracket, expansions, iterations, residual).
+
+    frozen declares that g cannot move (a constant), so a nonzero start value
+    raises DegenerateInputError without any expansion.
+    """
     f0 = g(t0)
     if abs(f0) <= cfg.residual_tol:
         return t0, (t0, t0), 0, 0, abs(f0)
+    if frozen:
+        raise DegenerateInputError(
+            f"residual {f0:.3g} cannot move: every point of both halves lies on "
+            "the cut plane; spread the mass off it, e.g. with "
+            "yaoyao.measures.regularize"
+        )
 
     h = cfg.bracket_half_width
     a = b = fa = fb = None
@@ -180,46 +212,61 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig):
             f"(final half-width {h / cfg.bracket_growth:.3g})"
         )
 
+    # Illinois regula falsi: when an end moves again after the last
+    # interpolated step moved it, the other end's weight is halved, so fa and
+    # fb keep g's signs but not its values.  Midpoint steps do not update that
+    # record, so a far end a midpoint refreshes is still down-weighted (else
+    # the every-4th midpoint would undo the halving and the secant would creep).
     bracket = (a, b)
+    low_sign = math.copysign(1.0, fa)
+    moved = 0  # end moved by the last interpolated step: -1 for a, +1 for b
     for iterations in range(1, cfg.max_bisections + 1):
         m = 0.5 * (a + b)
+        interpolated = False
+        budget = cfg.max_bisections - iterations + 1
+        need = math.ceil(math.log2(b - a) - math.log2(cfg.root_tol)) + 1
+        if iterations % 4 and budget > need:
+            t = a + (b - a) * (fa / (fa - fb))
+            t = min(max(t, a + 0.5 * cfg.root_tol), b - 0.5 * cfg.root_tol)
+            if a < t < b:
+                m, interpolated = t, True
         fm = g(m)
-        if abs(fm) <= cfg.residual_tol or (b - a) <= cfg.root_tol:
-            return m, bracket, expansions, iterations, abs(fm)
-        if _opposite(fa, fm):
-            b, fb = m, fm
-        else:
+        if fm == 0.0:
+            return m, bracket, expansions, iterations, 0.0
+        if fm * low_sign > 0:
             a, fa = m, fm
+            if moved == -1:
+                fb *= 0.5
+            if interpolated:
+                moved = -1
+        else:
+            b, fb = m, fm
+            if moved == 1:
+                fa *= 0.5
+            if interpolated:
+                moved = 1
+        if b - a <= cfg.root_tol or not a < 0.5 * (a + b) < b:
+            return m, bracket, expansions, iterations, abs(fm)
     raise NonConvergenceError(
-        f"bisection did not converge in {cfg.max_bisections} iterations"
+        f"root step did not converge in {cfg.max_bisections} iterations"
     )
 
 
 def bracket_and_bisect(g, t0: float, cfg: SolverConfig) -> float:
     """Find a root of the scalar function g, expanding a bracket around t0.
 
-    The bracket [t0 - h, t0 + h] grows geometrically until a sign change
-    appears (left endpoint probed first), then plain bisection runs until the
-    bracket is narrower than root_tol or |g| falls below residual_tol; the
-    midpoint of the last bracket is returned.  Deterministic throughout.
+    If |g(t0)| <= residual_tol, t0 is returned.  Otherwise the bracket
+    [t0 - h, t0 + h] grows geometrically until a sign change appears (left
+    endpoint probed first), then safeguarded Illinois regula-falsi steps, with
+    every 4th step a midpoint, narrow it until g hits 0 exactly or the
+    sign-change bracket is at most root_tol wide; the last evaluated point is
+    returned.  Once the remaining budget (max_bisections) is what bisection
+    would still need, only midpoints are taken, so this never fails where
+    bisection alone would converge.  Deterministic throughout: among several
+    roots in the bracket the step rule's limit is the canonical one.
     """
     root, *_ = _bracket_and_bisect(g, t0, cfg)
     return root
-
-
-def _child_prefix(side: WeightedPointCloud, alpha: float, v: np.ndarray,
-                  m: int, cfg: SolverConfig, memo: dict | None, tag: str) -> np.ndarray:
-    """First m coordinates of the center of one projected half."""
-    if memo is not None:
-        quantum = 0.25 * cfg.root_tol
-        key = (tag, m, tuple(int(round(t / quantum)) for t in v[1:m + 1]))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-    result = _prefix_center(project_measure(side, alpha, v), m, cfg)
-    if memo is not None:
-        memo[key] = result
-    return result
 
 
 def _axis_solve(low: WeightedPointCloud, high: WeightedPointCloud, alpha: float,
@@ -233,18 +280,21 @@ def _axis_solve(low: WeightedPointCloud, high: WeightedPointCloud, alpha: float,
     d = low.dimension
     v = np.zeros(d)
     v[0] = 1.0
-    memo: dict | None = {} if cfg.memoize else None
+    # with every point on the cut plane, projection ignores v and g is constant
+    frozen = bool(np.all(low.points[:, 0] == alpha)
+                  and np.all(high.points[:, 0] == alpha))
     records = []
     for k in range(2, m + 1):
         def g(t, _k=k):
             vt = v.copy()
             vt[_k - 1] = t
-            c_neg = _child_prefix(low, alpha, vt, _k - 1, cfg, memo, "neg")
-            c_pos = _child_prefix(high, alpha, vt, _k - 1, cfg, memo, "pos")
+            c_neg = _prefix_center(project_measure(low, alpha, vt), _k - 1, cfg)
+            c_pos = _prefix_center(project_measure(high, alpha, vt), _k - 1, cfg)
             return float(c_neg[_k - 2] - c_pos[_k - 2])
 
         try:
-            root, bracket, expansions, iterations, residual = _bracket_and_bisect(g, 0.0, cfg)
+            root, bracket, expansions, iterations, residual = _bracket_and_bisect(
+                g, 0.0, cfg, frozen)
         except (BracketNotFoundError, NonConvergenceError) as exc:
             exc.coordinate = k
             exc.records = tuple(records)
@@ -262,8 +312,8 @@ def _prefix_center(cloud: WeightedPointCloud, m: int, cfg: SolverConfig) -> np.n
     if m == 1:
         return np.array([alpha])
     v, _ = _axis_solve(low, high, alpha, m, cfg)
-    c_neg = _child_prefix(low, alpha, v, m - 1, cfg, None, "neg")
-    c_pos = _child_prefix(high, alpha, v, m - 1, cfg, None, "pos")
+    c_neg = _prefix_center(project_measure(low, alpha, v), m - 1, cfg)
+    c_pos = _prefix_center(project_measure(high, alpha, v), m - 1, cfg)
     return np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
 
 
@@ -374,7 +424,8 @@ def compute_center_partition(
     every internal node agree within residual_tol and the recorded center is
     their midpoint.
 
-    Raises BracketNotFoundError / NonConvergenceError for degenerate inputs.
+    Raises BracketNotFoundError / NonConvergenceError for degenerate inputs,
+    DegenerateInputError (a BracketNotFoundError) when a residual cannot move.
     """
     cfg = cfg or SolverConfig()
     if cloud.dimension != system.dimension:

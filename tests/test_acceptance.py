@@ -116,6 +116,15 @@ def test_criterion_5_depth(seeded_trees):
     report(5, "center depth", ok, f"min mass / floor = {worst:.6f}")
 
 
+def test_seeded_root_iterations(seeded_trees):
+    # the interpolating root step needs a handful of residual evaluations per
+    # coordinate; plain bisection took 24-28
+    for n, count, cloud, tree in seeded_trees:
+        records = tree.meta["root_trace"]["records"]
+        assert len(records) == n - 1
+        assert all(r["iterations"] <= 10 for r in records), (n, count, records)
+
+
 def test_criterion_6_oracle_equivalence():
     t0 = time.perf_counter()
     box = MeasureSpec.uniform_box([-1, -2], [2, 1])

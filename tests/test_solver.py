@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import yaoyao.solver as solver
 from yaoyao.geometry import CoordinateSystem
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, split_at_median
 from yaoyao.partition import serialize
 from yaoyao.solver import (
     AxisSolveTrace,
     BracketNotFoundError,
+    DegenerateInputError,
     SolverConfig,
     bracket_and_bisect,
     compute_center_partition,
@@ -21,6 +24,8 @@ SYS2 = CoordinateSystem.standard(2)
 SYS3 = CoordinateSystem.standard(3)
 
 ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
+# residual 2t - 0.6: its root 0.3 is no dyadic midpoint of the first bracket
+SHIFTED = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 2.2)])
 SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
@@ -31,9 +36,10 @@ class TestSolverConfig:
         assert CFG.max_dimension == 8
 
     def test_json_round_trip(self):
-        doc = SolverConfig(root_tol=1e-8, memoize=True).to_json()
+        doc = SolverConfig(root_tol=1e-8, max_bisections=75).to_json()
         cfg = SolverConfig.from_json(doc)
-        assert cfg.root_tol == 1e-8 and cfg.memoize
+        assert cfg.root_tol == 1e-8 and cfg.max_bisections == 75
+        assert cfg == SolverConfig(root_tol=1e-8, max_bisections=75)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -42,6 +48,10 @@ class TestSolverConfig:
             SolverConfig(max_dimension=13)
         with pytest.raises(ValueError):
             SolverConfig.from_json({"bogus": 1})
+
+    def test_removed_memoize_key_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown solver config keys"):
+            SolverConfig.from_json({"memoize": False})
 
 
 class TestBracketAndBisect:
@@ -63,6 +73,65 @@ class TestBracketAndBisect:
     def test_large_scale_root(self):
         root = bracket_and_bisect(lambda t: t - 1.0e7, 0.0, CFG)
         assert root == pytest.approx(1.0e7, rel=1e-9)
+
+    def test_root_between_adjacent_floats(self):
+        # floats near 1e9 are 1.2e-7 apart, so no bracket gets root_tol wide
+        r = 1.0e9 + 0.123
+        root = bracket_and_bisect(lambda t: -1.0 if t < r else 1.0, 0.0, CFG)
+        assert abs(root - r) <= np.spacing(r)
+
+    def test_budget_guard_on_wide_bracket(self):
+        # interpolation off a huge far-end value only creeps root_tol/2 per
+        # step, and bisection needs 75 of the default 200 steps on a 2^40
+        # bracket; the guard switches to midpoints in time
+        r = -0.37
+        cfg = SolverConfig(bracket_half_width=2.0**40)
+
+        def g(t):
+            return 2e-9 if t >= r else -1e300
+
+        root, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0, cfg)
+        assert bracket == (-2.0**40, 0.0)
+        assert abs(root - r) <= cfg.root_tol
+        assert iterations <= cfg.max_bisections
+
+
+def _piecewise_linear(knots, values):
+    """Monotone when values are; extended with slope +-1 beyond the knots."""
+    slope = 1.0 if values[-1] >= values[0] else -1.0
+
+    def g(t):
+        if t < knots[0]:
+            return values[0] + slope * (t - knots[0])
+        if t > knots[-1]:
+            return values[-1] + slope * (t - knots[-1])
+        return float(np.interp(t, knots, values))
+
+    return g
+
+
+class TestRootStepProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        knots=st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True),
+        steps=st.lists(st.floats(0, 10), min_size=8, max_size=8),
+        shift=st.floats(-30, 30),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+        decreasing=st.booleans(),
+        t0=st.floats(-50, 50),
+    )
+    def test_root_in_narrow_sign_change_bracket(self, knots, steps, shift, scale,
+                                                decreasing, t0):
+        knots = sorted(knots)
+        values = np.cumsum(steps[:len(knots)]) * scale - shift * scale
+        if decreasing:
+            values = -values
+        g = _piecewise_linear(knots, list(values))
+        root = bracket_and_bisect(g, t0, CFG)
+        if root == t0 and abs(g(t0)) <= CFG.residual_tol:
+            return
+        tol = CFG.root_tol
+        assert g(root) == 0.0 or g(root - tol) * g(root + tol) <= 0.0
 
 
 class TestAxisResidual:
@@ -96,6 +165,22 @@ class TestTriangularAxisSolve:
         assert np.array_equal(v, [1.0, 0.0])
         assert isinstance(trace, AxisSolveTrace)
         assert trace.max_residual() == 0.0
+
+    @pytest.mark.parametrize("cloud, root", [(ASYMMETRIC, 0.5), (SHIFTED, 0.3)])
+    def test_linear_residual_takes_at_most_two_steps(self, cloud, root):
+        tree = compute_center_partition(cloud, SYS2, CFG)
+        (record,) = tree.meta["root_trace"]["records"]
+        assert record["iterations"] <= 2
+        assert abs(tree.root.axis[1] - root) <= CFG.root_tol
+
+    @pytest.mark.parametrize("seed", [301, 303])
+    def test_gaussian_root_takes_few_steps(self, seed):
+        # the secant reaches these roots from one side; the clamp keeps the
+        # next step straddling the root instead of stalling at the endpoint
+        spec = MeasureSpec.gaussian([0, 0], [[1, 0.3], [0, 2]])
+        tree = compute_center_partition(sample(spec, 2048, seed), SYS2, CFG)
+        (record,) = tree.meta["root_trace"]["records"]
+        assert record["iterations"] <= 10
 
     def test_asymmetric_root(self):
         alpha, low, high = split_at_median(ASYMMETRIC, 0)
@@ -170,13 +255,6 @@ class TestComputeCenterPartition:
         assert a == b
         assert serialize(a) == serialize(b)
 
-    def test_memoization_equivalent(self):
-        cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 64, seed=31)
-        plain = compute_center_partition(cloud, SYS3, CFG)
-        memo = compute_center_partition(cloud, SYS3, SolverConfig(memoize=True))
-        tol = 10 * max(CFG.root_tol, CFG.residual_tol)
-        assert np.max(np.abs(plain.center - memo.center)) <= tol
-
     def test_id_relabeling_is_immaterial(self):
         # generic clouds have no mass ties, so labels cannot steer the greedy split
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 101, seed=13)
@@ -193,6 +271,22 @@ class TestComputeCenterPartition:
         cfg = SolverConfig(max_bracket_expansions=6)
         with pytest.raises(BracketNotFoundError):
             compute_center_partition(cloud, SYS2, cfg)
+
+    def test_frozen_residual_fails_before_expanding(self, monkeypatch):
+        # every point has x1 == alpha, so no axis moves either half
+        cloud = WeightedPointCloud.from_points([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
+        projections = []
+        real = solver.project_measure
+        monkeypatch.setattr(
+            solver, "project_measure",
+            lambda *args: projections.append(args[2]) or real(*args),
+        )
+        with pytest.raises(DegenerateInputError, match="yaoyao.measures.regularize") as info:
+            compute_center_partition(cloud, SYS2, CFG)
+        assert isinstance(info.value, BracketNotFoundError)
+        assert info.value.coordinate == 2
+        # only the start point t0 = 0 was evaluated, once per half
+        assert [axis[1] for axis in projections] == [0.0, 0.0]
 
     def test_weighted_cloud_center(self):
         # a weight-2 atom counts twice: same center as duplicating the point
