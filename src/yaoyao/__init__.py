@@ -19,7 +19,6 @@ from .geometry import (
 )
 from .measures import (
     MeasureSpec,
-    QuantileConvention,
     WeightedPointCloud,
     halfspace_mass,
     project_measure,

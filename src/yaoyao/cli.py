@@ -35,9 +35,9 @@ class _InputError(Exception):
 def _load_system(path, dimension) -> CoordinateSystem:
     if path is None:
         return CoordinateSystem.standard(dimension)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         system = CoordinateSystem(
             np.asarray(doc["matrix"], dtype=float),
             np.asarray(doc["offset"], dtype=float),
@@ -66,7 +66,10 @@ def cmd_sample(args) -> int:
         spec = measures.MeasureSpec.load(args.spec)
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise _InputError(f"bad measure spec: {exc}") from exc
-    cloud = measures.sample(spec, args.count, args.seed)
+    try:
+        cloud = measures.sample(spec, args.count, args.seed)
+    except ValueError as exc:
+        raise _InputError(f"cannot sample: {exc}") from exc
     measures.write_csv(cloud, args.out)
     print(args.out)
     return EXIT_OK
@@ -82,6 +85,8 @@ def cmd_center(args) -> int:
     coords = _to_system_coords(cloud, system)
     try:
         tree = compute_center_partition(coords, system, cfg, workers=args.threads)
+    except ValueError as exc:
+        raise _InputError(f"cannot center: {exc}") from exc
     except (BracketNotFoundError, NonConvergenceError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         if exc.coordinate is not None:

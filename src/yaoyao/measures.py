@@ -32,7 +32,6 @@ from .geometry import HalfSpace
 __all__ = [
     "WeightedPointCloud",
     "MeasureSpec",
-    "QuantileConvention",
     "sample",
     "weighted_quantile",
     "split_at_median",
@@ -109,13 +108,6 @@ class WeightedPointCloud:
             and np.array_equal(self.weights, other.weights)
             and np.array_equal(self.ids, other.ids)
         )
-
-
-@dataclass(frozen=True)
-class QuantileConvention:
-    """Identifier of the one quantile rule this library uses."""
-
-    rule: str = "median-interval-midpoint"
 
 
 _SPEC_KINDS = (
@@ -381,29 +373,25 @@ def split_at_median(
     half = 0.5 * cloud.total_mass
     need = half - float(np.sum(cloud.weights[below]))
 
-    low_idx, low_w = list(np.nonzero(below)[0]), list(cloud.weights[below])
-    high_idx, high_w = list(np.nonzero(above)[0]), list(cloud.weights[above])
-    for i in np.nonzero(tied)[0]:
+    # only the tied block is walked; a split point keeps its id on both sides
+    in_low, in_high = below.copy(), above.copy()
+    low_w, high_w = cloud.weights.copy(), cloud.weights.copy()
+    for i in np.flatnonzero(tied):
         wi = cloud.weights[i]
         if need >= wi:
-            low_idx.append(i)
-            low_w.append(wi)
+            in_low[i] = True
             need -= wi
         elif need > 0.0:
-            low_idx.append(i)
-            low_w.append(need)
-            high_idx.append(i)
-            high_w.append(wi - need)
+            in_low[i] = in_high[i] = True
+            low_w[i], high_w[i] = need, wi - need
             need = 0.0
         else:
-            high_idx.append(i)
-            high_w.append(wi)
+            in_high[i] = True
 
-    def build(idx, w):
-        idx = np.asarray(idx, dtype=int)
-        return WeightedPointCloud(cloud.points[idx], np.asarray(w), cloud.ids[idx])
+    def build(mask, w):
+        return WeightedPointCloud(cloud.points[mask], w[mask], cloud.ids[mask])
 
-    return float(alpha), build(low_idx, low_w), build(high_idx, high_w)
+    return float(alpha), build(in_low, low_w), build(in_high, high_w)
 
 
 def project_measure(

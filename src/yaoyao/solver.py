@@ -1,15 +1,19 @@
 """Recursive center computation by median split and triangular root-finding.
 
-The center of a d-dimensional cloud is built as follows.  Split the cloud at
-the weighted median of coordinate 1 into equal-mass halves.  For a normalized
-axis v (first component 1), slide each half along v into the cut plane and
-recursively take the centers of the two projected (d-1)-dimensional clouds,
-x_neg from the low half and x_pos from the high half.  The axis residual
+One recursion computes the first m coordinates of a cloud's center.  With
+m = 1 it is the weighted median alpha of coordinate 1, and the cloud is not
+split.  Otherwise split the cloud at alpha into equal-mass halves.  For a
+normalized axis v (first component 1), slide each half along v into the cut
+plane and recursively take the first m-1 center coordinates of the two
+projected clouds, x_neg from the low half and x_pos from the high half.  The
+axis residual
 
     T(v) = x_neg(v) - x_pos(v)
 
 vanishes exactly when both halves agree on a common center, and then the
-d-dimensional center is (alpha, common child center).
+center prefix is (alpha, common child prefix).  The full solve (m = d) also
+returns the partition tree; every residual evaluation is the same recursion
+with a shorter prefix.
 
 T has a triangular structure that makes the solve sequential: component k-1 of
 T depends only on v_2..v_k, and it runs to -inf/+inf as v_k does.  So each
@@ -48,7 +52,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .measures import WeightedPointCloud, project_measure, split_at_median
+from .measures import (
+    WeightedPointCloud,
+    project_measure,
+    split_at_median,
+    weighted_quantile,
+)
 from .partition import PartitionNode, PartitionTree
 from .geometry import CoordinateSystem
 
@@ -288,8 +297,8 @@ def _axis_solve(low: WeightedPointCloud, high: WeightedPointCloud, alpha: float,
         def g(t, _k=k):
             vt = v.copy()
             vt[_k - 1] = t
-            c_neg = _prefix_center(project_measure(low, alpha, vt), _k - 1, cfg)
-            c_pos = _prefix_center(project_measure(high, alpha, vt), _k - 1, cfg)
+            c_neg = _solve(project_measure(low, alpha, vt), _k - 1, cfg)[0]
+            c_pos = _solve(project_measure(high, alpha, vt), _k - 1, cfg)[0]
             return float(c_neg[_k - 2] - c_pos[_k - 2])
 
         try:
@@ -306,15 +315,36 @@ def _axis_solve(low: WeightedPointCloud, high: WeightedPointCloud, alpha: float,
     return v, records
 
 
-def _prefix_center(cloud: WeightedPointCloud, m: int, cfg: SolverConfig) -> np.ndarray:
-    """First m coordinates of the cloud's center (m = dimension gives all)."""
-    alpha, low, high = split_at_median(cloud, 0)
+def _solve(cloud: WeightedPointCloud, m: int, cfg: SolverConfig, workers: int = 1):
+    """First m center coordinates; returns (center, node, worst, trace).
+
+    worst is the largest (axis residual, child-center gap) in the subtree, and
+    trace the node's AxisSolveTrace (None at a leaf).  node is the cloud's
+    partition when m equals its dimension; with a smaller m the axis
+    components beyond m stay 0 and only the prefix is meaningful.  workers >= 2
+    runs the two child solves side by side; everything below stays sequential.
+    """
     if m == 1:
-        return np.array([alpha])
-    v, _ = _axis_solve(low, high, alpha, m, cfg)
-    c_neg = _prefix_center(project_measure(low, alpha, v), m - 1, cfg)
-    c_pos = _prefix_center(project_measure(high, alpha, v), m - 1, cfg)
-    return np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
+        alpha = weighted_quantile(cloud.coordinate(0), cloud.weights, 0.5)
+        leaf = PartitionNode(np.array([1.0]), None, None)
+        return np.array([alpha]), leaf, (0.0, 0.0), None
+
+    alpha, low, high = split_at_median(cloud, 0)
+    v, records = _axis_solve(low, high, alpha, m, cfg)
+    halves = (project_measure(low, alpha, v), project_measure(high, alpha, v))
+    if workers >= 2:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            neg, pos = pool.map(lambda half: _solve(half, m - 1, cfg), halves)
+    else:
+        neg, pos = (_solve(half, m - 1, cfg) for half in halves)
+    c_neg, node_neg, worst_neg, _ = neg
+    c_pos, node_pos, worst_pos, _ = pos
+
+    trace = AxisSolveTrace(tuple(records), float(np.max(np.abs(c_neg - c_pos))))
+    worst = (max(trace.max_residual(), worst_neg[0], worst_pos[0]),
+             max(trace.center_gap, worst_neg[1], worst_pos[1]))
+    center = np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
+    return center, PartitionNode(v, node_neg, node_pos), worst, trace
 
 
 def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
@@ -331,8 +361,8 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     if v.shape != (low.dimension,) or v[0] != 1.0:
         raise ValueError("axis must be normalized: v[0] == 1")
     d = low.dimension
-    x_neg = _prefix_center(project_measure(low, alpha, v), d - 1, cfg)
-    x_pos = _prefix_center(project_measure(high, alpha, v), d - 1, cfg)
+    x_neg = _solve(project_measure(low, alpha, v), d - 1, cfg)[0]
+    x_pos = _solve(project_measure(high, alpha, v), d - 1, cfg)[0]
     return x_neg - x_pos, x_neg, x_pos
 
 
@@ -345,52 +375,6 @@ def triangular_axis_solve(low: WeightedPointCloud, high: WeightedPointCloud,
     _, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, v, cfg)
     gap = float(np.max(np.abs(x_neg - x_pos)))
     return v, AxisSolveTrace(tuple(records), gap)
-
-
-@dataclass
-class _NodeStats:
-    max_residual: float = 0.0
-    max_center_gap: float = 0.0
-
-    def absorb(self, *others):
-        for o in others:
-            self.max_residual = max(self.max_residual, o.max_residual)
-            self.max_center_gap = max(self.max_center_gap, o.max_center_gap)
-
-
-def _solve_node(cloud: WeightedPointCloud, cfg: SolverConfig, workers: int = 1):
-    """Full recursive solve; returns (center, local node, stats, trace|None)."""
-    d = cloud.dimension
-    alpha, low, high = split_at_median(cloud, 0)
-    if d == 1:
-        node = PartitionNode(np.array([1.0]), None, None)
-        return np.array([alpha]), node, _NodeStats(), None
-
-    v, records = _axis_solve(low, high, alpha, d, cfg)
-    proj_low = project_measure(low, alpha, v)
-    proj_high = project_measure(high, alpha, v)
-
-    if workers >= 2:
-        # the two child solves are independent pure calls; run them side by side
-        # (children themselves stay sequential, so no pool starvation)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_neg = pool.submit(_solve_node, proj_low, cfg, 1)
-            fut_pos = pool.submit(_solve_node, proj_high, cfg, 1)
-            c_neg, node_neg, stats_neg, _ = fut_neg.result()
-            c_pos, node_pos, stats_pos, _ = fut_pos.result()
-    else:
-        c_neg, node_neg, stats_neg, _ = _solve_node(proj_low, cfg, 1)
-        c_pos, node_pos, stats_pos, _ = _solve_node(proj_high, cfg, 1)
-
-    gap = float(np.max(np.abs(c_neg - c_pos)))
-    center = np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
-    stats = _NodeStats(
-        max_residual=max((r.residual for r in records), default=0.0),
-        max_center_gap=gap,
-    )
-    stats.absorb(stats_neg, stats_pos)
-    trace = AxisSolveTrace(tuple(records), gap)
-    return center, PartitionNode(v, node_neg, node_pos), stats, trace
 
 
 def _lift_axes(node: PartitionNode, depth: int, dimension: int) -> PartitionNode:
@@ -435,13 +419,13 @@ def compute_center_partition(
             f"dimension {cloud.dimension} exceeds configured maximum "
             f"{cfg.max_dimension}"
         )
-    center, local_root, stats, trace = _solve_node(cloud, cfg, workers)
+    center, local_root, worst, trace = _solve(cloud, cloud.dimension, cfg, workers)
     root = _lift_axes(local_root, 1, cloud.dimension)
     meta = {
         "config": cfg.to_json(),
         "input_digest": _cloud_digest(cloud),
-        "max_residual": stats.max_residual,
-        "max_center_gap": stats.max_center_gap,
+        "max_residual": worst[0],
+        "max_center_gap": worst[1],
         "root_trace": None
         if trace is None
         else {

@@ -21,6 +21,11 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestSample:
     def test_creates_rows(self, workdir, capsys):
         out = workdir / "pts.csv"
@@ -44,6 +49,12 @@ class TestSample:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_zero_count_exits_2(self, workdir, capsys):
+        code = main(["sample", "--spec", str(workdir / "box.json"),
+                     "-n", "0", "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert_one_error_line(capsys)
+
 
 class TestCenter:
     def test_asymmetric_fixture_stdout(self, workdir, capsys):
@@ -62,6 +73,20 @@ class TestCenter:
         empty = workdir / "empty.csv"
         empty.write_text("x1,x2\n")
         assert main(["center", str(empty)]) == 2
+
+    def test_system_not_json_exits_2(self, workdir, capsys):
+        sysfile = workdir / "sys.json"
+        sysfile.write_text("{not json")
+        code = main(["center", str(workdir / "asym.csv"), "--system", str(sysfile)])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    def test_dimension_above_config_maximum_exits_2(self, workdir, capsys):
+        cfgfile = workdir / "cfg.json"
+        cfgfile.write_text(json.dumps({"max_dimension": 1}))
+        code = main(["center", str(workdir / "asym.csv"), "--config", str(cfgfile)])
+        assert code == 2
+        assert_one_error_line(capsys)
 
     def test_solver_failure_exits_3(self, workdir, capsys):
         degenerate = workdir / "flat.csv"

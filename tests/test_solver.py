@@ -288,6 +288,26 @@ class TestComputeCenterPartition:
         # only the start point t0 = 0 was evaluated, once per half
         assert [axis[1] for axis in projections] == [0.0, 0.0]
 
+    def test_2d_solve_splits_once(self, monkeypatch):
+        # the leaves of the residual evaluations take the median without splitting
+        splits = []
+        real = solver.split_at_median
+        monkeypatch.setattr(
+            solver, "split_at_median",
+            lambda cloud, axis_index=0: splits.append(cloud.size)
+            or real(cloud, axis_index),
+        )
+        compute_center_partition(SHIFTED, SYS2, CFG)
+        assert splits == [SHIFTED.size]
+
+    @pytest.mark.parametrize("n, count, seed", [(3, 48, 8), (4, 24, 9)])
+    def test_prefix_solve_is_prefix_of_full_center(self, n, count, seed):
+        cloud = sample(MeasureSpec.uniform_box([0] * n, [1] * n), count, seed)
+        full = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG).center
+        for m in range(1, n + 1):
+            prefix = solver._solve(cloud, m, CFG)[0]
+            assert np.array_equal(prefix, full[:m])
+
     def test_weighted_cloud_center(self):
         # a weight-2 atom counts twice: same center as duplicating the point
         doubled = WeightedPointCloud.from_points(
