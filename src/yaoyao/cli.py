@@ -135,13 +135,16 @@ def cmd_verify(args) -> int:
         raise _InputError(f"unknown checks: {sorted(unknown)} (known: {_CHECKS})")
 
     reports = []
-    for name in names:
-        if name == "equipartition":
-            reports.append(verify.check_equipartition(tree, coords, tol=args.tol))
-        elif name == "avoidance":
-            reports.append(verify.check_avoidance(tree, args.count, args.seed, coords))
-        elif name == "depth":
-            reports.append(verify.check_depth(tree, coords, args.count, args.seed))
+    try:
+        for name in names:
+            if name == "equipartition":
+                reports.append(verify.check_equipartition(tree, coords, tol=args.tol))
+            elif name == "avoidance":
+                reports.append(verify.check_avoidance(tree, args.count, args.seed, coords))
+            elif name == "depth":
+                reports.append(verify.check_depth(tree, coords, args.count, args.seed))
+    except ValueError as exc:
+        raise _InputError(f"cannot verify: {exc}") from exc
     doc = {
         "all_passed": all(r.passed for r in reports),
         "checks": [r.to_json() for r in reports],

@@ -44,9 +44,15 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
-def membership_tolerance(apex: np.ndarray, p: np.ndarray) -> float:
-    """Scale-aware facet fuzz: 1e-9 * (1 + |apex| + |p|)."""
-    return 1e-9 * (1.0 + float(np.linalg.norm(apex)) + float(np.linalg.norm(p)))
+def membership_tolerance(apex: np.ndarray, points: np.ndarray,
+                         tol: float | None = None) -> np.ndarray:
+    """Facet fuzz per row of an (m, n) batch: the fixed ``tol`` if given,
+    else the scale-aware 1e-9 * (1 + |apex| + |p_i|)."""
+    if tol is not None:
+        if tol < 0:
+            raise ValueError("tolerance must be >= 0")
+        return np.full(points.shape[0], float(tol))
+    return 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(points, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +66,6 @@ class CoordinateSystem:
 
     matrix: np.ndarray
     offset: np.ndarray
-    condition_bound: float = DEFAULT_CONDITION_BOUND
 
     def __post_init__(self):
         m = _frozen(self.matrix)
@@ -70,10 +75,10 @@ class CoordinateSystem:
         if b.shape != (m.shape[0],):
             raise ValueError("offset length must match matrix dimension")
         cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > self.condition_bound:
+        if not np.isfinite(cond) or cond > DEFAULT_CONDITION_BOUND:
             raise ValueError(
                 f"coordinate matrix is ill conditioned (cond={cond:.3g} > "
-                f"{self.condition_bound:.3g})"
+                f"{DEFAULT_CONDITION_BOUND:.3g})"
             )
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "offset", b)
@@ -142,10 +147,6 @@ class HalfSpace:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         return self.value(points) >= 0.0
-
-    def flipped(self) -> "HalfSpace":
-        """The complementary closed half-space {normal . y <= offset}."""
-        return HalfSpace(-self.normal, -self.offset)
 
 
 class SignSequence(tuple):
@@ -299,12 +300,7 @@ def cone_contains(region: ConeRegion, p: np.ndarray, tol: float | None = None) -
     p = _check_point(region, p)
     single = p.ndim == 1
     pts = np.atleast_2d(p)
-    if tol is None:
-        tols = np.array([membership_tolerance(region.apex, q) for q in pts])
-    else:
-        if tol < 0:
-            raise ValueError("tolerance must be >= 0")
-        tols = np.full(pts.shape[0], float(tol))
+    tols = membership_tolerance(region.apex, pts, tol)
     coeffs = np.atleast_2d(cone_coefficients(region, pts))
     inside = np.all(coeffs >= -tols[:, None], axis=1)
     return bool(inside[0]) if single else inside

@@ -33,6 +33,7 @@ __all__ = [
     "WeightedPointCloud",
     "MeasureSpec",
     "sample",
+    "seeded_generator",
     "weighted_quantile",
     "split_at_median",
     "project_measure",
@@ -309,6 +310,13 @@ def _draw(spec: MeasureSpec, count: int, rng: np.random.Generator) -> np.ndarray
     return np.vstack(blocks)
 
 
+def seeded_generator(seed: int) -> np.random.Generator:
+    """Philox4x64 generator keyed by a seed in 0..2^64 - 1."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in 0..2^64 - 1, got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+
 def sample(spec: MeasureSpec, count: int, seed: int) -> WeightedPointCloud:
     """Draw a unit-weight cloud of ``count`` points from the spec.
 
@@ -318,11 +326,11 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> WeightedPointCloud:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    rng = seeded_generator(seed)
     if spec.kind == "finite-atoms":
         pts = np.asarray(spec.params["points"], dtype=float)
         if pts.shape[0] == count:
             return WeightedPointCloud.from_points(pts, spec.params["weights"])
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return WeightedPointCloud.from_points(_draw(spec, count, rng))
 
 

@@ -26,6 +26,7 @@ from .measures import (
     halfspace_mass,
     project_measure,
     sample,
+    seeded_generator,
     split_at_median,
     symmetrize,
     weighted_quantile,
@@ -68,10 +69,6 @@ class CheckReport:
         }
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def _unit_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(n)
@@ -105,23 +102,22 @@ def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
     n = tree.dimension
     labels = locate_points(tree, cloud.points)
     total = cloud.total_mass
+    # prefix index in lexicographic sign order (-1 first), one depth at a time
+    code = np.zeros(cloud.size, dtype=np.int64)
     masses = {}
-    max_dev = 0.0
-    for signs in regions(tree):
-        mask = np.all(labels == np.asarray(signs), axis=1)
-        m = float(np.sum(cloud.weights[mask]))
-        masses["".join("+" if s > 0 else "-" for s in signs)] = m
-        max_dev = max(max_dev, abs(m - total / 2**n) / (total / 2**n))
-    # prefix masses at every depth, from the same located labels
-    prefix_dev = 0.0
-    for k in range(1, n):
+    max_dev = prefix_dev = 0.0
+    for k in range(1, n + 1):
+        code = 2 * code + (labels[:, k - 1] > 0)
         want = total / 2**k
-        acc: dict = {}
-        for row, w in zip(labels[:, :k], cloud.weights):
-            key = tuple(row)
-            acc[key] = acc.get(key, 0.0) + w
-        for m in acc.values():
-            prefix_dev = max(prefix_dev, abs(m - want) / want)
+        for c in range(2**k):
+            m = float(np.sum(cloud.weights[code == c]))
+            dev = abs(m - want) / want
+            if k < n:
+                prefix_dev = max(prefix_dev, dev)
+            else:
+                max_dev = max(max_dev, dev)
+                word = format(c, f"0{n}b").replace("0", "-").replace("1", "+")
+                masses[word] = m
     passed = max_dev <= tol and prefix_dev <= tol
     return CheckReport(
         "equipartition",
@@ -140,8 +136,10 @@ def check_avoidance(tree: PartitionTree, count: int, seed: int,
                     cloud: WeightedPointCloud | None = None) -> CheckReport:
     """For seeded hyperplanes: orient the bounding half-space to contain the
     center and demand an exact containment certificate from witness search.
-    Must succeed count out of count; no statistical slack."""
-    rng = _rng(seed)
+    Must succeed count out of count (count >= 1); no statistical slack."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = seeded_generator(seed)
     regs = regions(tree)
     successes = 0
     for _ in range(count):
@@ -161,8 +159,10 @@ def check_avoidance(tree: PartitionTree, count: int, seed: int,
 def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
                 seed: int, slack: float = 1e-6) -> CheckReport:
     """Every half-space containing the center carries at least mass / 2^n of
-    the cloud (the witness region sits inside it)."""
-    rng = _rng(seed)
+    the cloud (the witness region sits inside it), over count >= 1 trials."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = seeded_generator(seed)
     n = tree.dimension
     floor = cloud.total_mass / 2**n * (1.0 - slack)
     worst = np.inf

@@ -55,6 +55,13 @@ class TestSample:
         assert code == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, workdir, capsys, seed):
+        code = main(["sample", "--spec", str(workdir / "box.json"),
+                     "-n", "5", "--seed", seed, "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert_one_error_line(capsys)
+
 
 class TestCenter:
     def test_asymmetric_fixture_stdout(self, workdir, capsys):
@@ -153,6 +160,20 @@ class TestVerify:
         shifted.write_text("x1,x2\n10,10\n11,12\n12,11\n13,13\n")
         code = main(["verify", str(part), str(shifted), "--checks", "equipartition"])
         assert code == 1
+
+    def test_negative_seed_exits_2(self, workdir, capsys):
+        part = self.make_partition(workdir)
+        capsys.readouterr()
+        code = main(["verify", str(part), str(workdir / "asym.csv"), "--seed", "-1"])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    def test_zero_count_exits_2(self, workdir, capsys):
+        part = self.make_partition(workdir)
+        capsys.readouterr()
+        code = main(["verify", str(part), str(workdir / "asym.csv"), "--count", "0"])
+        assert code == 2
+        assert_one_error_line(capsys)
 
     def test_unknown_check_exits_2(self, workdir):
         part = self.make_partition(workdir)

@@ -13,6 +13,7 @@ from yaoyao.geometry import (
     cone_coefficients,
     cone_contains,
     halfspace_contains_region,
+    membership_tolerance,
     region_halfspace_rep,
 )
 
@@ -136,6 +137,24 @@ class TestConeContains:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             cone_contains(IDENTITY_2D, (1.0, 1.0), tol=-1.0)
+
+
+class TestMembershipTolerance:
+    @given(st.integers(1, 6), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_scalar_formula(self, n, seed):
+        rng = np.random.default_rng(seed)
+        apex = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+        pts = rng.standard_normal((50, n)) * 10.0 ** rng.integers(-6, 7, size=(50, 1))
+        got = membership_tolerance(apex, pts)
+        want = np.array([1e-9 * (1.0 + float(np.linalg.norm(apex)) + float(np.linalg.norm(p)))
+                         for p in pts])
+        assert got.shape == (50,)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            membership_tolerance(np.zeros(2), np.ones((3, 2)), tol=-1e-300)
 
 
 class TestHalfspaceCertificate:

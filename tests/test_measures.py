@@ -15,6 +15,7 @@ from yaoyao.measures import (
     read_csv,
     regularize,
     sample,
+    seeded_generator,
     split_at_median,
     symmetrize,
     weighted_quantile,
@@ -211,6 +212,14 @@ class TestSampling:
                  "cov_factors": [[[1.0, 0.0], [1.0, 0.0]]],
                  "weights": [1.0]},
             )
+
+    def test_seed_range(self):
+        assert seeded_generator(0).random() != seeded_generator(2**64 - 1).random()
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                seeded_generator(bad)
+            with pytest.raises(ValueError, match="seed"):
+                sample(MeasureSpec.gaussian([0.0, 0.0]), 5, seed=bad)
 
     def test_spec_json_round_trip(self):
         spec = MeasureSpec.uniform_box([0, 0], [1, 2])

@@ -4,8 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from yaoyao.geometry import CoordinateSystem, HalfSpace, SignSequence, cone_contains
+from yaoyao.geometry import (
+    CoordinateSystem,
+    HalfSpace,
+    SignSequence,
+    cone_coefficients,
+    cone_contains,
+    membership_tolerance,
+)
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample
 from yaoyao.partition import (
     PartitionFormatError,
@@ -26,6 +34,48 @@ SYS2 = CoordinateSystem.standard(2)
 
 ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
 SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def scan_labels(tree, pts, tol=None):
+    """Reference location: scan all 2^n regions in lexicographic order (-1
+    first) and give each point the first region holding it within tolerance."""
+    tols = membership_tolerance(tree.center, pts, tol)
+    labels = np.zeros(pts.shape, dtype=np.int64)
+    remaining = np.ones(pts.shape[0], dtype=bool)
+    for signs, region in regions(tree).items():
+        idx = np.nonzero(remaining)[0]
+        coeffs = np.atleast_2d(cone_coefficients(region, pts[idx]))
+        hit = idx[np.all(coeffs >= -tols[idx, None], axis=1)]
+        labels[hit] = signs
+        remaining[hit] = False
+    assert not np.any(remaining), "scan left a point in no region"
+    return labels
+
+
+def random_tree(rng, n):
+    """A valid tree with random sub-diagonal axes and a random center."""
+
+    def node(depth):
+        if depth > n:
+            return None
+        axis = np.zeros(n)
+        axis[depth - 1] = 1.0
+        axis[depth:] = rng.standard_normal(n - depth)
+        return PartitionNode(axis, node(depth + 1), node(depth + 1))
+
+    return PartitionTree(CoordinateSystem.standard(n), rng.standard_normal(n), node(1), {})
+
+
+def facet_points(rng, tree, count):
+    """Points on region facets: a random region's cone with some coefficients 0."""
+    n = tree.dimension
+    regs = regions(tree)
+    out = np.empty((count, n))
+    for j in range(count):
+        signs = SignSequence(rng.choice([-1, 1], size=n))
+        coeffs = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5)
+        out[j] = tree.center + coeffs @ regs[signs].signed_generators()
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +244,32 @@ class TestPointLocation:
         assert region_of_point(asym_tree, (2.5, 3.0)) == (1, 1)
 
     def test_garbage_point_raises(self, square_tree):
-        # a corrupted tree cannot happen through the API, so simulate by asking
-        # for a location with an impossible tolerance: coefficients of (0.6, 0.6)
-        # are 0.1 in every region, below the forced floor of 1
+        # a negative tolerance would leave points in no region, so it is
+        # rejected before any point is located
         with pytest.raises(ValueError):
             locate_points(square_tree, np.array([[0.6, 0.6]]), tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, square_tree, bad):
+        pts = np.array([[0.6, 0.6], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            locate_points(square_tree, pts)
+
+    @given(st.integers(1, 5), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_region_scan(self, n, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, n)
+        pts = np.vstack([
+            tree.center + rng.standard_normal((200, n)) * 10.0 ** rng.integers(-3, 3),
+            tree.center,
+        ])
+        both = np.vstack([pts, facet_points(rng, tree, 40)])
+        for tol in (None, 1e-12, 0.3):
+            assert np.array_equal(locate_points(tree, both, tol), scan_labels(tree, both, tol))
+        # at tol = 0 a facet point's side is decided by rounding, which the walk
+        # and the scan do in different orders, so only off-facet points compare
+        assert np.array_equal(locate_points(tree, pts, 0.0), scan_labels(tree, pts, 0.0))
 
 
 class TestSerialization:

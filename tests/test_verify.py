@@ -5,6 +5,7 @@ import pytest
 
 from yaoyao.geometry import CoordinateSystem, HalfSpace
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, symmetrize
+from yaoyao.partition import PartitionNode, PartitionTree
 from yaoyao.solver import SolverConfig, compute_center_partition
 from yaoyao.verify import (
     check_avoidance,
@@ -54,6 +55,21 @@ class TestEquipartition:
         assert rep.stats["max_relative_deviation"] <= 1e-6
         assert rep.stats["max_prefix_deviation"] <= 1e-6
 
+    def test_empty_prefix_counts_fully(self):
+        # standard axes about the origin; prefix (+, -) holds no point, while
+        # every non-empty prefix is off by exactly one half
+        leaf = PartitionNode(np.array([0.0, 0.0, 1.0]), None, None)
+        mid = PartitionNode(np.array([0.0, 1.0, 0.0]), leaf, leaf)
+        tree = PartitionTree(CoordinateSystem.standard(3), np.zeros(3),
+                             PartitionNode(np.array([1.0, 0.0, 0.0]), mid, mid), {})
+        cloud = WeightedPointCloud.from_points(
+            [(-1, -1, -1), (-1, -1, 1), (-1, -2, 2), (-1, 1, -1), (-1, 1, 1),
+             (-1, 2, 2), (1, 1, -1), (1, 1, 1)]
+        )
+        rep = check_equipartition(tree, cloud)
+        assert rep.stats["max_prefix_deviation"] == 1.0
+        assert not rep.passed
+
 
 class TestAvoidance:
     def test_square_thousand(self, square_tree):
@@ -63,6 +79,10 @@ class TestAvoidance:
     def test_without_cloud(self, asym_tree):
         rep = check_avoidance(asym_tree, 200, seed=4)
         assert rep.passed
+
+    def test_zero_count_rejected(self, square_tree):
+        with pytest.raises(ValueError, match="count"):
+            check_avoidance(square_tree, 0, seed=1)
 
     def test_report_is_json_ready(self, square_tree):
         import json
@@ -75,6 +95,10 @@ class TestDepth:
         rep = check_depth(square_tree, SQUARE, 500, seed=6)
         assert rep.passed
         assert rep.stats["min_mass"] >= 1.0 - 1e-9
+
+    def test_zero_count_rejected(self, square_tree):
+        with pytest.raises(ValueError, match="count"):
+            check_depth(square_tree, SQUARE, 0, seed=1)
 
     def test_gaussian_cloud(self):
         cloud = sample(MeasureSpec.gaussian([0.0, 0.0]), 20_000, seed=12)
