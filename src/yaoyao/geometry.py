@@ -146,7 +146,8 @@ class HalfSpace:
         return np.asarray(vectors, dtype=float) @ self.normal
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        return self.value(points) >= 0.0
+        # same sign as value(points) >= 0 for finite values, one pass fewer
+        return np.asarray(points, dtype=float) @ self.normal >= self.offset
 
 
 class SignSequence(tuple):

@@ -110,7 +110,7 @@ def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
         code = 2 * code + (labels[:, k - 1] > 0)
         want = total / 2**k
         for c in range(2**k):
-            m = float(np.sum(cloud.weights[code == c]))
+            m = float(np.sum(np.compress(code == c, cloud.weights)))
             dev = abs(m - want) / want
             if k < n:
                 prefix_dev = max(prefix_dev, dev)
@@ -327,7 +327,7 @@ def check_monotone_lift(cloud: WeightedPointCloud, form: HalfSpace,
     if default_slopes:
         # grow past the largest finite slope at which any strictly-above point
         # still qualifies, so the last mass provably bottoms out
-        caps = values[high] / (x1[high] - alpha)
+        caps = np.compress(high, values) / (np.compress(high, x1) - alpha)
         top = 2.0 * max(float(np.max(caps, initial=0.0)), 0.0) + 1.0
         slopes = [0.0] + list(np.geomspace(1.0, top, steps - 1))
     slopes = [float(s) for s in slopes]
@@ -335,8 +335,9 @@ def check_monotone_lift(cloud: WeightedPointCloud, form: HalfSpace,
     masses = []
     for L in slopes:
         member = (x1 >= alpha) & (values >= (x1 - alpha) * L)
-        masses.append(float(np.sum(cloud.weights[member])))
-    plane_mass = float(np.sum(cloud.weights[on_plane & (values >= 0.0)]))
+        masses.append(float(np.sum(np.compress(member, cloud.weights))))
+    on_plane_inside = on_plane & (values >= 0.0)
+    plane_mass = float(np.sum(np.compress(on_plane_inside, cloud.weights)))
 
     if len(set(slopes)) == 1:
         passed = all(m == masses[0] for m in masses)

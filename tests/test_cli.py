@@ -81,6 +81,18 @@ class TestCenter:
         empty.write_text("x1,x2\n")
         assert main(["center", str(empty)]) == 2
 
+    def test_weight_only_csv_exits_2(self, workdir, capsys):
+        weights_only = workdir / "w.csv"
+        weights_only.write_text("w\n1.0\n2.0\n")
+        assert main(["center", str(weights_only)]) == 2
+        assert_one_error_line(capsys)
+
+    def test_quoted_csv_exits_2(self, workdir, capsys):
+        quoted = workdir / "quoted.csv"
+        quoted.write_text('x1,x2\n"0",0\n1,2\n')
+        assert main(["center", str(quoted)]) == 2
+        assert_one_error_line(capsys)
+
     def test_system_not_json_exits_2(self, workdir, capsys):
         sysfile = workdir / "sys.json"
         sysfile.write_text("{not json")

@@ -42,6 +42,25 @@ class TestCloud:
         with pytest.raises(ValueError):
             WeightedPointCloud(np.empty((0, 2)), [], [])
 
+    def test_unsorted_duplicate_id_rejected(self):
+        with pytest.raises(ValueError, match="ids must be unique"):
+            WeightedPointCloud([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0], [3, 1, 3])
+
+    def test_unsorted_unique_ids_come_back_in_id_order(self):
+        pts = np.array([[3.0, 30.0], [1.0, 10.0], [4.0, 40.0], [2.0, 20.0]])
+        c = WeightedPointCloud(pts, [3.0, 1.0, 4.0, 2.0], [7, -5, 9, 0])
+        assert list(c.ids) == [-5, 0, 7, 9]
+        assert np.array_equal(c.points[:, 0], [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(c.points[:, 1], [10.0, 20.0, 30.0, 40.0])
+        assert np.array_equal(c.weights, [1.0, 2.0, 3.0, 4.0])
+        assert c.points.flags.c_contiguous
+
+    def test_does_not_alias_caller_arrays(self):
+        pts, w, ids = np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), np.arange(2)
+        c = WeightedPointCloud(pts, w, ids)
+        pts[0, 0], w[0], ids[0] = 9.0, 9.0, 9
+        assert c.points[0, 0] == 1.0 and c.weights[0] == 1.0 and c.ids[0] == 0
+
     def test_arrays_frozen(self):
         c = WeightedPointCloud.from_points([[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -119,6 +138,62 @@ class TestSplitAtMedian:
         half = 0.5 * cloud.total_mass
         assert abs(low.total_mass - half) <= 1e-12 * cloud.total_mass
         assert abs(high.total_mass - half) <= 1e-12 * cloud.total_mass
+
+
+def tied_weighted_cloud(seed: int, n: int, size: int) -> WeightedPointCloud:
+    """Random weights, shuffled ids, and a cut coordinate with many ties."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((size, n))
+    pts[:, 0] = rng.choice([-1.0, 0.0, 0.25, 2.0], size=size)
+    weights = rng.uniform(0.1, 5.0, size)
+    return WeightedPointCloud(pts, weights, rng.permutation(size) * 3)
+
+
+def mask_split_at_median(cloud, axis_index):
+    """split_at_median written with boolean-mask gathers, for comparison."""
+    coord = cloud.coordinate(axis_index)
+    alpha = weighted_quantile(coord, cloud.weights, 0.5)
+    below, above = coord < alpha, coord > alpha
+    need = 0.5 * cloud.total_mass - float(np.sum(cloud.weights[below]))
+    in_low, in_high = below.copy(), above.copy()
+    low_w, high_w = cloud.weights.copy(), cloud.weights.copy()
+    for i in np.flatnonzero(~below & ~above):
+        wi = cloud.weights[i]
+        if need >= wi:
+            in_low[i] = True
+            need -= wi
+        elif need > 0.0:
+            in_low[i] = in_high[i] = True
+            low_w[i], high_w[i] = need, wi - need
+            need = 0.0
+        else:
+            in_high[i] = True
+    halves = [(cloud.points[m], w[m], cloud.ids[m])
+              for m, w in ((in_low, low_w), (in_high, high_w))]
+    return float(alpha), halves
+
+
+class TestGathersMatchBooleanMasks:
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_split_and_halfspace_mass_bit_identical(self, seed, n, size):
+        cloud = tied_weighted_cloud(seed, n, size)
+        for axis_index in range(n):
+            alpha, low, high = split_at_median(cloud, axis_index)
+            ref_alpha, ref_halves = mask_split_at_median(cloud, axis_index)
+            assert alpha == ref_alpha
+            for side, (pts, w, ids) in zip((low, high), ref_halves):
+                assert side.points.tobytes() == pts.tobytes()
+                assert side.weights.tobytes() == w.tobytes()
+                assert side.ids.tobytes() == ids.tobytes()
+        rng = np.random.default_rng(seed + 1)
+        for offset in (0.0, 0.25, float(rng.standard_normal())):
+            h = HalfSpace(rng.standard_normal(n), offset)
+            ref = float(np.sum(cloud.weights[h.value(cloud.points) >= 0.0]))
+            assert halfspace_mass(cloud, h) == ref
+        axis = HalfSpace(np.eye(n)[0], 0.0)  # closed side of a tied coordinate
+        ref = float(np.sum(cloud.weights[cloud.points[:, 0] >= 0.0]))
+        assert halfspace_mass(cloud, axis) == ref
 
 
 class TestProjection:
@@ -299,6 +374,57 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO("a,b\n1,2\n"))
+
+    def test_header_without_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            read_csv(io.StringIO("w\n1.0\n2.0\n"))
+
+    def test_write_golden_bytes(self):
+        c = WeightedPointCloud.from_points(
+            [[-0.0, 5e-324], [0.1 + 0.2, 1e16], [1.7976931348623157e308, -2.5]],
+            [1.0, 5e-324, 1.7976931348623157e308],
+        )
+        buf = io.StringIO()
+        write_csv(c, buf)
+        assert buf.getvalue() == (
+            "x1,x2,w\n"
+            "-0.0,5e-324,1.0\n"
+            "0.30000000000000004,1e+16,5e-324\n"
+            "1.7976931348623157e+308,-2.5,1.7976931348623157e+308\n"
+        )
+        assert read_csv(io.StringIO(buf.getvalue())) == c
+
+    def test_write_to_path_is_lf_utf8(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        write_csv(WeightedPointCloud.from_points([[1.5, -2.0]]), path)
+        assert path.read_bytes() == b"x1,x2,w\n1.5,-2.0,1.0\n"
+
+    def test_crlf_blank_lines_and_spaces(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(
+            b"x1 , x2 ,w\r\n\r\n 0.5 ,1.5, 2\r\n\r\n  \r\n2.5,\t3.5,1\r\n\r\n"
+        )
+        c = read_csv(path)
+        assert np.array_equal(c.points, [[0.5, 1.5], [2.5, 3.5]])
+        assert np.array_equal(c.weights, [2.0, 1.0])
+        assert list(c.ids) == [0, 1]
+
+    def test_number_spellings_follow_python_float(self):
+        c = read_csv(io.StringIO("x1,x2\n1e5,+1\n-0,.5\n1_000,5.\n"))
+        assert np.array_equal(c.points, [[1e5, 1.0], [0.0, 0.5], [1000.0, 5.0]])
+        assert str(c.points[1, 0]) == "-0.0"
+        with pytest.raises(ValueError):
+            read_csv(io.StringIO("x1\n0x10\n"))
+
+    def test_short_row_names_its_line(self):
+        with pytest.raises(ValueError, match="row 4 has 2 fields, expected 3"):
+            read_csv(io.StringIO("x1,x2,w\n1,2,1\n\n3,4\n5,6,1\n"))
+        with pytest.raises(ValueError, match="row 2 has 3 fields, expected 2"):
+            read_csv(io.StringIO("x1,x2\r\n1,2,3\r\n"))
+
+    def test_quoted_field_rejected(self):
+        with pytest.raises(ValueError, match="line 3 has a quoted field"):
+            read_csv(io.StringIO('x1,x2\n1,2\n"3",4\n'))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yaoyao.geometry import CoordinateSystem, HalfSpace
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, symmetrize
-from yaoyao.partition import PartitionNode, PartitionTree
+from yaoyao.partition import PartitionNode, PartitionTree, locate_points
 from yaoyao.solver import SolverConfig, compute_center_partition
 from yaoyao.verify import (
     check_avoidance,
@@ -69,6 +70,48 @@ class TestEquipartition:
         rep = check_equipartition(tree, cloud)
         assert rep.stats["max_prefix_deviation"] == 1.0
         assert not rep.passed
+
+
+def mask_region_masses(tree, cloud):
+    """Region and prefix masses gathered by boolean masks, for comparison."""
+    n = tree.dimension
+    labels = locate_points(tree, cloud.points)
+    code = np.zeros(cloud.size, dtype=np.int64)
+    prefix, full = [], []
+    for k in range(1, n + 1):
+        code = 2 * code + (labels[:, k - 1] > 0)
+        masses = [float(np.sum(cloud.weights[code == c])) for c in range(2**k)]
+        (full if k == n else prefix).extend(masses)
+    return prefix, full
+
+
+class TestEquipartitionGathers:
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_masses_bit_identical_to_boolean_masks(self, seed, n, size):
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((size, n))
+        pts[:, 0] = rng.choice([-1.0, 0.0, 0.5], size=size)  # ties on the first cut
+        weights = rng.uniform(0.1, 5.0, size)
+        cloud = WeightedPointCloud(pts, weights, rng.permutation(size))
+
+        def node(depth):
+            if depth > n:
+                return None
+            axis = np.zeros(n)
+            axis[depth - 1] = 1.0
+            axis[depth:] = rng.standard_normal(n - depth)
+            return PartitionNode(axis, node(depth + 1), node(depth + 1))
+
+        center = np.concatenate([[0.0], rng.standard_normal(n - 1)])
+        tree = PartitionTree(CoordinateSystem.standard(n), center, node(1), {})
+        rep = check_equipartition(tree, cloud)
+        prefix, full = mask_region_masses(tree, cloud)
+        assert list(rep.stats["region_masses"].values()) == full
+        total = cloud.total_mass
+        want = [total / 2**k for k in range(1, n) for _ in range(2**k)]
+        devs = [abs(m - w) / w for m, w in zip(prefix, want)]
+        assert rep.stats["max_prefix_deviation"] == max(devs, default=0.0)
 
 
 class TestAvoidance:
