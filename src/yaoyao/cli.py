@@ -52,6 +52,14 @@ def _load_system(path, dimension) -> CoordinateSystem:
     return system
 
 
+def _read(load, path, kind):
+    """load(path), with a bad or unreadable file reported as an input error."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise _InputError(f"bad {kind} file: {exc}") from exc
+
+
 def _load_config(path) -> SolverConfig:
     if path is None:
         return SolverConfig()
@@ -76,10 +84,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_center(args) -> int:
-    try:
-        cloud = measures.read_csv(args.points)
-    except (OSError, ValueError) as exc:
-        raise _InputError(f"bad points file: {exc}") from exc
+    cloud = _read(measures.read_csv, args.points, "points")
     system = _load_system(args.system, cloud.dimension)
     cfg = _load_config(args.config)
     coords = _to_system_coords(cloud, system)
@@ -117,14 +122,8 @@ _CHECKS = ("equipartition", "avoidance", "depth")
 
 
 def cmd_verify(args) -> int:
-    try:
-        tree = partition.load(args.partition)
-    except (OSError, partition.PartitionFormatError) as exc:
-        raise _InputError(f"bad partition file: {exc}") from exc
-    try:
-        cloud = measures.read_csv(args.points)
-    except (OSError, ValueError) as exc:
-        raise _InputError(f"bad points file: {exc}") from exc
+    tree = _read(partition.load, args.partition, "partition")
+    cloud = _read(measures.read_csv, args.points, "points")
     if cloud.dimension != tree.dimension:
         raise _InputError("points and partition have different dimensions")
     coords = _to_system_coords(cloud, tree.system)
@@ -177,16 +176,10 @@ _FILLS = ("#aecbe8", "#f2c4a2", "#b8dcb8", "#e8b4c8")
 
 
 def cmd_plot(args) -> int:
-    try:
-        tree = partition.load(args.partition)
-    except (OSError, partition.PartitionFormatError) as exc:
-        raise _InputError(f"bad partition file: {exc}") from exc
+    tree = _read(partition.load, args.partition, "partition")
     if tree.dimension != 2:
         raise _InputError("plotting is two-dimensional only")
-    try:
-        cloud = measures.read_csv(args.points)
-    except (OSError, ValueError) as exc:
-        raise _InputError(f"bad points file: {exc}") from exc
+    cloud = _read(measures.read_csv, args.points, "points")
     if cloud.dimension != 2:
         raise _InputError("points file is not two-dimensional")
 

@@ -16,6 +16,13 @@ point's weight.  This makes every split reproducible and exactly mass-halving,
 which is what pins down a canonical center for atomic inputs (clouds put mass
 on hyperplanes, so for them the center is a convention, not a theorem).
 
+Only clouds and public functions validate; the quantile, split and
+projection then run as private kernels on plain arrays in id order, which the
+solver calls directly.  A quantile is taken by selection (``np.partition``,
+O(N)) when every weight is one power of two w0, unit weights included: the
+cumulative weights (i + 1) * w0 are then exact, so the order statistics are
+bit for bit those of the stable sort and cumulative sum other weights take.
+
 Randomness is counter-based and fully documented: every generator is a
 numpy Philox stream keyed by the caller's 64-bit seed, and each spec kind
 draws blocks in a fixed order (see ``sample``).  Identical (spec, N, seed)
@@ -30,6 +37,7 @@ one numpy conversion and written by one join, in shortest round-trip form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,6 +352,27 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> WeightedPointCloud:
     return WeightedPointCloud.from_points(_draw(spec, count, rng))
 
 
+def _quantile(v: np.ndarray, w: np.ndarray, q: float):
+    """``weighted_quantile`` on checked arrays.  Selection reads the sorted
+    indices off t = q * total / w0, exact (w0 only shifts the exponent; a t
+    that underflows gives index 0 either way), and takes tied zeros, -0.0 and
+    0.0, in input order as the stable sort does."""
+    n, w0 = v.size, float(w[0])
+    total = n * w0
+    if math.frexp(w0)[0] == 0.5 and math.isfinite(total) and (w == w0).all():
+        t = q * total / w0
+        ks = (min(max(math.ceil(t) - 1, 0), n - 1), min(math.floor(t), n - 1))
+        part = np.partition(v, ks)
+        ends = [part[k] or v[v == 0.0][k - np.count_nonzero(v < 0.0)] for k in ks]
+    else:
+        order = np.argsort(v, kind="stable")
+        cw = np.cumsum(w[order])
+        target = q * cw[-1]
+        ends = [v[order[min(int(np.searchsorted(cw, target, side)), n - 1)]]
+                for side in ("left", "right")]
+    return 0.5 * (ends[0] + ends[1])
+
+
 def weighted_quantile(values, weights, q: float) -> float:
     """Midpoint of the q-quantile interval of a weighted sample.
 
@@ -361,15 +390,35 @@ def weighted_quantile(values, weights, q: float) -> float:
         raise ValueError("weights must be positive")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
-    order = np.argsort(v, kind="stable")
-    v_sorted = v[order]
-    cw = np.cumsum(w[order])
-    target = q * cw[-1]
-    lo_idx = int(np.searchsorted(cw, target, side="left"))
-    hi_idx = int(np.searchsorted(cw, target, side="right"))
-    lo_idx = min(lo_idx, v_sorted.size - 1)
-    hi_idx = min(hi_idx, v_sorted.size - 1)
-    return 0.5 * (v_sorted[lo_idx] + v_sorted[hi_idx])
+    return _quantile(v, w, q)
+
+
+def _split(points: np.ndarray, weights: np.ndarray, axis_index: int = 0):
+    """``split_at_median`` on checked arrays in id order; returns alpha and,
+    per half, (points, weights, mask of the input rows)."""
+    coord = points[:, axis_index]
+    alpha = _quantile(coord, weights, 0.5)
+    in_low, in_high = coord < alpha, coord > alpha
+    need = 0.5 * float(np.sum(weights)) - float(np.sum(np.compress(in_low, weights)))
+
+    # only the tied block is walked; a split point keeps its id on both sides
+    low_w, high_w = weights.copy(), weights.copy()
+    for i in np.flatnonzero(coord == alpha):
+        wi = weights[i]
+        if need >= wi:
+            in_low[i] = True
+            need -= wi
+        elif need > 0.0:
+            in_low[i] = in_high[i] = True
+            low_w[i], high_w[i] = need, wi - need
+            need = 0.0
+        else:
+            in_high[i] = True
+
+    return float(alpha), *(
+        (np.compress(mask, points, axis=0), np.compress(mask, w), mask)
+        for mask, w in ((in_low, low_w), (in_high, high_w))
+    )
 
 
 def split_at_median(
@@ -382,38 +431,20 @@ def split_at_median(
     side until it holds exactly half the total, splitting at most one point's
     weight; a split point appears in both halves with the same id.
     """
-    coord = cloud.coordinate(axis_index)
-    alpha = weighted_quantile(coord, cloud.weights, 0.5)
-    below = coord < alpha
-    above = coord > alpha
-    tied = ~below & ~above
+    alpha, *halves = _split(cloud.points, cloud.weights, axis_index)
+    return alpha, *(
+        WeightedPointCloud(pts, w, np.compress(mask, cloud.ids))
+        for pts, w, mask in halves
+    )
 
-    half = 0.5 * cloud.total_mass
-    need = half - float(np.sum(np.compress(below, cloud.weights)))
 
-    # only the tied block is walked; a split point keeps its id on both sides
-    in_low, in_high = below.copy(), above.copy()
-    low_w, high_w = cloud.weights.copy(), cloud.weights.copy()
-    for i in np.flatnonzero(tied):
-        wi = cloud.weights[i]
-        if need >= wi:
-            in_low[i] = True
-            need -= wi
-        elif need > 0.0:
-            in_low[i] = in_high[i] = True
-            low_w[i], high_w[i] = need, wi - need
-            need = 0.0
-        else:
-            in_high[i] = True
-
-    def build(mask, w):
-        return WeightedPointCloud(
-            np.compress(mask, cloud.points, axis=0),
-            np.compress(mask, w),
-            np.compress(mask, cloud.ids),
-        )
-
-    return float(alpha), build(in_low, low_w), build(in_high, high_w)
+def _project(points: np.ndarray, alpha: float, axis: np.ndarray) -> np.ndarray:
+    """``project_measure`` on checked arrays: the projected points."""
+    reach = points[:, 0] - alpha
+    shifted = points[:, 1:] - reach[:, None] * axis[1:]
+    if not np.isfinite(shifted).all():
+        raise ValueError("points must be finite")
+    return shifted
 
 
 def project_measure(
@@ -433,9 +464,7 @@ def project_measure(
         raise ValueError("axis dimension mismatch")
     if axis[0] != 1.0:
         raise ValueError("axis must be normalized: first component exactly 1")
-    reach = side.points[:, 0] - alpha
-    shifted = side.points[:, 1:] - reach[:, None] * axis[1:]
-    return WeightedPointCloud(shifted, side.weights, side.ids)
+    return WeightedPointCloud(_project(side.points, alpha, axis), side.weights, side.ids)
 
 
 def halfspace_mass(cloud: WeightedPointCloud, h: HalfSpace) -> float:

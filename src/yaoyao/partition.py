@@ -224,7 +224,7 @@ def locate_points(tree: PartitionTree, points: np.ndarray, tol: float | None = N
         neg = a <= tols
         labels[:, k] = np.where(neg, -1, 1)
         axes = np.array([node.axis[k + 1:] for node in nodes])
-        rest[:, k + 1:] -= a[:, None] * axes[code]
+        rest[:, k + 1:] -= a[:, None] * np.take(axes, code, axis=0)
         code = 2 * code + ~neg
         nodes = [child for node in nodes for child in (node.neg, node.pos)]
     return labels

@@ -1,45 +1,33 @@
 """Recursive center computation by median split and triangular root-finding.
 
 One recursion computes the first m coordinates of a cloud's center.  With
-m = 1 it is the weighted median alpha of coordinate 1, and the cloud is not
-split.  Otherwise split the cloud at alpha into equal-mass halves.  For a
-normalized axis v (first component 1), slide each half along v into the cut
-plane and recursively take the first m-1 center coordinates of the two
-projected clouds, x_neg from the low half and x_pos from the high half.  The
-axis residual
+m = 1 it is the weighted median alpha of coordinate 1.  Otherwise split the
+cloud at alpha into equal-mass halves, slide each along a normalized axis v
+(first component 1) into the cut plane, and recursively take the first m-1
+center coordinates of the projected halves, x_neg (low) and x_pos (high).
+The axis residual T(v) = x_neg(v) - x_pos(v) vanishes exactly when both
+halves agree on a common center, and then the center prefix is (alpha,
+common child prefix).  The full solve (m = d) also returns the partition
+tree; every residual evaluation is the same recursion with a shorter prefix,
+which reads only the first m coordinates.
 
-    T(v) = x_neg(v) - x_pos(v)
-
-vanishes exactly when both halves agree on a common center, and then the
-center prefix is (alpha, common child prefix).  The full solve (m = d) also
-returns the partition tree; every residual evaluation is the same recursion
-with a shorter prefix.
-
-T has a triangular structure that makes the solve sequential: component k-1 of
-T depends only on v_2..v_k, and it runs to -inf/+inf as v_k does.  So each
-component is a one-dimensional root-finding problem: bracket a sign change by
-geometric expansion around 0, narrow it to a root, move to the next
-coordinate.  Earlier components stay solved because later coordinates cannot
-touch them.
-
+T is triangular: component k-1 depends only on v_2..v_k and runs to -inf/+inf
+as v_k does.  So the components are solved one at a time as one-dimensional
+roots (``bracket_and_bisect``), and later ones cannot disturb earlier ones.
 Only intermediate-value structure is assumed: T is continuous for the
-interpolating median convention (piecewise linear in v for finite clouds), but
-nothing is assumed about monotonicity or smoothness.  Inside the first
-sign-changing bracket (left probe before right at each expansion) the solver
-takes safeguarded Illinois regula-falsi steps: the interpolated point is kept
-at least root_tol/2 inside the bracket, every 4th step is the midpoint, and
-only midpoints are taken once the remaining step budget is what bisection
-would still need.  Once the bracket sits inside one linear piece the
-interpolation lands on the root, so a coordinate costs a handful of nested
-child solves instead of the ~30 plain bisection needs.  Among several roots
-in the bracket, the canonical one is the deterministic limit of this step
-rule.  The final center averages the two child centers, which keeps every
-convention reflection-equivariant: symmetric inputs get their symmetry center
-exactly, up to roundoff.
+interpolating median convention (piecewise linear in v for finite clouds).
+The center averages the two child centers, which keeps every convention
+reflection-equivariant: symmetric inputs get their symmetry center exactly,
+up to roundoff.
+
+Input is validated only at the public boundary (the clouds and the public
+functions).  Below it the recursion runs on plain (points, weights) arrays in
+id order through the measures kernels, which build no clouds and take
+unit-weight medians by selection; a projection that overflows still raises.
 
 Everything here is a pure function of (inputs, config); the optional worker
-threads only split the two independent child solves, so results are identical
-under any schedule.
+threads only split the two independent child solves at the root, so results
+are identical under any schedule.
 """
 
 from __future__ import annotations
@@ -54,9 +42,10 @@ import numpy as np
 
 from .measures import (
     WeightedPointCloud,
-    project_measure,
+    _project,
+    _quantile,
+    _split,
     split_at_median,
-    weighted_quantile,
 )
 from .partition import PartitionNode, PartitionTree
 from .geometry import CoordinateSystem
@@ -266,39 +255,39 @@ def bracket_and_bisect(g, t0: float, cfg: SolverConfig) -> float:
 
     If |g(t0)| <= residual_tol, t0 is returned.  Otherwise the bracket
     [t0 - h, t0 + h] grows geometrically until a sign change appears (left
-    endpoint probed first), then safeguarded Illinois regula-falsi steps, with
-    every 4th step a midpoint, narrow it until g hits 0 exactly or the
-    sign-change bracket is at most root_tol wide; the last evaluated point is
-    returned.  Once the remaining budget (max_bisections) is what bisection
-    would still need, only midpoints are taken, so this never fails where
-    bisection alone would converge.  Deterministic throughout: among several
-    roots in the bracket the step rule's limit is the canonical one.
+    endpoint probed first), then safeguarded Illinois regula-falsi steps
+    (interpolated points kept root_tol/2 inside, every 4th step a midpoint,
+    only midpoints once the budget is what bisection still needs) narrow it
+    as SolverConfig describes; the last evaluated point is returned.  Among
+    several roots in the bracket, the step rule's limit is the canonical one.
     """
     root, *_ = _bracket_and_bisect(g, t0, cfg)
     return root
 
 
-def _axis_solve(low: WeightedPointCloud, high: WeightedPointCloud, alpha: float,
-                m: int, cfg: SolverConfig):
-    """Solve axis components v_2..v_m sequentially; returns (v, records).
+def _child(half, alpha: float, v: np.ndarray, m: int, cfg: SolverConfig):
+    """_solve of a (points, weights) half projected along v into the cut plane;
+    only the m coordinates a prefix of length m reads are projected."""
+    points, weights = half
+    return _solve(_project(points[:, :m + 1], alpha, v[:m + 1]), weights, m, cfg)
 
-    v has the full dimension of the halves, with components beyond m left 0.
-    Solving component k only needs the child centers' coordinate k-1, which by
-    the triangular structure needs a child prefix solve of length k-1 only.
+
+def _axis_solve(low, high, alpha: float, m: int, cfg: SolverConfig):
+    """Solve axis components v_2..v_m of (points, weights) halves in turn;
+    returns (v, records), v of the halves' dimension with components beyond m
+    left 0.  Component k needs only child prefix solves of length k-1.
     """
-    d = low.dimension
-    v = np.zeros(d)
+    v = np.zeros(low[0].shape[1])
     v[0] = 1.0
     # with every point on the cut plane, projection ignores v and g is constant
-    frozen = bool(np.all(low.points[:, 0] == alpha)
-                  and np.all(high.points[:, 0] == alpha))
+    frozen = bool(np.all(low[0][:, 0] == alpha) and np.all(high[0][:, 0] == alpha))
     records = []
     for k in range(2, m + 1):
         def g(t, _k=k):
             vt = v.copy()
             vt[_k - 1] = t
-            c_neg = _solve(project_measure(low, alpha, vt), _k - 1, cfg)[0]
-            c_pos = _solve(project_measure(high, alpha, vt), _k - 1, cfg)[0]
+            c_neg = _child(low, alpha, vt, _k - 1, cfg)[0]
+            c_pos = _child(high, alpha, vt, _k - 1, cfg)[0]
             return float(c_neg[_k - 2] - c_pos[_k - 2])
 
         try:
@@ -315,28 +304,31 @@ def _axis_solve(low: WeightedPointCloud, high: WeightedPointCloud, alpha: float,
     return v, records
 
 
-def _solve(cloud: WeightedPointCloud, m: int, cfg: SolverConfig, workers: int = 1):
-    """First m center coordinates; returns (center, node, worst, trace).
+# every m = 1 leaf returns this node; _lift_axes builds the tree's own copies
+_LEAF = PartitionNode(np.array([1.0]), None, None)
 
-    worst is the largest (axis residual, child-center gap) in the subtree, and
-    trace the node's AxisSolveTrace (None at a leaf).  node is the cloud's
-    partition when m equals its dimension; with a smaller m the axis
-    components beyond m stay 0 and only the prefix is meaningful.  workers >= 2
-    runs the two child solves side by side; everything below stays sequential.
-    """
+
+def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
+    """First m center coordinates of (points, weights); returns (center, node,
+    worst, trace): the partition (only its prefix means anything if m < the
+    dimension; m = 1 leaves share one node), the largest (axis residual,
+    child-center gap) in it, and the node's AxisSolveTrace (None at a leaf)."""
     if m == 1:
-        alpha = weighted_quantile(cloud.coordinate(0), cloud.weights, 0.5)
-        leaf = PartitionNode(np.array([1.0]), None, None)
-        return np.array([alpha]), leaf, (0.0, 0.0), None
+        return np.array([_quantile(points[:, 0], weights, 0.5)]), _LEAF, (0.0, 0.0), None
+    alpha, (*low, _), (*high, _) = _split(points, weights)
+    return _solve_split(alpha, low, high, m, cfg)
 
-    alpha, low, high = split_at_median(cloud, 0)
+
+def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig, workers: int = 1):
+    """_solve after the split at alpha into (points, weights) halves; workers
+    >= 2 runs the two child solves side by side, everything below sequentially.
+    """
     v, records = _axis_solve(low, high, alpha, m, cfg)
-    halves = (project_measure(low, alpha, v), project_measure(high, alpha, v))
     if workers >= 2:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            neg, pos = pool.map(lambda half: _solve(half, m - 1, cfg), halves)
+            neg, pos = pool.map(lambda half: _child(half, alpha, v, m - 1, cfg), (low, high))
     else:
-        neg, pos = (_solve(half, m - 1, cfg) for half in halves)
+        neg, pos = (_child(half, alpha, v, m - 1, cfg) for half in (low, high))
     c_neg, node_neg, worst_neg, _ = neg
     c_pos, node_pos, worst_pos, _ = pos
 
@@ -347,6 +339,15 @@ def _solve(cloud: WeightedPointCloud, m: int, cfg: SolverConfig, workers: int = 
     return center, PartitionNode(v, node_neg, node_pos), worst, trace
 
 
+def _halves(low: WeightedPointCloud, high: WeightedPointCloud):
+    """The (points, weights) arrays of two halves of one dimension >= 2."""
+    if low.dimension != high.dimension:
+        raise ValueError("halves have different dimensions")
+    if low.dimension < 2:
+        raise ValueError("axis solve needs dimension >= 2")
+    return (low.points, low.weights), (high.points, high.weights)
+
+
 def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
                            alpha: float, v, cfg: SolverConfig):
     """Residual x_neg - x_pos at a fixed normalized axis, plus both child centers.
@@ -355,26 +356,19 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     cloud's center is computed in full; the componentwise difference is the
     residual the axis solve drives to zero.
     """
+    halves = _halves(low, high)
     v = np.asarray(v, dtype=float)
-    if low.dimension != high.dimension:
-        raise ValueError("halves have different dimensions")
     if v.shape != (low.dimension,) or v[0] != 1.0:
         raise ValueError("axis must be normalized: v[0] == 1")
-    d = low.dimension
-    x_neg = _solve(project_measure(low, alpha, v), d - 1, cfg)[0]
-    x_pos = _solve(project_measure(high, alpha, v), d - 1, cfg)[0]
+    x_neg, x_pos = (_child(half, alpha, v, low.dimension - 1, cfg)[0] for half in halves)
     return x_neg - x_pos, x_neg, x_pos
 
 
 def triangular_axis_solve(low: WeightedPointCloud, high: WeightedPointCloud,
                           alpha: float, cfg: SolverConfig):
     """Solve the full axis for a split pair; returns (v, AxisSolveTrace)."""
-    if low.dimension < 2:
-        raise ValueError("axis solve needs dimension >= 2")
-    v, records = _axis_solve(low, high, alpha, low.dimension, cfg)
-    _, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, v, cfg)
-    gap = float(np.max(np.abs(x_neg - x_pos)))
-    return v, AxisSolveTrace(tuple(records), gap)
+    _, node, _, trace = _solve_split(alpha, *_halves(low, high), low.dimension, cfg)
+    return node.axis.copy(), trace
 
 
 def _lift_axes(node: PartitionNode, depth: int, dimension: int) -> PartitionNode:
@@ -419,27 +413,22 @@ def compute_center_partition(
             f"dimension {cloud.dimension} exceeds configured maximum "
             f"{cfg.max_dimension}"
         )
-    center, local_root, worst, trace = _solve(cloud, cloud.dimension, cfg, workers)
+    if cloud.dimension == 1:
+        center, local_root, worst, trace = _solve(cloud.points, cloud.weights, 1, cfg)
+    else:
+        # the root split goes through the public (benchmark-traced) split_at_median
+        alpha, low, high = split_at_median(cloud, 0)
+        center, local_root, worst, trace = _solve_split(
+            alpha, *_halves(low, high), cloud.dimension, cfg, workers)
     root = _lift_axes(local_root, 1, cloud.dimension)
     meta = {
         "config": cfg.to_json(),
         "input_digest": _cloud_digest(cloud),
         "max_residual": worst[0],
         "max_center_gap": worst[1],
-        "root_trace": None
-        if trace is None
-        else {
+        "root_trace": None if trace is None else {
             "center_gap": trace.center_gap,
-            "records": [
-                {
-                    "coordinate": r.coordinate,
-                    "bracket": list(r.bracket),
-                    "expansions": r.expansions,
-                    "iterations": r.iterations,
-                    "residual": r.residual,
-                }
-                for r in trace.records
-            ],
+            "records": [dict(asdict(r), bracket=list(r.bracket)) for r in trace.records],
         },
     }
     return PartitionTree(system, center, root, meta)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HalfSpace, SignSequence, halfspace_contains_region
+from .geometry import CoordinateSystem, HalfSpace, halfspace_contains_region
 from .measures import (
     MeasureSpec,
     WeightedPointCloud,
@@ -33,7 +33,6 @@ from .measures import (
 )
 from .partition import PartitionTree, locate_points, regions, witness_region
 from .solver import SolverConfig, compute_center_partition
-from .geometry import CoordinateSystem
 
 __all__ = [
     "CheckReport",
@@ -367,7 +366,9 @@ def oracle_axis_slope_2d(cloud: WeightedPointCloud, grid: int = 65,
     if cloud.dimension != 2:
         raise ValueError("oracle is two-dimensional only")
     alpha, low, high = split_at_median(cloud, 0)
-    diff = _median_difference(low, high, alpha)
+    def diff(t: float) -> float:
+        m_low, m_high = _projected_medians(low, high, alpha, t)
+        return m_low - m_high
 
     radius = 1.0
     for _ in range(60):
@@ -392,17 +393,11 @@ def oracle_axis_slope_2d(cloud: WeightedPointCloud, grid: int = 65,
     return 0.5 * (lo + hi)
 
 
-def _median_difference(low, high, alpha):
-    def diff(t: float) -> float:
-        axis = np.array([1.0, t])
-        m_low = weighted_quantile(
-            project_measure(low, alpha, axis).points[:, 0], low.weights, 0.5
-        )
-        m_high = weighted_quantile(
-            project_measure(high, alpha, axis).points[:, 0], high.weights, 0.5
-        )
-        return m_low - m_high
-    return diff
+def _projected_medians(low, high, alpha, t: float):
+    """Medians of both halves' remaining coordinate after projection along (1, t)."""
+    axis = np.array([1.0, t])
+    return [weighted_quantile(project_measure(half, alpha, axis).points[:, 0],
+                              half.weights, 0.5) for half in (low, high)]
 
 
 def oracle_center_2d(cloud: WeightedPointCloud, grid: int = 65,
@@ -416,11 +411,5 @@ def oracle_center_2d(cloud: WeightedPointCloud, grid: int = 65,
     """
     t_hat = oracle_axis_slope_2d(cloud, grid, resolution)
     alpha, low, high = split_at_median(cloud, 0)
-    axis = np.array([1.0, t_hat])
-    m_low = weighted_quantile(
-        project_measure(low, alpha, axis).points[:, 0], low.weights, 0.5
-    )
-    m_high = weighted_quantile(
-        project_measure(high, alpha, axis).points[:, 0], high.weights, 0.5
-    )
+    m_low, m_high = _projected_medians(low, high, alpha, t_hat)
     return np.array([alpha, 0.5 * (m_low + m_high)])

@@ -166,6 +166,14 @@ class TestVerify:
         code = main(["verify", str(part), str(workdir / "asym.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "plot"])
+    def test_partition_not_utf8_exits_2(self, workdir, capsys, command):
+        part = workdir / "part.json"
+        part.write_bytes(b"\xff\xfe{}")
+        argv = [command, str(part), str(workdir / "asym.csv")]
+        assert main(argv + (["-o", str(workdir / "x.svg")] if command == "plot" else [])) == 2
+        assert_one_error_line(capsys)
+
     def test_mismatched_cloud_fails_checks(self, workdir, capsys):
         part = self.make_partition(workdir)
         shifted = workdir / "shifted.csv"

@@ -107,6 +107,47 @@ class TestWeightedQuantile:
         assert np.sum(w[v <= m]) >= target - 1e-9 * w.sum()
 
 
+def sorted_quantile(v, w, q):
+    """weighted_quantile by stable sort and cumulative sum, for comparison."""
+    order = np.argsort(v, kind="stable")
+    cw = np.cumsum(w[order])
+    target = q * cw[-1]
+    lo = min(int(np.searchsorted(cw, target, side="left")), v.size - 1)
+    hi = min(int(np.searchsorted(cw, target, side="right")), v.size - 1)
+    return 0.5 * (v[order][lo] + v[order][hi])
+
+
+class TestQuantileBySelection:
+    @given(
+        st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-1e3, 1e3),
+                 min_size=1, max_size=60),
+        st.just(0) | st.integers(-1074, 1023),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([0.5, 5e-324, 1.0 - 2.0**-53]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equal_power_of_two_weights_match_the_sort_bit_for_bit(
+            self, values, exponent, q):
+        v = np.asarray(values)
+        w = np.full(v.size, 2.0**exponent)
+        with np.errstate(over="ignore"):  # a total past 2^1024 sorts on both sides
+            got, want = weighted_quantile(v, w, q), sorted_quantile(v, w, q)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_only_other_weights_sort(self, monkeypatch, size):
+        sorts = []
+        real = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or real(*a, **k))
+        v = np.round(np.random.default_rng(size).standard_normal(size), 1)
+        for w0 in (1.0, 0.25, 2.0**40):
+            weighted_quantile(v, np.full(size, w0), 0.5)
+        assert sorts == []
+        weighted_quantile(v, np.full(size, 0.3), 0.5)  # not a power of two
+        weighted_quantile(v, np.r_[np.ones(size - 1), 2.0], 0.5)  # unequal
+        assert len(sorts) == 2
+
+
 class TestSplitAtMedian:
     def test_clean_split(self):
         alpha, low, high = split_at_median(cloud_1d([0, 1, 2, 3]))

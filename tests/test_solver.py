@@ -1,9 +1,13 @@
 """Center solves: bracketing, the axis residual, and the recursive engine."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yaoyao.measures as measures
 import yaoyao.solver as solver
 from yaoyao.geometry import CoordinateSystem
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, split_at_median
@@ -157,6 +161,13 @@ class TestAxisResidual:
         with pytest.raises(ValueError):
             evaluate_axis_residual(low, high, alpha, np.array([2.0, 0.0]), CFG)
 
+    def test_overflowing_projection_raises(self):
+        # 50 * 1e308 overflows: the projected halves are no longer finite
+        cloud = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
+        alpha, low, high = split_at_median(cloud, 0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]), CFG)
+
 
 class TestTriangularAxisSolve:
     def test_symmetric_square(self):
@@ -276,9 +287,9 @@ class TestComputeCenterPartition:
         # every point has x1 == alpha, so no axis moves either half
         cloud = WeightedPointCloud.from_points([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
         projections = []
-        real = solver.project_measure
+        real = solver._project
         monkeypatch.setattr(
-            solver, "project_measure",
+            solver, "_project",
             lambda *args: projections.append(args[2]) or real(*args),
         )
         with pytest.raises(DegenerateInputError, match="yaoyao.measures.regularize") as info:
@@ -290,13 +301,16 @@ class TestComputeCenterPartition:
 
     def test_2d_solve_splits_once(self, monkeypatch):
         # the leaves of the residual evaluations take the median without splitting
+        # the root split enters the kernel through split_at_median, deeper
+        # splits call it directly
         splits = []
-        real = solver.split_at_median
-        monkeypatch.setattr(
-            solver, "split_at_median",
-            lambda cloud, axis_index=0: splits.append(cloud.size)
-            or real(cloud, axis_index),
-        )
+        real = measures._split
+        for module in (measures, solver):
+            monkeypatch.setattr(
+                module, "_split",
+                lambda points, weights, axis_index=0: splits.append(len(points))
+                or real(points, weights, axis_index),
+            )
         compute_center_partition(SHIFTED, SYS2, CFG)
         assert splits == [SHIFTED.size]
 
@@ -305,7 +319,7 @@ class TestComputeCenterPartition:
         cloud = sample(MeasureSpec.uniform_box([0] * n, [1] * n), count, seed)
         full = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG).center
         for m in range(1, n + 1):
-            prefix = solver._solve(cloud, m, CFG)[0]
+            prefix = solver._solve(cloud.points, cloud.weights, m, CFG)[0]
             assert np.array_equal(prefix, full[:m])
 
     def test_weighted_cloud_center(self):
@@ -319,3 +333,43 @@ class TestComputeCenterPartition:
         a = compute_center_partition(doubled, SYS2, CFG)
         b = compute_center_partition(weighted, SYS2, CFG)
         assert np.max(np.abs(a.center - b.center)) <= 1e-9
+
+
+def _golden_clouds():
+    box = MeasureSpec.uniform_box
+    yield "unit-2d", sample(box([0, 0], [1, 1]), 64, 11)
+    yield "unit-3d", sample(box([0, 0, 0], [1, 2, 3]), 48, 12)
+    yield "unit-4d", sample(box([0] * 4, [1] * 4), 24, 13)
+    yield "odd-3d", sample(box([0, 0, 0], [1, 1, 1]), 33, 14)
+    rng = np.random.default_rng(15)
+    pts = np.column_stack([rng.integers(0, 6, 40).astype(float), rng.standard_normal(40)])
+    yield "tied-weighted-2d", WeightedPointCloud.from_points(pts, rng.uniform(0.5, 2.0, 40))
+    pts = sample(box([0, 0], [1, 1]), 50, 16).points
+    yield "eighth-2d", WeightedPointCloud.from_points(pts, np.full(50, 0.125))
+
+
+# sha256 of the indented partition JSON, recorded before the solver ran on
+# plain arrays with medians by selection; any byte drift fails here
+GOLDEN = {
+    "unit-2d": "40cdfc447acfa6ed1f7f9a625358e8f5c53da32e438426e89c0c90aa4a636900",
+    "unit-3d": "972220b48dfa137877badda18150d2ae1c8ee7fe3432e9fd75a2fa6c3ebf9391",
+    "unit-4d": "e6de7dd1c63c324b669516f44e98fa72c5cec6418e22b5cb7a3386386d425aa9",
+    "odd-3d": "0828790486c9431733b55b0077eecacb8d8ce101eba6d76717921d8a44476c85",
+    "tied-weighted-2d": "2b73e0b57704a72d58e666768182a2161323db0dd05bd63c862abb2b39e12eac",
+    "eighth-2d": "e50992d584d18b327c983673cad5a836bb7831c5bd6ae256c4219566134b4e9e",
+}
+
+
+@pytest.mark.parametrize("name, cloud", list(_golden_clouds()))
+def test_partition_bytes_are_golden(name, cloud):
+    if name == "odd-3d":
+        # the root split divides one point's weight, so both subtrees carry
+        # unequal weights and take the sorting median
+        _, low, high = split_at_median(cloud, 0)
+        assert 0.5 in low.weights and 0.5 in high.weights
+    if name == "tied-weighted-2d":
+        alpha, _, _ = split_at_median(cloud, 0)
+        assert np.count_nonzero(cloud.points[:, 0] == alpha) > 1
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), CFG)
+    doc = json.dumps(serialize(tree), indent=2).encode()
+    assert hashlib.sha256(doc).hexdigest() == GOLDEN[name]
