@@ -62,7 +62,6 @@ from .verify import (
     check_monotone_lift,
     check_prefix_dependence,
     check_symmetry,
-    oracle_axis_slope_2d,
     oracle_center_2d,
 )
 

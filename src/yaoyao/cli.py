@@ -72,7 +72,7 @@ def _load_config(path) -> SolverConfig:
 def cmd_sample(args) -> int:
     try:
         spec = measures.MeasureSpec.load(args.spec)
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise _InputError(f"bad measure spec: {exc}") from exc
     try:
         cloud = measures.sample(spec, args.count, args.seed)

@@ -60,6 +60,14 @@ __all__ = [
 ]
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Every weight > 0 and a finite total (so no weight is NaN or inf)."""
+    with np.errstate(over="ignore"):
+        total = np.sum(w)
+    if not ((w > 0.0).all() and np.isfinite(total)):
+        raise ValueError("weights must be > 0 with a finite total")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedPointCloud:
     """N weighted points in R^n with unique integer ids, stored in id order."""
@@ -79,8 +87,7 @@ class WeightedPointCloud:
             raise ValueError("points, weights and ids must have matching length")
         if n_pts == 0:
             raise ValueError("cloud must contain at least one point")
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and > 0")
+        _check_weights(w)
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
         # one sort gives the storage order and, by adjacent ids, uniqueness;
@@ -129,13 +136,13 @@ class WeightedPointCloud:
         )
 
 
-_SPEC_KINDS = (
-    "gaussian-mixture",
-    "uniform-box",
-    "uniform-simplex",
-    "finite-atoms",
-    "mixture",
-)
+_SPEC_KEYS = {
+    "gaussian-mixture": ("means", "cov_factors", "weights"),
+    "uniform-box": ("lo", "hi"),
+    "uniform-simplex": ("vertices",),
+    "finite-atoms": ("points", "weights"),
+    "mixture": ("components", "weights"),
+}
 
 
 @dataclass(frozen=True)
@@ -150,22 +157,24 @@ class MeasureSpec:
       finite-atoms:     points (m, n), weights (m)
       mixture:          components (list of MeasureSpec dicts), weights (m)
 
-    ``symmetry_center`` optionally declares the point the measure is meant to
-    be symmetric about (used by symmetry checks, not by sampling).
+    The params must hold exactly their kind's keys.
     """
 
     kind: str
     params: dict
-    symmetry_center: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _SPEC_KINDS:
+        keys = _SPEC_KEYS.get(self.kind) if isinstance(self.kind, str) else None
+        if keys is None:
             raise ValueError(f"unknown measure kind {self.kind!r}")
-        self._validate()
-        if self.symmetry_center is not None:
-            object.__setattr__(
-                self, "symmetry_center", tuple(float(z) for z in self.symmetry_center)
+        missing = [k for k in keys if k not in self.params]
+        unknown = [k for k in self.params if k not in keys]
+        if missing or unknown:
+            raise ValueError(
+                f"{self.kind} spec takes keys {list(keys)}; "
+                f"missing {missing}, unknown {unknown}"
             )
+        self._validate()
 
     def _validate(self):
         p = self.params
@@ -258,8 +267,6 @@ class MeasureSpec:
         else:
             for key, val in self.params.items():
                 doc[key] = np.asarray(val, dtype=float).tolist()
-        if self.symmetry_center is not None:
-            doc["symmetry_center"] = list(self.symmetry_center)
         return doc
 
     @classmethod
@@ -267,11 +274,10 @@ class MeasureSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError("measure spec document must be an object with a 'kind'")
         kind = doc["kind"]
-        z = doc.get("symmetry_center")
-        params = {k: v for k, v in doc.items() if k not in ("kind", "symmetry_center")}
-        if kind == "mixture":
-            params["components"] = [cls.from_json(c) for c in doc["components"]]
-        return cls(kind, params, symmetry_center=z)
+        params = {k: v for k, v in doc.items() if k != "kind"}
+        if kind == "mixture" and "components" in params:
+            params["components"] = [cls.from_json(c) for c in params["components"]]
+        return cls(kind, params)
 
     @classmethod
     def load(cls, path) -> "MeasureSpec":
@@ -359,7 +365,7 @@ def _quantile(v: np.ndarray, w: np.ndarray, q: float):
     0.0, in input order as the stable sort does."""
     n, w0 = v.size, float(w[0])
     total = n * w0
-    if math.frexp(w0)[0] == 0.5 and math.isfinite(total) and (w == w0).all():
+    if math.frexp(w0)[0] == 0.5 and (w == w0).all():
         t = q * total / w0
         ks = (min(max(math.ceil(t) - 1, 0), n - 1), min(math.floor(t), n - 1))
         part = np.partition(v, ks)
@@ -386,8 +392,7 @@ def weighted_quantile(values, weights, q: float) -> float:
         raise ValueError("empty input")
     if v.shape != w.shape:
         raise ValueError("values and weights must have equal length")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    _check_weights(w)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
     return _quantile(v, w, q)

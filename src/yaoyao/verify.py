@@ -3,8 +3,8 @@
 Each check recomputes the claimed property from scratch: equipartition masses
 come from point location (not from the solver's bookkeeping), half-space
 avoidance and center depth use the exact containment certificate, and the
-two-dimensional oracle re-derives the center by scanning the median difference
-of the projected halves on a refined grid, without touching the solver.
+two-dimensional oracle re-derives the center exactly, as the median cut meeting
+a ham-sandwich cut of the two halves it separates, without touching the solver.
 
 Avoidance and depth are structural theorems about any valid tree, so their
 checks must succeed on every trial; a failure there is an implementation bug,
@@ -15,6 +15,7 @@ Every check is a pure function of (inputs, seed).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,6 @@ __all__ = [
     "check_continuity",
     "check_monotone_lift",
     "oracle_center_2d",
-    "oracle_axis_slope_2d",
 ]
 
 
@@ -356,43 +356,6 @@ def check_monotone_lift(cloud: WeightedPointCloud, form: HalfSpace,
     )
 
 
-def oracle_axis_slope_2d(cloud: WeightedPointCloud, grid: int = 65,
-                         resolution: float = 1e-9) -> float:
-    """Scan the axis slope at which the two projected halves' medians cross.
-
-    Grid search with adaptive refinement; the returned slope sits in a cell of
-    width at most ``resolution`` around the sign change.
-    """
-    if cloud.dimension != 2:
-        raise ValueError("oracle is two-dimensional only")
-    alpha, low, high = split_at_median(cloud, 0)
-    def diff(t: float) -> float:
-        m_low, m_high = _projected_medians(low, high, alpha, t)
-        return m_low - m_high
-
-    radius = 1.0
-    for _ in range(60):
-        if np.sign(diff(-radius)) != np.sign(diff(radius)):
-            break
-        radius *= 4.0
-    else:
-        raise RuntimeError("median difference never changes sign")
-
-    lo, hi = -radius, radius
-    while hi - lo > resolution:
-        ts = np.linspace(lo, hi, grid)
-        fs = np.array([diff(t) for t in ts])
-        exact = np.nonzero(fs == 0.0)[0]
-        if exact.size:
-            lo = hi = ts[exact[0]]
-            break
-        flip = np.nonzero(np.sign(fs[:-1]) != np.sign(fs[1:]))[0]
-        if flip.size == 0:
-            raise RuntimeError("sign change lost during refinement")
-        lo, hi = ts[flip[0]], ts[flip[0] + 1]
-    return 0.5 * (lo + hi)
-
-
 def _projected_medians(low, high, alpha, t: float):
     """Medians of both halves' remaining coordinate after projection along (1, t)."""
     axis = np.array([1.0, t])
@@ -400,16 +363,39 @@ def _projected_medians(low, high, alpha, t: float):
                               half.weights, 0.5) for half in (low, high)]
 
 
-def oracle_center_2d(cloud: WeightedPointCloud, grid: int = 65,
-                     resolution: float = 1e-9) -> np.ndarray:
-    """Brute-force two-dimensional center, independent of the solver.
+def oracle_center_2d(cloud: WeightedPointCloud) -> np.ndarray:
+    """Exact two-dimensional center by breakpoint search, independent of the solver.
 
-    Cuts at the weighted median of coordinate 1, then scans the difference of
-    the two projected halves' medians over an adaptively refined grid of axis
-    slopes; the returned center is (cut, midpoint of the two medians) at the
-    sign change.
+    Cuts at the weighted median alpha of coordinate 1.  Along the axis (1, t)
+    a point (x, y) projects to y - (x - alpha) * t, a line in t that rises for
+    the low half and falls for the high half.  So the difference g(t) of the
+    two projected halves' medians is continuous, non-decreasing and piecewise
+    linear, with breakpoints only where two lines of one half cross.  Bisection
+    over the sorted breakpoints finds the linear piece holding the first root,
+    which is then solved in closed form; the center is (alpha, midpoint of the
+    two medians there).  Listing every crossing takes O(N^2) time and memory.
     """
-    t_hat = oracle_axis_slope_2d(cloud, grid, resolution)
+    if cloud.dimension != 2:
+        raise ValueError("oracle is two-dimensional only")
     alpha, low, high = split_at_median(cloud, 0)
-    m_low, m_high = _projected_medians(low, high, alpha, t_hat)
+
+    def g(t: float) -> float:
+        m_low, m_high = _projected_medians(low, high, alpha, t)
+        return m_low - m_high
+
+    crossings = [np.zeros(1)]
+    for half in (low, high):
+        x, y = half.points.T
+        dx, dy = x[:, None] - x, y[:, None] - y
+        crossings.append(dy[dx != 0.0] / dx[dx != 0.0])
+    ts = np.unique(np.concatenate(crossings))
+    # one point strictly beyond each end, on the two outer linear pieces
+    ts = [ts[0] - (1.0 + abs(ts[0])), *ts, ts[-1] + (1.0 + abs(ts[-1]))]
+    i = bisect.bisect_left(ts, 0.0, 1, len(ts) - 1, key=g)
+    a, b = float(ts[i - 1]), float(ts[i])
+    ga, gb = g(a), g(b)
+    if ga == gb != 0.0:
+        raise RuntimeError("median difference never changes sign")
+    t = a if ga == gb else a - ga * (b - a) / (gb - ga)
+    m_low, m_high = _projected_medians(low, high, alpha, t)
     return np.array([alpha, 0.5 * (m_low + m_high)])

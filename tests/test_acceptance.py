@@ -136,7 +136,7 @@ def test_criterion_6_oracle_equivalence():
         gap = float(np.max(np.abs(oracle_center_2d(cloud) - tree.center)))
         worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-4 and elapsed < 60.0
+    ok = worst <= 1e-8 and elapsed < 60.0
     report(6, "2-D oracle equivalence", ok, f"max gap {worst:.2e}, {elapsed:.1f}s")
 
 

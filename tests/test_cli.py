@@ -49,6 +49,13 @@ class TestSample:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_misspelled_spec_key_exits_2(self, workdir, capsys):
+        bad = workdir / "typo.json"
+        bad.write_text('{"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1], "hii": [2, 2]}')
+        code = main(["sample", "--spec", str(bad), "-n", "5", "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert "unknown ['hii']" in capsys.readouterr().err
+
     def test_zero_count_exits_2(self, workdir, capsys):
         code = main(["sample", "--spec", str(workdir / "box.json"),
                      "-n", "0", "-o", str(workdir / "x.csv")])

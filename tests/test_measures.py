@@ -42,6 +42,14 @@ class TestCloud:
         with pytest.raises(ValueError):
             WeightedPointCloud(np.empty((0, 2)), [], [])
 
+    def test_weight_total_must_be_finite(self):
+        # each weight is finite, but the total is 2^1024
+        with pytest.raises(ValueError, match="finite total"):
+            WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)],
+                                           [2.0**1022] * 4)
+        with pytest.raises(ValueError, match="finite total"):
+            WeightedPointCloud.from_points([[0.0], [1.0]], [1.0, np.nan])
+
     def test_unsorted_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="ids must be unique"):
             WeightedPointCloud([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0], [3, 1, 3])
@@ -88,6 +96,8 @@ class TestWeightedQuantile:
             weighted_quantile([1.0], [1.0], 1.0)
         with pytest.raises(ValueError):
             weighted_quantile([1.0], [-1.0], 0.5)
+        with pytest.raises(ValueError, match="finite total"):
+            weighted_quantile([0, 1, 2, 3], [2.0**1022] * 4, 0.5)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=40),
@@ -130,8 +140,11 @@ class TestQuantileBySelection:
             self, values, exponent, q):
         v = np.asarray(values)
         w = np.full(v.size, 2.0**exponent)
-        with np.errstate(over="ignore"):  # a total past 2^1024 sorts on both sides
-            got, want = weighted_quantile(v, w, q), sorted_quantile(v, w, q)
+        if v.size * 2**exponent >= 2**1024:  # the total overflows
+            with pytest.raises(ValueError, match="finite total"):
+                weighted_quantile(v, w, q)
+            return
+        got, want = weighted_quantile(v, w, q), sorted_quantile(v, w, q)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @pytest.mark.parametrize("size", [7, 8])
@@ -336,6 +349,22 @@ class TestSampling:
                 seeded_generator(bad)
             with pytest.raises(ValueError, match="seed"):
                 sample(MeasureSpec.gaussian([0.0, 0.0]), 5, seed=bad)
+
+    @pytest.mark.parametrize("doc, word", [
+        ({"kind": ["uniform-box"]}, "unknown measure kind"),
+        ({"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1], "hii": [2, 2]},
+         "unknown \\['hii'\\]"),
+        ({"kind": "uniform-box", "lo": [0, 0]}, "missing \\['hi'\\]"),
+        ({"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1],
+          "symmetry_center": [0.5, 0.5]}, "unknown \\['symmetry_center'\\]"),
+        ({"kind": "mixture", "weights": [1.0]}, "missing \\['components'\\]"),
+        ({"kind": "mixture", "weights": [1.0],
+          "components": [{"kind": "uniform-simplex", "vertex": [[0], [1]]}]},
+         "missing \\['vertices'\\], unknown \\['vertex'\\]"),
+    ])
+    def test_spec_takes_exactly_its_kinds_keys(self, doc, word):
+        with pytest.raises(ValueError, match=word):
+            MeasureSpec.from_json(doc)
 
     def test_spec_json_round_trip(self):
         spec = MeasureSpec.uniform_box([0, 0], [1, 2])

@@ -1,11 +1,21 @@
 """The certification suite against fixtures and seeded clouds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from yaoyao.geometry import CoordinateSystem, HalfSpace
-from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, symmetrize
+from yaoyao.measures import (
+    MeasureSpec,
+    WeightedPointCloud,
+    project_measure,
+    sample,
+    split_at_median,
+    symmetrize,
+    weighted_quantile,
+)
 from yaoyao.partition import PartitionNode, PartitionTree, locate_points
 from yaoyao.solver import SolverConfig, compute_center_partition
 from yaoyao.verify import (
@@ -260,13 +270,71 @@ class TestMonotoneLift:
             assert direct == pytest.approx(closed)
 
 
+def scanned_center_2d(cloud):
+    """The oracle's center with g evaluated at every breakpoint, no bisection."""
+    alpha, low, high = split_at_median(cloud, 0)
+
+    def medians(t):
+        axis = np.array([1.0, t])
+        return [weighted_quantile(project_measure(h, alpha, axis).points[:, 0],
+                                  h.weights, 0.5) for h in (low, high)]
+
+    def g(t):
+        m_low, m_high = medians(t)
+        return m_low - m_high
+
+    ts = {0.0}
+    for h in (low, high):
+        for (x1, y1), (x2, y2) in itertools.combinations(h.points.tolist(), 2):
+            if x1 != x2:
+                ts.add((y1 - y2) / (x1 - x2))
+    ts = sorted(ts)
+    ts = [ts[0] - (1.0 + abs(ts[0]))] + ts + [ts[-1] + (1.0 + abs(ts[-1]))]
+    gs = [g(t) for t in ts]
+    i = next((k for k in range(1, len(ts) - 1) if gs[k] >= 0.0), len(ts) - 1)
+    a, b, ga, gb = ts[i - 1], ts[i], gs[i - 1], gs[i]
+    if ga == gb != 0.0:
+        raise RuntimeError("median difference never changes sign")
+    t = a if ga == gb else a - ga * (b - a) / (gb - ga)
+    m_low, m_high = medians(t)
+    return np.array([alpha, 0.5 * (m_low + m_high)])
+
+
 class TestOracle2D:
     def test_square(self, square_tree):
         assert np.array_equal(oracle_center_2d(SQUARE), [0.5, 0.5])
 
     def test_asymmetric_closed_form(self):
-        got = oracle_center_2d(ASYMMETRIC)
-        assert np.max(np.abs(got - [1.5, 1.5])) <= 1e-8
+        assert np.array_equal(oracle_center_2d(ASYMMETRIC), [1.5, 1.5])
+
+    def test_root_beyond_every_breakpoint(self):
+        # each half is one point, so there is no crossing; g(t) = t - 5
+        cloud = WeightedPointCloud.from_points([(0, 0), (1, 5)])
+        assert np.array_equal(oracle_center_2d(cloud), [0.5, 2.5])
+
+    def test_all_points_on_the_cut_plane(self):
+        cloud = WeightedPointCloud.from_points([(0, 0), (0, 1)])
+        with pytest.raises(RuntimeError, match="never changes sign"):
+            oracle_center_2d(cloud)
+
+    @given(st.lists(
+        st.tuples(st.integers(-3, 3).map(float) | st.floats(-10, 10, width=16),
+                  st.integers(-3, 3).map(float) | st.floats(-10, 10, width=16),
+                  st.just(1.0) | st.floats(0.1, 10.0)),
+        min_size=2, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_bisection_matches_a_full_scan(self, rows):
+        rows = np.array(rows)
+        cloud = WeightedPointCloud.from_points(rows[:, :2], rows[:, 2])
+        try:
+            want = scanned_center_2d(cloud)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                oracle_center_2d(cloud)
+            return
+        # + 0.0 folds -0.0 into 0.0: the scan may keep the other zero slope
+        got = oracle_center_2d(cloud)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
     def test_agrees_with_solver_on_seeded_clouds(self):
         box = MeasureSpec.uniform_box([-1, -2], [2, 1])
@@ -274,7 +342,7 @@ class TestOracle2D:
             cloud = sample(box, 128, seed=seed)
             tree = compute_center_partition(cloud, SYS2, CFG)
             got = oracle_center_2d(cloud)
-            assert np.max(np.abs(got - tree.center)) <= 1e-4, f"seed {seed}"
+            assert np.max(np.abs(got - tree.center)) <= 1e-8, f"seed {seed}"
 
     def test_rejects_other_dimensions(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 16, seed=1)
