@@ -16,12 +16,13 @@ point's weight.  This makes every split reproducible and exactly mass-halving,
 which is what pins down a canonical center for atomic inputs (clouds put mass
 on hyperplanes, so for them the center is a convention, not a theorem).
 
-Only clouds and public functions validate; the quantile, split and
-projection then run as private kernels on plain arrays in id order, which the
-solver calls directly.  A quantile is taken by selection (``np.partition``,
-O(N)) when every weight is one power of two w0, unit weights included: the
-cumulative weights (i + 1) * w0 are then exact, so the order statistics are
-bit for bit those of the stable sort and cumulative sum other weights take.
+Only clouds and public functions validate; the quantile, split, projection
+and half-space masses then run as private kernels on plain arrays in id
+order, which the solver and the verifier call directly.  A quantile is taken
+by selection (``np.partition``, O(N)) when every weight is one power of two
+w0, unit weights included: the cumulative weights (i + 1) * w0 are then
+exact, so the order statistics are bit for bit those of the stable sort and
+cumulative sum other weights take.
 
 Randomness is counter-based and fully documented: every generator is a
 numpy Philox stream keyed by the caller's 64-bit seed, and each spec kind
@@ -358,6 +359,13 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> WeightedPointCloud:
     return WeightedPointCloud.from_points(_draw(spec, count, rng))
 
 
+def _equal_power_of_two(w: np.ndarray) -> bool:
+    """Every weight equals one power of two w[0]: given a finite total, every
+    partial sum of any subset in id order is then an exact multiple of w[0]."""
+    w0 = float(w[0])
+    return math.frexp(w0)[0] == 0.5 and bool((w == w0).all())
+
+
 def _quantile(v: np.ndarray, w: np.ndarray, q: float):
     """``weighted_quantile`` on checked arrays.  Selection reads the sorted
     indices off t = q * total / w0, exact (w0 only shifts the exponent; a t
@@ -365,7 +373,7 @@ def _quantile(v: np.ndarray, w: np.ndarray, q: float):
     0.0, in input order as the stable sort does."""
     n, w0 = v.size, float(w[0])
     total = n * w0
-    if math.frexp(w0)[0] == 0.5 and (w == w0).all():
+    if _equal_power_of_two(w):
         t = q * total / w0
         ks = (min(max(math.ceil(t) - 1, 0), n - 1), min(math.floor(t), n - 1))
         part = np.partition(v, ks)
@@ -469,14 +477,41 @@ def project_measure(
         raise ValueError("axis dimension mismatch")
     if axis[0] != 1.0:
         raise ValueError("axis must be normalized: first component exactly 1")
-    return WeightedPointCloud(_project(side.points, alpha, axis), side.weights, side.ids)
+    # an overflowing product is reported by _project as a ValueError, not a warning
+    with np.errstate(over="ignore"):
+        shifted = _project(side.points, alpha, axis)
+    return WeightedPointCloud(shifted, side.weights, side.ids)
+
+
+#: Entries of one block of ``_halfspace_masses`` (16 MB of products), so its
+#: row count depends on N alone and a result never depends on a setting.
+_BLOCK_ENTRIES = 1 << 21
+
+
+def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
+                      normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``halfspace_mass`` on checked arrays, for every row of (normals, offsets).
+
+    Rows are taken in blocks, one matrix product each.  On equal power-of-two
+    weights a mass is the count inside times w0, which is the id-order sum bit
+    for bit; other weights are summed in id order, one row at a time.
+    """
+    step = max(1, _BLOCK_ENTRIES // points.shape[0])
+    counted = _equal_power_of_two(weights)
+    masses = np.empty(normals.shape[0])
+    for lo in range(0, normals.shape[0], step):
+        inside = normals[lo:lo + step] @ points.T >= offsets[lo:lo + step, None]
+        masses[lo:lo + step] = [np.count_nonzero(row) if counted
+                                else np.sum(np.compress(row, weights)) for row in inside]
+    return masses * weights[0] if counted else masses
 
 
 def halfspace_mass(cloud: WeightedPointCloud, h: HalfSpace) -> float:
     """Total weight on the closed side normal . x >= offset, summed in id order."""
     if h.dimension != cloud.dimension:
         raise ValueError("half-space dimension mismatch")
-    return float(np.sum(np.compress(h.contains(cloud.points), cloud.weights)))
+    return float(_halfspace_masses(cloud.points, cloud.weights,
+                                   h.normal[None, :], np.array([h.offset]))[0])
 
 
 def regularize(

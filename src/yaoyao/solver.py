@@ -360,7 +360,9 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     v = np.asarray(v, dtype=float)
     if v.shape != (low.dimension,) or v[0] != 1.0:
         raise ValueError("axis must be normalized: v[0] == 1")
-    x_neg, x_pos = (_child(half, alpha, v, low.dimension - 1, cfg)[0] for half in halves)
+    # an overflowing projection is reported by _project as a ValueError
+    with np.errstate(over="ignore"):
+        x_neg, x_pos = (_child(half, alpha, v, low.dimension - 1, cfg)[0] for half in halves)
     return x_neg - x_pos, x_neg, x_pos
 
 

@@ -24,7 +24,7 @@ from .geometry import CoordinateSystem, HalfSpace, halfspace_contains_region
 from .measures import (
     MeasureSpec,
     WeightedPointCloud,
-    halfspace_mass,
+    _halfspace_masses,
     project_measure,
     sample,
     seeded_generator,
@@ -76,19 +76,26 @@ def _unit_normal(rng: np.random.Generator, n: int) -> np.ndarray:
             return g / norm
 
 
-def _halfspace_through(rng, tree: PartitionTree, cloud: WeightedPointCloud | None) -> HalfSpace:
-    """Random half-space oriented to contain the center; its boundary passes
+def _halfspace_draws(rng, tree: PartitionTree, cloud: WeightedPointCloud | None,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` >= 1 random half-spaces normal . y >= offset, as (normals,
+    offsets) rows, each oriented to contain the center; each boundary passes
     through a random data point (or a unit-scale offset when no cloud given)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     n = tree.dimension
-    a = _unit_normal(rng, n)
-    if cloud is not None:
-        anchor = cloud.points[rng.integers(cloud.size)]
-    else:
-        anchor = tree.center + rng.standard_normal(n)
-    c = float(a @ anchor)
-    if float(a @ tree.center) - c < 0.0:
-        a, c = -a, -c
-    return HalfSpace(a, c)
+    normals, offsets = np.empty((count, n)), np.empty(count)
+    for i in range(count):
+        a = _unit_normal(rng, n)
+        if cloud is not None:
+            anchor = cloud.points[rng.integers(cloud.size)]
+        else:
+            anchor = tree.center + rng.standard_normal(n)
+        c = float(a @ anchor)
+        if float(a @ tree.center) - c < 0.0:
+            a, c = -a, -c
+        normals[i], offsets[i] = a, c
+    return normals, offsets
 
 
 def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
@@ -136,13 +143,11 @@ def check_avoidance(tree: PartitionTree, count: int, seed: int,
     """For seeded hyperplanes: orient the bounding half-space to contain the
     center and demand an exact containment certificate from witness search.
     Must succeed count out of count (count >= 1); no statistical slack."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = seeded_generator(seed)
+    normals, offsets = _halfspace_draws(seeded_generator(seed), tree, cloud, count)
     regs = regions(tree)
     successes = 0
-    for _ in range(count):
-        h = _halfspace_through(rng, tree, cloud)
+    for a, c in zip(normals, offsets):
+        h = HalfSpace(a, c)
         signs = witness_region(tree, h)
         if halfspace_contains_region(h, regs[signs]):
             successes += 1
@@ -158,24 +163,20 @@ def check_avoidance(tree: PartitionTree, count: int, seed: int,
 def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
                 seed: int, slack: float = 1e-6) -> CheckReport:
     """Every half-space containing the center carries at least mass / 2^n of
-    the cloud (the witness region sits inside it), over count >= 1 trials."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = seeded_generator(seed)
-    n = tree.dimension
-    floor = cloud.total_mass / 2**n * (1.0 - slack)
-    worst = np.inf
-    failures = 0
-    for _ in range(count):
-        h = _halfspace_through(rng, tree, cloud)
-        m = halfspace_mass(cloud, h)
-        worst = min(worst, m)
-        if m < floor:
-            failures += 1
+    the cloud (the witness region sits inside it), over count >= 1 trials.
+
+    The half-spaces are evaluated in blocks, one matrix product per block.  A
+    product rounds normal . x differently from a matrix-vector product, so a
+    point on a boundary (each passes through one) may fall on either side.
+    """
+    normals, offsets = _halfspace_draws(seeded_generator(seed), tree, cloud, count)
+    masses = _halfspace_masses(cloud.points, cloud.weights, normals, offsets)
+    floor = cloud.total_mass / 2**tree.dimension * (1.0 - slack)
+    failures = int(np.count_nonzero(masses < floor))
     return CheckReport(
         "depth",
         failures == 0,
-        stats={"min_mass": worst, "floor": floor, "count": count,
+        stats={"min_mass": float(masses.min()), "floor": floor, "count": count,
                "failures": failures},
         tolerances={"relative_slack": slack},
         seed=seed,

@@ -1,11 +1,13 @@
 """Clouds, quantiles, splits, projections, and seeded sampling."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yaoyao.measures as measures
 from yaoyao.geometry import HalfSpace
 from yaoyao.measures import (
     MeasureSpec,
@@ -275,6 +277,14 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_measure(cloud_1d([1.0]), 0.0, np.array([1.0]))
 
+    def test_overflow_raises_with_warnings_as_errors(self):
+        # 50 * 1e308 overflows: the projected points are no longer finite
+        c = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                project_measure(c, 50.0, np.array([1.0, 1e308]))
+
     def test_mass_preserved_bitwise(self):
         rng = np.random.default_rng(3)
         c = WeightedPointCloud.from_points(rng.standard_normal((50, 3)),
@@ -291,6 +301,49 @@ class TestHalfspaceMass:
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), 0.5)) == 2.0
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), -99.0)) == 4.0
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), 99.0)) == 0.0
+
+
+class TestHalfspaceMasses:
+    """The block kernel against one ``halfspace_mass`` call per half-space.
+
+    Offsets are drawn apart from the points, so no point lies on a boundary
+    and a block product and a matrix-vector product put every point on the
+    same side; the masses must then agree bit for bit.
+    """
+
+    WEIGHTS = {
+        "unit": lambda rng, size: np.ones(size),
+        "quarter": lambda rng, size: np.full(size, 0.25),
+        "2^40": lambda rng, size: np.full(size, 2.0**40),
+        "0.3": lambda rng, size: np.full(size, 0.3),
+        "general": lambda rng, size: rng.uniform(0.1, 3.0, size),
+    }
+
+    @pytest.mark.parametrize("kind", list(WEIGHTS))
+    @pytest.mark.parametrize("n, size, count, entries", [
+        (2, 1, 5, None),     # N = 1: one block
+        (1, 1, 7, 3),        # blocks of 3 rows, the last holds 1
+        (2, 50, 23, 150),    # blocks of 3 rows, the last holds 2
+        (3, 40, 9, 39),      # fewer entries than points: one row per block
+        (5, 300, 64, None),  # one full block
+    ])
+    def test_blocks_match_one_call_per_row(self, monkeypatch, kind, n, size,
+                                           count, entries):
+        if entries is not None:
+            monkeypatch.setattr(measures, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(size * 100 + count)
+        cloud = WeightedPointCloud.from_points(rng.standard_normal((size, n)),
+                                               self.WEIGHTS[kind](rng, size))
+        normals = rng.standard_normal((count, n))
+        offsets = rng.standard_normal(count)
+        masses = measures._halfspace_masses(cloud.points, cloud.weights, normals, offsets)
+        ref = [halfspace_mass(cloud, HalfSpace(a, c)) for a, c in zip(normals, offsets)]
+        assert masses.shape == (count,)
+        assert masses.tolist() == ref
+        # and both equal the boolean-mask sum of a matrix-vector product
+        assert ref == [float(np.sum(cloud.weights[cloud.points @ a >= c]))
+                       for a, c in zip(normals, offsets)]
+        assert size == 1 or len(set(ref)) > 1  # the rows are told apart
 
 
 class TestSampling:

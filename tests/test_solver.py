@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ class TestAxisResidual:
         alpha, low, high = split_at_median(cloud, 0)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]), CFG)
+
+    def test_overflowing_projection_raises_with_warnings_as_errors(self):
+        cloud = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
+        alpha, low, high = split_at_median(cloud, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]), CFG)
 
 
 class TestTriangularAxisSolve:

@@ -1,17 +1,22 @@
 """The certification suite against fixtures and seeded clouds."""
 
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import yaoyao.verify as verify
 from yaoyao.geometry import CoordinateSystem, HalfSpace
 from yaoyao.measures import (
     MeasureSpec,
     WeightedPointCloud,
+    halfspace_mass,
     project_measure,
     sample,
+    seeded_generator,
     split_at_median,
     symmetrize,
     weighted_quantile,
@@ -158,6 +163,60 @@ class TestDepth:
         tree = compute_center_partition(cloud, SYS2, CFG)
         rep = check_depth(tree, cloud, 1000, seed=13)
         assert rep.passed
+
+    @pytest.fixture(scope="class")
+    def weighted(self):
+        rng = np.random.default_rng(21)
+        cloud = WeightedPointCloud.from_points(rng.uniform(0.0, 1.0, (3000, 2)),
+                                               rng.uniform(0.1, 3.0, 3000))
+        return cloud, compute_center_partition(cloud, SYS2, CFG)
+
+    def test_same_seed_same_report(self, weighted):
+        cloud, tree = weighted
+        first, second = (check_depth(tree, cloud, 300, seed=8) for _ in range(2))
+        assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+
+    @pytest.mark.parametrize("shift", [0.0, 3.0])
+    def test_matches_one_mass_per_halfspace(self, weighted, shift):
+        # the batched product may put each half-space's anchor, a data point
+        # on its boundary, on the other side than halfspace_mass does
+        cloud, tree = weighted
+        tree = PartitionTree(tree.system, tree.center + shift, tree.root, tree.meta)
+        rep = check_depth(tree, cloud, 400, seed=9)
+        normals, offsets = verify._halfspace_draws(seeded_generator(9), tree, cloud, 400)
+        ref = np.array([halfspace_mass(cloud, HalfSpace(a, c))
+                        for a, c in zip(normals, offsets)])
+        anchor = cloud.weights[np.argmin(np.abs(normals @ cloud.points.T - offsets[:, None]),
+                                         axis=1)]
+        floor = rep.stats["floor"]
+        assert abs(rep.stats["min_mass"] - ref.min()) <= anchor[np.argmin(ref)]
+        fails = rep.stats["failures"]
+        assert np.sum(ref + anchor < floor) <= fails <= np.sum(ref - anchor < floor)
+
+    def test_center_outside_the_hull_fails(self, weighted):
+        cloud, tree = weighted
+        moved = PartitionTree(tree.system, tree.center + 3.0, tree.root, tree.meta)
+        rep = check_depth(moved, cloud, 200, seed=10)
+        assert not rep.passed and 0 < rep.stats["failures"] <= 200
+        assert rep.stats["min_mass"] < rep.stats["floor"]
+
+    def test_memory_stays_within_one_block(self, square_tree):
+        # 1000 half-spaces by 2^15 points would take 256 MiB as one product;
+        # a block holds 2^21 products (16 MiB) plus 2 MiB of sides per block
+        cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 2**15, seed=14)
+        tree = PartitionTree(SYS2, [0.5, 0.5], square_tree.root, {})
+        tracemalloc.start()
+        try:
+            check_depth(tree, cloud, 1000, seed=15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_draws_reject_count_below_one(self, square_tree, count):
+        with pytest.raises(ValueError, match="count"):
+            verify._halfspace_draws(seeded_generator(1), square_tree, SQUARE, count)
 
 
 class TestSymmetry:
