@@ -56,24 +56,12 @@ def _read(load, path, kind):
     """load(path), with a bad or unreadable file reported as an input error."""
     try:
         return load(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise _InputError(f"bad {kind} file: {exc}") from exc
 
 
-def _load_config(path) -> SolverConfig:
-    if path is None:
-        return SolverConfig()
-    try:
-        return SolverConfig.load(path)
-    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"bad solver config: {exc}") from exc
-
-
 def cmd_sample(args) -> int:
-    try:
-        spec = measures.MeasureSpec.load(args.spec)
-    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"bad measure spec: {exc}") from exc
+    spec = _read(measures.MeasureSpec.load, args.spec, "measure spec")
     try:
         cloud = measures.sample(spec, args.count, args.seed)
     except ValueError as exc:
@@ -86,7 +74,8 @@ def cmd_sample(args) -> int:
 def cmd_center(args) -> int:
     cloud = _read(measures.read_csv, args.points, "points")
     system = _load_system(args.system, cloud.dimension)
-    cfg = _load_config(args.config)
+    cfg = SolverConfig() if args.config is None else _read(
+        SolverConfig.load, args.config, "solver config")
     coords = _to_system_coords(cloud, system)
     try:
         tree = compute_center_partition(coords, system, cfg, workers=args.threads)

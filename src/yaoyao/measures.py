@@ -27,7 +27,8 @@ cumulative sum other weights take.
 Randomness is counter-based and fully documented: every generator is a
 numpy Philox stream keyed by the caller's 64-bit seed, and each spec kind
 draws blocks in a fixed order (see ``sample``).  Identical (spec, N, seed)
-therefore give bit-identical clouds.
+therefore give bit-identical clouds.  A spec is checked once, when built,
+which fixes its ``dimension``; its weights follow the cloud rule.
 
 Clouds travel as CSV (``read_csv``/``write_csv``): a header ``x1,...,xn[,w]``
 with n >= 1, unquoted comma-separated numbers spelled as for Python's
@@ -67,6 +68,14 @@ def _check_weights(w: np.ndarray) -> None:
         total = np.sum(w)
     if not ((w > 0.0).all() and np.isfinite(total)):
         raise ValueError("weights must be > 0 with a finite total")
+
+
+def _check_part_weights(weights, m: int) -> None:
+    """m >= 1 spec weights, one per component (or atom), under the cloud rule."""
+    w = np.asarray(weights, dtype=float)
+    if m < 1 or w.shape != (m,):
+        raise ValueError("weights must hold one entry per component (or atom), at least one")
+    _check_weights(w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +167,9 @@ class MeasureSpec:
       finite-atoms:     points (m, n), weights (m)
       mixture:          components (list of MeasureSpec dicts), weights (m)
 
-    The params must hold exactly their kind's keys.
+    The params must hold exactly their kind's keys.  Weights follow the cloud
+    rule (each > 0, finite total), with m >= 1; a mixture's components share
+    one dimension.  ``dimension`` (n) is fixed when the spec is validated.
     """
 
     kind: str
@@ -175,66 +186,54 @@ class MeasureSpec:
                 f"{self.kind} spec takes keys {list(keys)}; "
                 f"missing {missing}, unknown {unknown}"
             )
-        self._validate()
+        object.__setattr__(self, "dimension", self._validate())
 
-    def _validate(self):
+    def _validate(self) -> int:
         p = self.params
         if self.kind == "gaussian-mixture":
             means = np.asarray(p["means"], dtype=float)
             factors = np.asarray(p["cov_factors"], dtype=float)
-            w = np.asarray(p["weights"], dtype=float)
             if means.ndim != 2:
                 raise ValueError("means must be (m, n)")
             m, n = means.shape
             if factors.shape != (m, n, n):
                 raise ValueError("cov_factors must be (m, n, n)")
-            if w.shape != (m,) or np.any(w <= 0):
-                raise ValueError("mixture weights must be positive, one per component")
+            _check_part_weights(p["weights"], m)
             for i, f in enumerate(factors):
                 if np.linalg.matrix_rank(f) < n:
                     raise ValueError(f"covariance factor {i} is rank deficient")
-        elif self.kind == "uniform-box":
+            return n
+        if self.kind == "uniform-box":
             lo = np.asarray(p["lo"], dtype=float)
             hi = np.asarray(p["hi"], dtype=float)
             if lo.shape != hi.shape or lo.ndim != 1:
                 raise ValueError("box corners must be two vectors of equal length")
             if np.any(hi <= lo):
                 raise ValueError("box must have positive extent in every coordinate")
-        elif self.kind == "uniform-simplex":
+            return lo.shape[0]
+        if self.kind == "uniform-simplex":
             v = np.asarray(p["vertices"], dtype=float)
             if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
                 raise ValueError("simplex needs n+1 vertices in R^n")
             edges = v[1:] - v[0]
             if np.linalg.matrix_rank(edges) < v.shape[1]:
                 raise ValueError("simplex vertices are affinely dependent")
-        elif self.kind == "finite-atoms":
-            pts = np.asarray(p["points"], dtype=float)
-            w = np.asarray(p["weights"], dtype=float)
-            if pts.ndim != 2 or w.shape != (pts.shape[0],):
-                raise ValueError("finite-atoms needs (m, n) points and m weights")
-            if np.any(w <= 0):
-                raise ValueError("atom weights must be positive")
-        elif self.kind == "mixture":
-            comps = p["components"]
-            w = np.asarray(p["weights"], dtype=float)
-            if len(comps) != len(w) or np.any(w <= 0):
-                raise ValueError("mixture weights must be positive, one per component")
-            for c in comps:
-                if not isinstance(c, MeasureSpec):
-                    raise ValueError("mixture components must be MeasureSpec")
-
-    @property
-    def dimension(self) -> int:
-        p = self.params
-        if self.kind == "gaussian-mixture":
-            return np.asarray(p["means"]).shape[1]
-        if self.kind == "uniform-box":
-            return len(p["lo"])
-        if self.kind == "uniform-simplex":
-            return np.asarray(p["vertices"]).shape[1]
+            return v.shape[1]
         if self.kind == "finite-atoms":
-            return np.asarray(p["points"]).shape[1]
-        return self.params["components"][0].dimension
+            pts = np.asarray(p["points"], dtype=float)
+            if pts.ndim != 2:
+                raise ValueError("finite-atoms needs (m, n) points")
+            _check_part_weights(p["weights"], pts.shape[0])
+            return pts.shape[1]
+        comps = p["components"]
+        _check_part_weights(p["weights"], len(comps))
+        for c in comps:
+            if not isinstance(c, MeasureSpec):
+                raise ValueError("mixture components must be MeasureSpec")
+        dims = sorted({c.dimension for c in comps})
+        if len(dims) != 1:
+            raise ValueError(f"mixture components must share one dimension; got {dims}")
+        return dims[0]
 
     @classmethod
     def gaussian(cls, mean, cov_factor=None) -> "MeasureSpec":
@@ -529,11 +528,9 @@ def regularize(
     """
     if p <= 0:
         raise ValueError("p must be > 0")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    extra = sample(background, count, seed)
-    if extra.dimension != cloud.dimension:
+    if background.dimension != cloud.dimension:
         raise ValueError("background dimension mismatch")
+    extra = sample(background, count, seed)
     extra_mass = cloud.total_mass / p
     new_ids = cloud.ids.max() + 1 + np.arange(count)
     return WeightedPointCloud(

@@ -131,17 +131,6 @@ class PartitionTree:
     def dimension(self) -> int:
         return self.system.dimension
 
-    def path_axes(self, signs) -> np.ndarray:
-        """Stacked axes u^1..u^{k+1} along a sign prefix of length k."""
-        axes = [self.root.axis]
-        node = self.root
-        for s in signs:
-            node = node.pos if s > 0 else node.neg
-            if node is None:
-                break
-            axes.append(node.axis)
-        return np.vstack(axes)
-
     def __eq__(self, other):
         if not isinstance(other, PartitionTree):
             return NotImplemented
@@ -154,7 +143,10 @@ class PartitionTree:
 
 
 def _region_for(tree: PartitionTree, signs: SignSequence) -> ConeRegion:
-    gens = tree.path_axes(signs[:-1]) if signs else np.empty((0, tree.dimension))
+    gens, node = np.empty((len(signs), tree.dimension)), tree.root
+    for k, s in enumerate(signs):
+        gens[k] = node.axis
+        node = node.pos if s > 0 else node.neg
     return ConeRegion(tree.center, SubDiagonalBasis(gens), signs)
 
 

@@ -26,6 +26,7 @@ from .measures import (
     WeightedPointCloud,
     _halfspace_masses,
     project_measure,
+    regularize,
     sample,
     seeded_generator,
     split_at_median,
@@ -84,6 +85,8 @@ def _halfspace_draws(rng, tree: PartitionTree, cloud: WeightedPointCloud | None,
     if count < 1:
         raise ValueError("count must be >= 1")
     n = tree.dimension
+    if cloud is not None and cloud.dimension != n:
+        raise ValueError("point dimension mismatch")
     normals, offsets = np.empty((count, n)), np.empty(count)
     for i in range(count):
         a = _unit_normal(rng, n)
@@ -256,9 +259,10 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
                      rate_constant: float = 0.5) -> CheckReport:
     """Centers of cloud + eps * background drift back as eps shrinks.
 
-    One background sample (count, seed) is scaled by each eps (mass eps *
-    mass(cloud)); distances to the unperturbed center must be non-increasing
-    along decreasing eps (up to 10 * residual_tol) and below
+    Each eps mixes in ``regularize(cloud, background, 1 / eps, count, seed)``:
+    the same background sample, carrying mass(cloud) / (1 / eps).  Distances
+    to the unperturbed center must be non-increasing along decreasing eps (up
+    to 10 * residual_tol) and below
     rate_constant * sqrt(eps) * data scale.
     """
     cfg = cfg or SolverConfig()
@@ -267,20 +271,10 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
         raise ValueError("eps values must be positive")
     system = CoordinateSystem.standard(cloud.dimension)
     base_center = compute_center_partition(cloud, system, cfg).center
-    extra = sample(background, count, seed)
-    if extra.dimension != cloud.dimension:
-        raise ValueError("background dimension mismatch")
     scale = float(np.max(np.ptp(cloud.points, axis=0)))
-    new_ids = cloud.ids.max() + 1 + np.arange(count)
     distances = []
     for eps in eps_list:
-        mixed = WeightedPointCloud(
-            np.vstack([cloud.points, extra.points]),
-            np.concatenate(
-                [cloud.weights, np.full(count, eps * cloud.total_mass / count)]
-            ),
-            np.concatenate([cloud.ids, new_ids]),
-        )
+        mixed = regularize(cloud, background, 1.0 / eps, count, seed)
         center = compute_center_partition(mixed, system, cfg).center
         distances.append(float(np.linalg.norm(center - base_center)))
     slack = 10.0 * cfg.residual_tol

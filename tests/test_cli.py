@@ -56,6 +56,21 @@ class TestSample:
         assert code == 2
         assert "unknown ['hii']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("list.json", "[]"),
+        ("mixed.json", json.dumps({"kind": "mixture", "weights": [1, 1], "components": [
+            BOX_SPEC, {"kind": "uniform-box", "lo": [0, 0, 0], "hi": [1, 1, 1]}]})),
+    ])
+    def test_bad_spec_file_exits_2(self, workdir, capsys, name, text):
+        if text is not None:
+            (workdir / name).write_text(text)
+        code = main(["sample", "--spec", str(workdir / name), "-n", "5",
+                     "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not (workdir / "x.csv").exists()
+
     def test_zero_count_exits_2(self, workdir, capsys):
         code = main(["sample", "--spec", str(workdir / "box.json"),
                      "-n", "0", "-o", str(workdir / "x.csv")])
@@ -111,6 +126,19 @@ class TestCenter:
         cfgfile = workdir / "cfg.json"
         cfgfile.write_text(json.dumps({"max_dimension": 1}))
         code = main(["center", str(workdir / "asym.csv"), "--config", str(cfgfile)])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("name, text", [
+        ("missing.json", None),
+        ("cfg.json", "{not json"),
+        ("cfg.json", "[1, 2]"),
+        ("cfg.json", json.dumps({"root_tolerance": 1e-10})),
+    ])
+    def test_bad_config_file_exits_2(self, workdir, capsys, name, text):
+        if text is not None:
+            (workdir / name).write_text(text)
+        code = main(["center", str(workdir / "asym.csv"), "--config", str(workdir / name)])
         assert code == 2
         assert_one_error_line(capsys)
 
@@ -187,6 +215,16 @@ class TestVerify:
         shifted.write_text("x1,x2\n10,10\n11,12\n12,11\n13,13\n")
         code = main(["verify", str(part), str(shifted), "--checks", "equipartition"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["verify", "plot"])
+    def test_points_of_another_dimension_exit_2(self, workdir, capsys, command):
+        part = self.make_partition(workdir)
+        cube = workdir / "cube.csv"
+        cube.write_text("x1,x2,x3\n0,0,0\n1,0,0\n0,1,0\n0,0,1\n")
+        capsys.readouterr()
+        argv = [command, str(part), str(cube)]
+        assert main(argv + (["-o", str(workdir / "x.svg")] if command == "plot" else [])) == 2
+        assert_one_error_line(capsys)
 
     def test_negative_seed_exits_2(self, workdir, capsys):
         part = self.make_partition(workdir)

@@ -1,6 +1,7 @@
 """Clouds, quantiles, splits, projections, and seeded sampling."""
 
 import io
+import json
 import warnings
 
 import numpy as np
@@ -426,6 +427,96 @@ class TestSampling:
         assert again.params["lo"] == [0.0, 0.0] and again.params["hi"] == [1.0, 2.0]
 
 
+BOX2 = {"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1]}
+BOX3 = {"kind": "uniform-box", "lo": [0, 0, 0], "hi": [1, 1, 1]}
+WEIGHT_RULE = "weights must be > 0 with a finite total"
+ONE_PER_PART = "one entry per component \\(or atom\\), at least one"
+
+
+def gaussian_doc(weights, means=((0.0, 0.0),), factors=(((1.0, 0.0), (0.0, 1.0)),)):
+    return {"kind": "gaussian-mixture", "means": means, "cov_factors": factors,
+            "weights": weights}
+
+
+def atoms_doc(weights, points=((0.0, 0.0), (1.0, 1.0))):
+    return {"kind": "finite-atoms", "points": points, "weights": weights}
+
+
+def mixture_doc(weights, components=(BOX2, BOX2)):
+    return {"kind": "mixture", "components": list(components), "weights": weights}
+
+
+REJECTED_SPECS = {
+    "means-not-2d": (gaussian_doc([1.0], means=[0.0, 0.0]), "means must be \\(m, n\\)"),
+    "cov-factors-shape": (gaussian_doc([1.0], factors=[[1.0, 0.0], [0.0, 1.0]]),
+                          "cov_factors"),
+    "gaussian-weight-count": (gaussian_doc([1.0, 1.0]), ONE_PER_PART),
+    "gaussian-nan-weight": (gaussian_doc([float("nan")]), WEIGHT_RULE),
+    "gaussian-inf-weight": (gaussian_doc([float("inf")]), WEIGHT_RULE),
+    "gaussian-zero-weight": (gaussian_doc([0.0]), WEIGHT_RULE),
+    "rank-deficient-factor": (gaussian_doc([1.0], factors=[[[1.0, 0.0], [1.0, 0.0]]]),
+                              "rank deficient"),
+    "box-corner-lengths": ({"kind": "uniform-box", "lo": [0, 0], "hi": [1]}, "box corners"),
+    "box-corners-not-vectors": ({"kind": "uniform-box", "lo": [[0, 0]], "hi": [[1, 1]]},
+                                "box corners"),
+    "box-extent": ({"kind": "uniform-box", "lo": [0, 0], "hi": [1, 0]}, "positive extent"),
+    "simplex-vertex-count": ({"kind": "uniform-simplex", "vertices": [[0, 0], [1, 0]]},
+                             "n\\+1 vertices"),
+    "simplex-affinely-dependent": (
+        {"kind": "uniform-simplex", "vertices": [[0, 0], [1, 1], [2, 2]]}, "affinely dependent"),
+    "atoms-not-2d": (atoms_doc([1.0], points=[0.0, 1.0]), "\\(m, n\\) points"),
+    "atom-weight-count": (atoms_doc([1.0]), ONE_PER_PART),
+    "atom-nan-weight": (atoms_doc([1.0, float("nan")]), WEIGHT_RULE),
+    "atom-inf-weight": (atoms_doc([1.0, float("inf")]), WEIGHT_RULE),
+    "atom-zero-weight": (atoms_doc([1.0, 0.0]), WEIGHT_RULE),
+    "mixture-weight-count": (mixture_doc([1.0]), ONE_PER_PART),
+    "empty-mixture": (mixture_doc([], components=[]), ONE_PER_PART),
+    "mixture-nan-weight": (mixture_doc([1.0, float("nan")]), WEIGHT_RULE),
+    "mixture-inf-weight": (mixture_doc([1.0, float("inf")]), WEIGHT_RULE),
+    "mixture-zero-weight": (mixture_doc([1.0, 0.0]), WEIGHT_RULE),
+    "mixture-of-2d-and-3d": (mixture_doc([1.0, 1.0], components=[BOX2, BOX3]),
+                             "share one dimension"),
+}
+
+
+class TestMeasureSpec:
+    @pytest.mark.parametrize("doc, word", list(REJECTED_SPECS.values()),
+                             ids=list(REJECTED_SPECS))
+    def test_invalid_spec_rejected_when_built(self, doc, word):
+        with pytest.raises(ValueError, match=word):
+            MeasureSpec.from_json(doc)
+
+    def test_mixture_components_must_be_specs(self):
+        with pytest.raises(ValueError, match="must be MeasureSpec"):
+            MeasureSpec("mixture", {"components": [BOX2], "weights": [1.0]})
+
+    @pytest.mark.parametrize("doc, n", [
+        (gaussian_doc([1.0]), 2),
+        (BOX3, 3),
+        ({"kind": "uniform-simplex", "vertices": [[0], [1]]}, 1),
+        (atoms_doc([1.0, 2.0], points=[[0, 0, 0, 0], [1, 1, 1, 1]]), 4),
+        (mixture_doc([1.0, 2.0], components=[BOX3, mixture_doc([1.0], [BOX3])]), 3),
+    ])
+    def test_dimension(self, doc, n):
+        assert MeasureSpec.from_json(doc).dimension == n
+
+    def test_mixture_json_round_trip(self):
+        doc = mixture_doc([2, 1], components=[gaussian_doc([1]), mixture_doc([1], [BOX2])])
+        spec = MeasureSpec.from_json(doc)
+        again = MeasureSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert again.to_json() == spec.to_json()
+        assert again.to_json()["weights"] == [2.0, 1.0]
+        assert sample(again, 50, seed=4) == sample(spec, 50, seed=4)
+
+    def test_finite_atoms_draw(self):
+        atoms = [[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]
+        spec = MeasureSpec.finite_atoms(atoms, [1.0, 2.0, 3.0])
+        c = sample(spec, 7, seed=11)
+        assert c == sample(spec, 7, seed=11)
+        assert c.size == 7 and np.array_equal(c.weights, np.ones(7))
+        assert all(list(p) in atoms for p in c.points.tolist())
+
+
 class TestRegularize:
     def test_mass_bookkeeping(self):
         c = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 10, seed=0)
@@ -439,6 +530,12 @@ class TestRegularize:
         gamma = MeasureSpec.gaussian(z)
         mixed = regularize(c, gamma, p=2.0, count=10, seed=5)
         assert abs(mixed.total_mass - 1.5 * c.total_mass) <= 1e-12 * c.total_mass
+
+    def test_background_dimension_checked_before_drawing(self, monkeypatch):
+        c = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 4, seed=0)
+        monkeypatch.setattr(measures, "sample", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match="background dimension mismatch"):
+            regularize(c, MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 1.0, 4, 1)
 
 
 class TestSymmetrize:

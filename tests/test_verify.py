@@ -219,6 +219,16 @@ class TestDepth:
             verify._halfspace_draws(seeded_generator(1), square_tree, SQUARE, count)
 
 
+@pytest.mark.parametrize("check", [
+    lambda tree, cloud: check_depth(tree, cloud, 10, seed=1),
+    lambda tree, cloud: check_avoidance(tree, 10, 1, cloud),
+], ids=["depth", "avoidance"])
+def test_halfspace_checks_reject_a_cloud_of_another_dimension(square_tree, check):
+    cube = WeightedPointCloud.from_points(np.eye(3))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        check(square_tree, cube)
+
+
 class TestSymmetry:
     def test_square_fixture(self):
         rep = check_symmetry(SQUARE, (0.5, 0.5), CFG)
