@@ -128,7 +128,7 @@ class HalfSpace:
         a = _frozen(self.normal)
         if a.ndim != 1:
             raise ValueError("half-space normal must be a vector")
-        if not np.any(a):
+        if not a.any():
             raise ValueError("half-space normal must be nonzero")
         object.__setattr__(self, "normal", a)
         object.__setattr__(self, "offset", float(self.offset))
@@ -140,10 +140,6 @@ class HalfSpace:
     def value(self, points: np.ndarray) -> np.ndarray:
         """Signed form value normal . p - offset (>= 0 means inside)."""
         return np.asarray(points, dtype=float) @ self.normal - self.offset
-
-    def derivative(self, vectors: np.ndarray) -> np.ndarray:
-        """Linear part applied to direction(s)."""
-        return np.asarray(vectors, dtype=float) @ self.normal
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         # same sign as value(points) >= 0 for finite values, one pass fewer
@@ -158,8 +154,8 @@ class SignSequence(tuple):
     """
 
     def __new__(cls, values=()):
-        vals = tuple(int(v) for v in values)
-        if any(v not in (-1, 1) for v in vals):
+        vals = tuple(map(int, values))
+        if not set(vals) <= {-1, 1}:
             raise ValueError(f"signs must be +-1, got {vals}")
         return super().__new__(cls, vals)
 
@@ -312,7 +308,8 @@ def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
 
     True iff the form is >= 0 at the apex and its linear part is >= 0 on every
     signed generator; then every point apex + sum c_i (sign_i u^i) with c >= 0
-    satisfies the form.  No sampling, plain sign checks.
+    satisfies the form.  No sampling: sign checks on one product, whose rows are
+    those ``witness_region`` reads, so a witness passes it by construction.
     """
     if not region.is_full:
         raise ValueError("half-space certificates require a full region (k = n)")
@@ -320,7 +317,8 @@ def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
         raise ValueError("half-space and region dimensions differ")
     if h.value(region.apex) < 0.0:
         return False
-    return bool(np.all(h.derivative(region.signed_generators()) >= 0.0))
+    d = (region.basis.generators @ h.normal).tolist()
+    return all(x >= 0.0 if s > 0 else x <= 0.0 for x, s in zip(d, region.signs))
 
 
 def _invert_unit_lower(lower: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ class MeasureSpec:
 
     The params must hold exactly their kind's keys.  Weights follow the cloud
     rule (each > 0, finite total), with m >= 1; a mixture's components share
-    one dimension.  ``dimension`` (n) is fixed when the spec is validated.
+    one dimension.  ``dimension`` (n >= 1) is fixed when the spec is validated.
     """
 
     kind: str
@@ -186,7 +186,10 @@ class MeasureSpec:
                 f"{self.kind} spec takes keys {list(keys)}; "
                 f"missing {missing}, unknown {unknown}"
             )
-        object.__setattr__(self, "dimension", self._validate())
+        n = self._validate()
+        if n < 1:
+            raise ValueError(f"{self.kind} spec must have dimension >= 1, got {n}")
+        object.__setattr__(self, "dimension", n)
 
     def _validate(self) -> int:
         p = self.params

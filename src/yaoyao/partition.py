@@ -11,13 +11,13 @@ index k), and the region for a sign word (e_1, ..., e_n) is
 where u^k is the axis of the node reached by the prefix (e_1, ..., e_{k-1}).
 Prefixes of sign words give partial cones whose remaining directions are free.
 
-Witness search walks the tree once, picking +1 wherever the half-space's
-linear part is nonnegative on the node's axis; the resulting region passes the
-exact containment certificate by construction, for every half-space holding
-the center.  Point location makes the same walk, picking -1 wherever the
-point's coefficient along the node's axis is within tolerance of <= 0; since
-that choice never leads to a dead end, the walk finds the lexicographically
-first region (-1 first), so boundary points resolve deterministically.
+Witness search takes one product of the tree's level-order axis table with
+the half-space's normal and walks it, picking +1 wherever it is nonnegative;
+the certificate reads the same rows of a product, so the region passes it by
+construction, for every half-space holding the center.  Point location walks
+the same indices, picking -1 wherever the point's coefficient along the node's
+axis is within tolerance of <= 0; since that choice never leads to a dead end,
+it finds the lexicographically first region (-1 first), deterministically.
 
 Documents use the ``yaoyao-partition/v1`` JSON schema; floats survive the
 round trip exactly (shortest round-trip decimal both ways).
@@ -37,6 +37,7 @@ from .geometry import (
     SignSequence,
     SubDiagonalBasis,
     CoordinateSystem,
+    _frozen,
     membership_tolerance,
 )
 
@@ -71,9 +72,7 @@ class PartitionNode:
     pos: "PartitionNode | None"
 
     def __post_init__(self):
-        axis = np.array(self.axis, dtype=float)
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "axis", _frozen(self.axis))
 
     def __eq__(self, other):
         if not isinstance(other, PartitionNode):
@@ -87,7 +86,9 @@ class PartitionNode:
 
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
-    """Coordinate frame, global center (in that frame), axis tree, provenance."""
+    """Coordinate frame, global center (in that frame), axis tree, provenance;
+    ``_axes`` is the read-only (2^n - 1, n) table of the axes in level order:
+    row 0 is the root, row i has children 2i + 1 (-) and 2i + 2 (+)."""
 
     system: CoordinateSystem
     center: np.ndarray
@@ -95,16 +96,17 @@ class PartitionTree:
     meta: dict
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float)
-        center.setflags(write=False)
+        center = _frozen(self.center)
         object.__setattr__(self, "center", center)
         n = self.system.dimension
         if center.shape != (n,):
             raise PartitionFormatError("center length must equal the dimension")
-        self._validate_node(self.root, 1, n)
+        axes = np.empty((2**n - 1, n))
+        self._validate_node(self.root, 1, n, axes, 0)
+        object.__setattr__(self, "_axes", _frozen(axes))
 
     @staticmethod
-    def _validate_node(node: PartitionNode, depth: int, n: int):
+    def _validate_node(node: PartitionNode, depth: int, n: int, axes: np.ndarray, i: int):
         if node is None:
             raise PartitionFormatError(f"missing node at depth {depth} (paths must reach depth {n})")
         axis = node.axis
@@ -120,12 +122,13 @@ class PartitionTree:
             )
         if (node.neg is None) != (node.pos is None):
             raise PartitionFormatError(f"node at depth {depth} is missing one child")
+        axes[i] = axis
         if depth == n:
             if node.neg is not None:
                 raise PartitionFormatError("paths must end exactly at the dimension")
         else:
-            PartitionTree._validate_node(node.neg, depth + 1, n)
-            PartitionTree._validate_node(node.pos, depth + 1, n)
+            PartitionTree._validate_node(node.neg, depth + 1, n, axes, 2 * i + 1)
+            PartitionTree._validate_node(node.pos, depth + 1, n, axes, 2 * i + 2)
 
     @property
     def dimension(self) -> int:
@@ -143,11 +146,11 @@ class PartitionTree:
 
 
 def _region_for(tree: PartitionTree, signs: SignSequence) -> ConeRegion:
-    gens, node = np.empty((len(signs), tree.dimension)), tree.root
-    for k, s in enumerate(signs):
-        gens[k] = node.axis
-        node = node.pos if s > 0 else node.neg
-    return ConeRegion(tree.center, SubDiagonalBasis(gens), signs)
+    rows, i = [], 0
+    for s in signs:
+        rows.append(i)
+        i = 2 * i + 1 + (s > 0)
+    return ConeRegion(tree.center, SubDiagonalBasis(tree._axes[rows]), signs)
 
 
 def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
@@ -156,11 +159,8 @@ def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
     Generator k of region(e) is the axis of the node at prefix (e_1..e_{k-1});
     in particular generator 1 is the root axis for every region.
     """
-    out = {}
-    for raw in product((-1, 1), repeat=tree.dimension):
-        signs = SignSequence(raw)
-        out[signs] = _region_for(tree, signs)
-    return out
+    words = map(SignSequence, product((-1, 1), repeat=tree.dimension))
+    return {signs: _region_for(tree, signs) for signs in words}
 
 
 def prefix_region(tree: PartitionTree, signs) -> ConeRegion:
@@ -175,17 +175,17 @@ def prefix_region(tree: PartitionTree, signs) -> ConeRegion:
 def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
     """Sign word of a region contained in the half-space (which must hold the
     center).  Chooses +1 at each node iff the half-space's linear part is
-    nonnegative on the node's axis; the certificate is exact, no sampling."""
+    nonnegative on the node's axis, read from one product of the axis table with
+    the normal; the certificate takes the same rows, so it holds by construction."""
     if h.dimension != tree.dimension:
         raise ValueError("half-space dimension mismatch")
     if h.value(tree.center) < 0.0:
         raise ValueError("half-space does not contain the center")
-    signs = []
-    node = tree.root
-    while node is not None:
-        s = 1 if h.derivative(node.axis) >= 0.0 else -1
-        signs.append(s)
-        node = node.pos if s > 0 else node.neg
+    d = (tree._axes @ h.normal).tolist()
+    signs, i = [], 0
+    for _ in range(tree.dimension):
+        signs.append(1 if d[i] >= 0.0 else -1)
+        i = 2 * i + 1 + (d[i] >= 0.0)
     return SignSequence(signs)
 
 
@@ -209,16 +209,14 @@ def locate_points(tree: PartitionTree, points: np.ndarray, tol: float | None = N
     tols = membership_tolerance(tree.center, pts, tol)
     labels = np.empty(pts.shape, dtype=np.int64)
     rest = pts - tree.center
-    code = np.zeros(pts.shape[0], dtype=np.intp)  # each point's node, in level order
-    nodes = [tree.root]
+    code = np.zeros(pts.shape[0], dtype=np.intp)  # each point's node within its level
     for k in range(tree.dimension):
         a = rest[:, k]
         neg = a <= tols
         labels[:, k] = np.where(neg, -1, 1)
-        axes = np.array([node.axis[k + 1:] for node in nodes])
+        axes = tree._axes[2**k - 1:2**(k + 1) - 1, k + 1:]
         rest[:, k + 1:] -= a[:, None] * np.take(axes, code, axis=0)
         code = 2 * code + ~neg
-        nodes = [child for node in nodes for child in (node.neg, node.pos)]
     return labels
 
 
@@ -297,9 +295,7 @@ def deserialize(doc: dict) -> PartitionTree:
     if root is None:
         raise PartitionFormatError("document has no root node")
     try:
-        return PartitionTree(
-            system, np.asarray(doc["center"], dtype=float), root, doc["meta"]
-        )
+        return PartitionTree(system, np.asarray(doc["center"], dtype=float), root, doc["meta"])
     except PartitionFormatError:
         raise
     except (TypeError, ValueError) as exc:

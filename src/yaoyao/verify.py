@@ -16,6 +16,7 @@ Every check is a pure function of (inputs, seed).
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ class CheckReport:
 def _unit_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     while True:
         g = rng.standard_normal(n)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g.dot(g))
         if norm > 1e-12:
             return g / norm
 
@@ -84,18 +85,19 @@ def _halfspace_draws(rng, tree: PartitionTree, cloud: WeightedPointCloud | None,
     through a random data point (or a unit-scale offset when no cloud given)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = tree.dimension
+    n, center = tree.dimension, tree.center
     if cloud is not None and cloud.dimension != n:
         raise ValueError("point dimension mismatch")
+    points = None if cloud is None else cloud.points
     normals, offsets = np.empty((count, n)), np.empty(count)
     for i in range(count):
         a = _unit_normal(rng, n)
-        if cloud is not None:
-            anchor = cloud.points[rng.integers(cloud.size)]
+        if points is not None:
+            anchor = points[rng.integers(len(points))]
         else:
-            anchor = tree.center + rng.standard_normal(n)
+            anchor = center + rng.standard_normal(n)
         c = float(a @ anchor)
-        if float(a @ tree.center) - c < 0.0:
+        if float(a @ center) - c < 0.0:
             a, c = -a, -c
         normals[i], offsets[i] = a, c
     return normals, offsets

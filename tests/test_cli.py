@@ -71,6 +71,19 @@ class TestSample:
         assert_one_error_line(capsys)
         assert not (workdir / "x.csv").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "uniform-box", "lo": [], "hi": []},
+        {"kind": "uniform-simplex", "vertices": [[]]},
+        {"kind": "finite-atoms", "points": [[]], "weights": [1.0]},
+    ], ids=["box", "simplex", "atoms"])
+    def test_zero_dimensional_spec_exits_2(self, workdir, capsys, doc):
+        (workdir / "zero.json").write_text(json.dumps(doc))
+        code = main(["sample", "--spec", str(workdir / "zero.json"), "-n", "5",
+                     "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert_one_error_line(capsys)
+        assert not (workdir / "x.csv").exists()
+
     def test_zero_count_exits_2(self, workdir, capsys):
         code = main(["sample", "--spec", str(workdir / "box.json"),
                      "-n", "0", "-o", str(workdir / "x.csv")])

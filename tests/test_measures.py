@@ -486,6 +486,17 @@ class TestMeasureSpec:
         with pytest.raises(ValueError, match=word):
             MeasureSpec.from_json(doc)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform-box", {"lo": [], "hi": []}),
+        ("uniform-simplex", {"vertices": [[]]}),
+        ("finite-atoms", {"points": [[]], "weights": [1.0]}),
+        ("gaussian-mixture", {"means": np.zeros((1, 0)), "cov_factors": np.zeros((1, 0, 0)),
+                              "weights": [1.0]}),
+    ], ids=["box", "simplex", "atoms", "gaussian"])
+    def test_zero_dimensional_spec_rejected(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} spec must have dimension >= 1, got 0"):
+            MeasureSpec(kind, params)
+
     def test_mixture_components_must_be_specs(self):
         with pytest.raises(ValueError, match="must be MeasureSpec"):
             MeasureSpec("mixture", {"components": [BOX2], "weights": [1.0]})

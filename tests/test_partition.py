@@ -12,6 +12,7 @@ from yaoyao.geometry import (
     SignSequence,
     cone_coefficients,
     cone_contains,
+    halfspace_contains_region,
     membership_tolerance,
 )
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample
@@ -64,6 +65,25 @@ def random_tree(rng, n):
         return PartitionNode(axis, node(depth + 1), node(depth + 1))
 
     return PartitionTree(CoordinateSystem.standard(n), rng.standard_normal(n), node(1), {})
+
+
+def level_order_nodes(tree):
+    """Every node, root first, each level left (-) to right (+)."""
+    out, level = [], [tree.root]
+    while level[0] is not None:
+        out += level
+        level = [child for node in level for child in (node.neg, node.pos)]
+    return out
+
+
+def walked_generators(tree, signs):
+    """Reference generators of a region or prefix: the axes met on a walk from
+    the root through the nodes, one child per sign."""
+    gens, node = np.empty((len(signs), tree.dimension)), tree.root
+    for k, s in enumerate(signs):
+        gens[k] = node.axis
+        node = node.pos if s > 0 else node.neg
+    return gens
 
 
 def facet_points(rng, tree, count):
@@ -231,6 +251,82 @@ class TestWitness:
             h = HalfSpace(a, c)
             hits += halfspace_contains_region(h, regs[witness_region(tree_3d, h)])
         assert hits == 1000
+
+
+class TestWitnessCertificateAgreement:
+    """The witness and the certificate read the same derivatives, rounded the
+    same way, so every witness passes its own certificate, even where the
+    half-space's normal is orthogonal to a tree axis and a derivative sits at
+    the rounding level of zero."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_axis_orthogonal_normals_certify(self, n):
+        tree = random_tree(np.random.default_rng(11), n)
+        regs = regions(tree)
+        rng = np.random.default_rng(n)
+        failures = 0
+        for node in level_order_nodes(tree)[:6]:
+            u = node.axis
+            for _ in range(400):
+                a = rng.standard_normal(n)
+                a -= (a @ u) / (u @ u) * u
+                h = HalfSpace(a, float(a @ tree.center) - 1.0)
+                failures += not halfspace_contains_region(h, regs[witness_region(tree, h)])
+        assert failures == 0
+
+    @given(st.integers(1, 8), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_path_derivatives_equal_region_product(self, n, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, n)
+        regs = regions(tree)
+        nodes = level_order_nodes(tree)
+        for j in range(30):
+            a = rng.standard_normal(n)
+            if j % 2:  # orthogonal to one axis, so one derivative is near zero
+                u = nodes[rng.integers(len(nodes))].axis
+                a -= (a @ u) / (u @ u) * u
+            if not a.any():
+                continue
+            h = HalfSpace(a, float(a @ tree.center) - abs(rng.standard_normal()))
+            signs = witness_region(tree, h)
+            product = regs[signs].basis.generators @ a
+            rows, i = [], 0
+            for s in signs:
+                rows.append(i)
+                i = 2 * i + 1 + (s > 0)
+            assert (tree._axes @ a)[rows].tobytes() == product.tobytes()
+            assert list(signs) == [1 if d >= 0.0 else -1 for d in product]
+
+
+class TestLevelOrderTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_regions_and_prefixes_match_the_node_walk(self, n):
+        tree = random_tree(np.random.default_rng(40 + n), n)
+        for signs, region in regions(tree).items():
+            ref = walked_generators(tree, signs)
+            assert region.basis.generators.tobytes() == ref.tobytes()
+            for k in range(n):
+                prefix = prefix_region(tree, signs[:k])
+                assert prefix.basis.generators.shape == (k, n)
+                assert prefix.basis.generators.tobytes() == ref[:k].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_table_rows_are_the_nodes_in_level_order(self, n):
+        tree = random_tree(np.random.default_rng(50 + n), n)
+        nodes = level_order_nodes(tree)
+        assert tree._axes.shape == (2**n - 1, n) == (len(nodes), n)
+        assert tree._axes.tobytes() == np.array([v.axis for v in nodes]).tobytes()
+
+    def test_table_is_read_only(self, tree_3d):
+        with pytest.raises(ValueError):
+            tree_3d._axes[0, 1] = 5.0
+        assert not tree_3d._axes.flags.writeable
+
+    def test_deserialized_tree_has_the_same_table(self, tree_3d):
+        again = deserialize(json.loads(json.dumps(serialize(tree_3d))))
+        assert again._axes.tobytes() == tree_3d._axes.tobytes()
+        assert not again._axes.flags.writeable
 
 
 class TestPointLocation:

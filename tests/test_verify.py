@@ -1,5 +1,6 @@
 """The certification suite against fixtures and seeded clouds."""
 
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -217,6 +218,27 @@ class TestDepth:
     def test_draws_reject_count_below_one(self, square_tree, count):
         with pytest.raises(ValueError, match="count"):
             verify._halfspace_draws(seeded_generator(1), square_tree, SQUARE, count)
+
+
+# sha256 of the (normals, offsets) bytes of 400 draws, recorded while each draw
+# still read the cloud and the center anew and took np.linalg.norm; any drift
+# in the half-space stream that check_depth and check_avoidance share fails here
+DRAWS_GOLDEN = {
+    (2, "cloud"): "812342c848babdeb9b708e800fdc93d1c260c56c2769a577fb73e6a3de5bc5bf",
+    (2, "no-cloud"): "580e09c12dc346092731d558c045fbbfe8a1c7da01a9874ef57fbe25e248a1e6",
+    (3, "cloud"): "bd8bf5daf80f5fce68214db2f1fb5464e872d057c9f6060f5f84b24f2582d0de",
+    (3, "no-cloud"): "9e4156ff114047d646030f19892837a7b25bd85d2d5e1438d9e5b654f0ccaebb",
+}
+
+
+@pytest.mark.parametrize("n, kind", sorted(DRAWS_GOLDEN))
+def test_halfspace_draws_match_the_golden_stream(n, kind):
+    cloud = sample(MeasureSpec.uniform_box([0.0] * n, [1.0 + k for k in range(n)]), 300, seed=31)
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
+    source = cloud if kind == "cloud" else None
+    normals, offsets = verify._halfspace_draws(seeded_generator(32), tree, source, 400)
+    digest = hashlib.sha256(normals.tobytes() + offsets.tobytes()).hexdigest()
+    assert digest == DRAWS_GOLDEN[n, kind]
 
 
 @pytest.mark.parametrize("check", [
