@@ -35,7 +35,7 @@ for t in (0.0, 0.25, 0.5, 0.75, 1.0):
 # the solver finds the same root and assembles the full partition
 tree = compute_center_partition(cloud, CoordinateSystem.standard(2), cfg)
 print(f"\ncenter    = {tree.center}")
-print(f"root axis = {tree.root.axis}")
+print(f"root axis = {tree.axes[0]}")
 
 # each of the four regions is the center plus a signed cone
 print("\nregions (sign word -> generators):")

@@ -32,7 +32,6 @@ from .measures import (
 )
 from .partition import (
     PartitionFormatError,
-    PartitionNode,
     PartitionTree,
     deserialize,
     locate_points,

@@ -237,7 +237,7 @@ def render_svg(tree, ambient_points, size: float = 640.0) -> str:
         )
 
     # boundary rays: +-root axis and +-the depth-2 direction (second dual vector)
-    root_dir = tree.system.to_ambient(tree.center + tree.root.axis) - center
+    root_dir = tree.system.to_ambient(tree.center + tree.axes[0]) - center
     child_dir = tree.system.dual_basis()[:, 1]
     for d in (root_dir, -root_dir, child_dir, -child_dir):
         t_max = np.inf

@@ -16,6 +16,7 @@ function, safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,18 @@ class HalfSpace:
         a = _frozen(self.normal)
         if a.ndim != 1:
             raise ValueError("half-space normal must be a vector")
-        if not a.any():
+        offset = float(self.offset)
+        nonzero = False
+        for x in a.tolist():  # one pass: faster than a.any() on short normals
+            if not math.isfinite(x):
+                raise ValueError("half-space normal must be finite")
+            nonzero = nonzero or x != 0.0
+        if not nonzero:
             raise ValueError("half-space normal must be nonzero")
+        if not math.isfinite(offset):
+            raise ValueError("half-space offset must be finite")
         object.__setattr__(self, "normal", a)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dimension(self) -> int:

@@ -1,26 +1,28 @@
 """The partition tree: one global center, one axis per node, 2^n cone regions.
 
-A tree over R^n stores only the coordinate frame, the center x, and a binary
-tree of normalized axes; the cut value at depth k is the center's k-th
-coordinate, so the shared-center requirement is structural rather than checked.
-The axis of a depth-k node is sub-diagonal (zero below index k, exactly 1 at
-index k), and the region for a sign word (e_1, ..., e_n) is
+A tree over R^n is the coordinate frame, the center x and the table of its
+2^n - 1 normalized axes in level order: row 0 is the root's, row i has
+children 2i + 1 (-) and 2i + 2 (+).  The cut value at depth k is the center's
+k-th coordinate, so the shared-center requirement is structural rather than
+checked.  The axis of a depth-k node is sub-diagonal (zero below index k,
+exactly 1 at index k), and the region for a sign word (e_1, ..., e_n) is
 
     x + pos(e_1 u^1, ..., e_n u^n),
 
 where u^k is the axis of the node reached by the prefix (e_1, ..., e_{k-1}).
 Prefixes of sign words give partial cones whose remaining directions are free.
 
-Witness search takes one product of the tree's level-order axis table with
-the half-space's normal and walks it, picking +1 wherever it is nonnegative;
-the certificate reads the same rows of a product, so the region passes it by
-construction, for every half-space holding the center.  Point location walks
-the same indices, picking -1 wherever the point's coefficient along the node's
-axis is within tolerance of <= 0; since that choice never leads to a dead end,
-it finds the lexicographically first region (-1 first), deterministically.
+Witness search takes one product of the axis table with the half-space's
+normal and walks it, picking +1 wherever it is nonnegative; the certificate
+reads the same rows of a product, so the region passes it by construction,
+for every half-space holding the center.  Point location walks the same
+indices, picking -1 wherever the point's coefficient along the node's axis is
+within tolerance of <= 0; since that choice never leads to a dead end, it
+finds the lexicographically first region (-1 first), deterministically.
 
-Documents use the ``yaoyao-partition/v1`` JSON schema; floats survive the
-round trip exactly (shortest round-trip decimal both ways).
+Documents use the ``yaoyao-partition/v1`` JSON schema, which nests the nodes
+as ``{"axis", "neg", "pos"}`` objects; the nesting exists only in the file.
+Floats survive the round trip exactly (shortest round-trip decimal both ways).
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "PartitionNode",
     "PartitionTree",
     "PartitionFormatError",
     "regions",
@@ -64,71 +65,38 @@ class PartitionFormatError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class PartitionNode:
-    """One lifting level: a normalized axis and the two sub-partitions."""
-
-    axis: np.ndarray
-    neg: "PartitionNode | None"
-    pos: "PartitionNode | None"
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", _frozen(self.axis))
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionNode):
-            return NotImplemented
-        return (
-            np.array_equal(self.axis, other.axis)
-            and self.neg == other.neg
-            and self.pos == other.pos
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class PartitionTree:
-    """Coordinate frame, global center (in that frame), axis tree, provenance;
-    ``_axes`` is the read-only (2^n - 1, n) table of the axes in level order:
-    row 0 is the root, row i has children 2i + 1 (-) and 2i + 2 (+)."""
+    """Coordinate frame, global center (in that frame), axis table, provenance.
+
+    ``axes`` is the read-only (2^n - 1, n) table of the node axes in level
+    order: row 0 is the root's, row i has children 2i + 1 (-) and 2i + 2 (+),
+    and the rows 2^k - 1 .. 2^(k+1) - 2 of depth k + 1 are 1 at index k and 0
+    before it."""
 
     system: CoordinateSystem
     center: np.ndarray
-    root: PartitionNode
+    axes: np.ndarray
     meta: dict
 
     def __post_init__(self):
-        center = _frozen(self.center)
+        center, axes = _frozen(self.center), _frozen(self.axes)
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "axes", axes)
         n = self.system.dimension
         if center.shape != (n,):
             raise PartitionFormatError("center length must equal the dimension")
-        axes = np.empty((2**n - 1, n))
-        self._validate_node(self.root, 1, n, axes, 0)
-        object.__setattr__(self, "_axes", _frozen(axes))
-
-    @staticmethod
-    def _validate_node(node: PartitionNode, depth: int, n: int, axes: np.ndarray, i: int):
-        if node is None:
-            raise PartitionFormatError(f"missing node at depth {depth} (paths must reach depth {n})")
-        axis = node.axis
-        if axis.shape != (n,):
-            raise PartitionFormatError(f"axis at depth {depth} has wrong length")
-        if axis[depth - 1] != 1.0:
-            raise PartitionFormatError(
-                f"axis at depth {depth} is not normalized (component {depth} must be 1)"
-            )
-        if np.any(axis[: depth - 1] != 0.0):
-            raise PartitionFormatError(
-                f"axis at depth {depth} must vanish below its own coordinate"
-            )
-        if (node.neg is None) != (node.pos is None):
-            raise PartitionFormatError(f"node at depth {depth} is missing one child")
-        axes[i] = axis
-        if depth == n:
-            if node.neg is not None:
-                raise PartitionFormatError("paths must end exactly at the dimension")
-        else:
-            PartitionTree._validate_node(node.neg, depth + 1, n, axes, 2 * i + 1)
-            PartitionTree._validate_node(node.pos, depth + 1, n, axes, 2 * i + 2)
+        if axes.shape != (2**n - 1, n):
+            raise PartitionFormatError(f"axis table must have shape ({2**n - 1}, {n})")
+        for k in range(n):
+            level = axes[2**k - 1:2**(k + 1) - 1]
+            if np.any(level[:, k] != 1.0):
+                raise PartitionFormatError(
+                    f"axis at depth {k + 1} is not normalized (component {k + 1} must be 1)"
+                )
+            if np.any(level[:, :k] != 0.0):
+                raise PartitionFormatError(
+                    f"axis at depth {k + 1} must vanish below its own coordinate"
+                )
 
     @property
     def dimension(self) -> int:
@@ -140,7 +108,7 @@ class PartitionTree:
         return (
             self.system == other.system
             and np.array_equal(self.center, other.center)
-            and self.root == other.root
+            and np.array_equal(self.axes, other.axes)
             and self.meta == other.meta
         )
 
@@ -150,7 +118,7 @@ def _region_for(tree: PartitionTree, signs: SignSequence) -> ConeRegion:
     for s in signs:
         rows.append(i)
         i = 2 * i + 1 + (s > 0)
-    return ConeRegion(tree.center, SubDiagonalBasis(tree._axes[rows]), signs)
+    return ConeRegion(tree.center, SubDiagonalBasis(tree.axes[rows]), signs)
 
 
 def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
@@ -181,7 +149,7 @@ def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
         raise ValueError("half-space dimension mismatch")
     if h.value(tree.center) < 0.0:
         raise ValueError("half-space does not contain the center")
-    d = (tree._axes @ h.normal).tolist()
+    d = (tree.axes @ h.normal).tolist()
     signs, i = [], 0
     for _ in range(tree.dimension):
         signs.append(1 if d[i] >= 0.0 else -1)
@@ -214,7 +182,9 @@ def locate_points(tree: PartitionTree, points: np.ndarray, tol: float | None = N
         a = rest[:, k]
         neg = a <= tols
         labels[:, k] = np.where(neg, -1, 1)
-        axes = tree._axes[2**k - 1:2**(k + 1) - 1, k + 1:]
+        if k == tree.dimension - 1:
+            break  # the last level's update would run on (N, 0) arrays
+        axes = tree.axes[2**k - 1:2**(k + 1) - 1, k + 1:]
         rest[:, k + 1:] -= a[:, None] * np.take(axes, code, axis=0)
         code = 2 * code + ~neg
     return labels
@@ -227,32 +197,39 @@ def region_of_point(tree: PartitionTree, p, tol: float | None = None) -> SignSeq
     return SignSequence(locate_points(tree, np.atleast_2d(p), tol)[0])
 
 
-def _node_to_json(node: PartitionNode | None):
-    if node is None:
+def _node_to_json(axes: np.ndarray, i: int):
+    if i >= len(axes):
         return None
     return {
-        "axis": [float(v) for v in node.axis],
-        "neg": _node_to_json(node.neg),
-        "pos": _node_to_json(node.pos),
+        "axis": axes[i].tolist(),
+        "neg": _node_to_json(axes, 2 * i + 1),
+        "pos": _node_to_json(axes, 2 * i + 2),
     }
 
 
-def _node_from_json(doc) -> PartitionNode | None:
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise PartitionFormatError("node must be an object or null")
-    missing = {"axis", "neg", "pos"} - set(doc)
-    if missing:
-        raise PartitionFormatError(f"node is missing keys {sorted(missing)}")
-    axis = doc["axis"]
-    if not isinstance(axis, list) or not all(isinstance(v, (int, float)) for v in axis):
-        raise PartitionFormatError("node axis must be a list of numbers")
-    return PartitionNode(
-        np.asarray(axis, dtype=float),
-        _node_from_json(doc["neg"]),
-        _node_from_json(doc["pos"]),
-    )
+def _axes_from_json(root, n: int) -> np.ndarray:
+    """The axis table of a nested document, read one level at a time, so the
+    table is built only from nodes the document holds."""
+    rows, level = [], [root]
+    for depth in range(1, n + 1):
+        if None in level:
+            raise PartitionFormatError(f"missing node at depth {depth} (paths must reach depth {n})")
+        if not all(isinstance(node, dict) for node in level):
+            raise PartitionFormatError("node must be an object or null")
+        for node in level:
+            missing = {"axis", "neg", "pos"} - set(node)
+            if missing:
+                raise PartitionFormatError(f"node is missing keys {sorted(missing)}")
+            axis = node["axis"]
+            if not isinstance(axis, list) or not all(isinstance(v, (int, float)) for v in axis):
+                raise PartitionFormatError("node axis must be a list of numbers")
+            if len(axis) != n:
+                raise PartitionFormatError(f"axis at depth {depth} has wrong length")
+            rows.append(axis)
+        level = [child for node in level for child in (node["neg"], node["pos"])]
+    if any(node is not None for node in level):
+        raise PartitionFormatError("paths must end exactly at the dimension")
+    return np.array(rows, dtype=float)
 
 
 def serialize(tree: PartitionTree) -> dict:
@@ -265,7 +242,7 @@ def serialize(tree: PartitionTree) -> dict:
             "offset": [float(v) for v in tree.system.offset],
         },
         "center": [float(v) for v in tree.center],
-        "root": _node_to_json(tree.root),
+        "root": _node_to_json(tree.axes, 0),
         "meta": tree.meta,
     }
 
@@ -291,11 +268,9 @@ def deserialize(doc: dict) -> PartitionTree:
         raise PartitionFormatError(f"bad coordinate system: {exc}") from exc
     if system.dimension != doc["dim"]:
         raise PartitionFormatError("'dim' does not match the coordinate system")
-    root = _node_from_json(doc["root"])
-    if root is None:
-        raise PartitionFormatError("document has no root node")
+    axes = _axes_from_json(doc["root"], system.dimension)
     try:
-        return PartitionTree(system, np.asarray(doc["center"], dtype=float), root, doc["meta"])
+        return PartitionTree(system, np.asarray(doc["center"], dtype=float), axes, doc["meta"])
     except PartitionFormatError:
         raise
     except (TypeError, ValueError) as exc:

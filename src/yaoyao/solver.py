@@ -47,7 +47,7 @@ from .measures import (
     _split,
     split_at_median,
 )
-from .partition import PartitionNode, PartitionTree
+from .partition import PartitionTree
 from .geometry import CoordinateSystem
 
 __all__ = [
@@ -304,17 +304,16 @@ def _axis_solve(low, high, alpha: float, m: int, cfg: SolverConfig):
     return v, records
 
 
-# every m = 1 leaf returns this node; _lift_axes builds the tree's own copies
-_LEAF = PartitionNode(np.array([1.0]), None, None)
-
-
 def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
-    """First m center coordinates of (points, weights); returns (center, node,
-    worst, trace): the partition (only its prefix means anything if m < the
-    dimension; m = 1 leaves share one node), the largest (axis residual,
-    child-center gap) in it, and the node's AxisSolveTrace (None at a leaf)."""
+    """First m center coordinates of (points, weights); returns (center,
+    levels, worst, trace): levels[j] lists the 2^j local axes (length m - j)
+    of depth j + 1, left (-) to right (+), a leaf's as the list [1.0] (leaves
+    are most calls, and an array each costs 3% of a 3-D solve); only a prefix
+    means anything if m < the dimension.  worst is the largest (axis residual,
+    child-center gap) in the partition, trace the root's AxisSolveTrace (None
+    at a leaf)."""
     if m == 1:
-        return np.array([_quantile(points[:, 0], weights, 0.5)]), _LEAF, (0.0, 0.0), None
+        return np.array([_quantile(points[:, 0], weights, 0.5)]), [[[1.0]]], (0.0, 0.0), None
     alpha, (*low, _), (*high, _) = _split(points, weights)
     return _solve_split(alpha, low, high, m, cfg)
 
@@ -329,14 +328,14 @@ def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig, workers: in
             neg, pos = pool.map(lambda half: _child(half, alpha, v, m - 1, cfg), (low, high))
     else:
         neg, pos = (_child(half, alpha, v, m - 1, cfg) for half in (low, high))
-    c_neg, node_neg, worst_neg, _ = neg
-    c_pos, node_pos, worst_pos, _ = pos
+    c_neg, levels_neg, worst_neg, _ = neg
+    c_pos, levels_pos, worst_pos, _ = pos
 
     trace = AxisSolveTrace(tuple(records), float(np.max(np.abs(c_neg - c_pos))))
     worst = (max(trace.max_residual(), worst_neg[0], worst_pos[0]),
              max(trace.center_gap, worst_neg[1], worst_pos[1]))
     center = np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
-    return center, PartitionNode(v, node_neg, node_pos), worst, trace
+    return center, [[v]] + [a + b for a, b in zip(levels_neg, levels_pos)], worst, trace
 
 
 def _halves(low: WeightedPointCloud, high: WeightedPointCloud):
@@ -369,17 +368,8 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
 def triangular_axis_solve(low: WeightedPointCloud, high: WeightedPointCloud,
                           alpha: float, cfg: SolverConfig):
     """Solve the full axis for a split pair; returns (v, AxisSolveTrace)."""
-    _, node, _, trace = _solve_split(alpha, *_halves(low, high), low.dimension, cfg)
-    return node.axis.copy(), trace
-
-
-def _lift_axes(node: PartitionNode, depth: int, dimension: int) -> PartitionNode:
-    """Pad local axes with leading zeros so every axis lives in R^dimension."""
-    axis = np.zeros(dimension)
-    axis[depth - 1:] = node.axis
-    neg = _lift_axes(node.neg, depth + 1, dimension) if node.neg is not None else None
-    pos = _lift_axes(node.pos, depth + 1, dimension) if node.pos is not None else None
-    return PartitionNode(axis, neg, pos)
+    _, levels, _, trace = _solve_split(alpha, *_halves(low, high), low.dimension, cfg)
+    return levels[0][0].copy(), trace
 
 
 def _cloud_digest(cloud: WeightedPointCloud) -> str:
@@ -415,14 +405,16 @@ def compute_center_partition(
             f"dimension {cloud.dimension} exceeds configured maximum "
             f"{cfg.max_dimension}"
         )
-    if cloud.dimension == 1:
-        center, local_root, worst, trace = _solve(cloud.points, cloud.weights, 1, cfg)
+    n = cloud.dimension
+    if n == 1:
+        center, levels, worst, trace = _solve(cloud.points, cloud.weights, 1, cfg)
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud, 0)
-        center, local_root, worst, trace = _solve_split(
-            alpha, *_halves(low, high), cloud.dimension, cfg, workers)
-    root = _lift_axes(local_root, 1, cloud.dimension)
+        center, levels, worst, trace = _solve_split(alpha, *_halves(low, high), n, cfg, workers)
+    axes = np.zeros((2**n - 1, n))  # a depth-(k+1) axis starts with k zeros
+    for k, level in enumerate(levels):
+        axes[2**k - 1:2**(k + 1) - 1, k:] = level
     meta = {
         "config": cfg.to_json(),
         "input_digest": _cloud_digest(cloud),
@@ -433,4 +425,4 @@ def compute_center_partition(
             "records": [dict(asdict(r), bracket=list(r.bracket)) for r in trace.records],
         },
     }
-    return PartitionTree(system, center, root, meta)
+    return PartitionTree(system, center, axes, meta)

@@ -64,7 +64,7 @@ def test_criterion_1_hand_fixture():
     tree = compute_center_partition(ASYMMETRIC, CoordinateSystem.standard(2), CFG)
     elapsed = time.perf_counter() - t0
     center_err = float(np.max(np.abs(tree.center - [1.5, 1.5])))
-    axis_err = float(np.max(np.abs(tree.root.axis - [1.0, 0.5])))
+    axis_err = float(np.max(np.abs(tree.axes[0] - [1.0, 0.5])))
     ok = center_err <= 1e-9 and axis_err <= 1e-9 and elapsed < 1.0
     report(1, "hand fixture", ok,
            f"center err {center_err:.2e}, axis err {axis_err:.2e}, {elapsed:.3f}s")

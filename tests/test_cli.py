@@ -214,6 +214,22 @@ class TestVerify:
         code = main(["verify", str(part), str(workdir / "asym.csv")])
         assert code == 2
 
+    def test_shallow_high_dimensional_tree_exits_2(self, workdir, capsys):
+        # a 40-D document that ends at its root is rejected as a format
+        # error before a (2^40 - 1, 40) axis table is sized
+        n = 40
+        part = workdir / "part.json"
+        part.write_text(json.dumps({
+            "schema": "yaoyao-partition/v1",
+            "dim": n,
+            "system": {"matrix": np.eye(n).tolist(), "offset": [0.0] * n},
+            "center": [0.0] * n,
+            "root": {"axis": [1.0] + [0.0] * (n - 1), "neg": None, "pos": None},
+            "meta": {},
+        }))
+        assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
+        assert "missing node at depth 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "plot"])
     def test_partition_not_utf8_exits_2(self, workdir, capsys, command):
         part = workdir / "part.json"

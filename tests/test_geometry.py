@@ -171,6 +171,20 @@ class TestHalfspaceCertificate:
         h = HalfSpace(np.array([1.0, 0.0]), 0.0)  # x >= 0, apex on boundary
         assert halfspace_contains_region(h, IDENTITY_2D)
 
+    @pytest.mark.parametrize("normal, offset, part", [
+        ([0.0, np.nan], 0.0, "normal"), ([np.inf, 1.0], 0.0, "normal"),
+        ([1.0, -np.inf], 0.0, "normal"), ([1.0, 0.0], np.nan, "offset"),
+        ([1.0, 0.0], np.inf, "offset"), ([1.0, 0.0], -np.inf, "offset"),
+    ])
+    def test_non_finite_halfspace_rejected(self, normal, offset, part):
+        # a NaN offset used to certify the (+, +) region of the unit square
+        with pytest.raises(ValueError, match=f"{part} must be finite"):
+            HalfSpace(np.array(normal), offset)
+
+    def test_zero_normal_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            HalfSpace(np.zeros(3), 0.0)
+
     def test_partial_region_rejected(self):
         partial = region((0.0, 0.0), [(1, 0)], (1,))
         with pytest.raises(ValueError):

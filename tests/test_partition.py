@@ -18,7 +18,6 @@ from yaoyao.geometry import (
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample
 from yaoyao.partition import (
     PartitionFormatError,
-    PartitionNode,
     PartitionTree,
     deserialize,
     locate_points,
@@ -54,35 +53,38 @@ def scan_labels(tree, pts, tol=None):
 
 
 def random_tree(rng, n):
-    """A valid tree with random sub-diagonal axes and a random center."""
+    """A valid tree with a random center and random sub-diagonal axes, drawn
+    node by node in the document's nesting order (node, - subtree, + subtree)."""
+    center, axes = rng.standard_normal(n), np.zeros((2**n - 1, n))
 
-    def node(depth):
-        if depth > n:
-            return None
-        axis = np.zeros(n)
-        axis[depth - 1] = 1.0
-        axis[depth:] = rng.standard_normal(n - depth)
-        return PartitionNode(axis, node(depth + 1), node(depth + 1))
+    def fill(i, k):
+        if i < len(axes):
+            axes[i, k] = 1.0
+            axes[i, k + 1:] = rng.standard_normal(n - k - 1)
+            fill(2 * i + 1, k + 1)
+            fill(2 * i + 2, k + 1)
 
-    return PartitionTree(CoordinateSystem.standard(n), rng.standard_normal(n), node(1), {})
+    fill(0, 0)
+    return PartitionTree(CoordinateSystem.standard(n), center, axes, {})
 
 
 def level_order_nodes(tree):
-    """Every node, root first, each level left (-) to right (+)."""
-    out, level = [], [tree.root]
+    """Every node of the tree's document, root first, each level left (-) to
+    right (+)."""
+    out, level = [], [serialize(tree)["root"]]
     while level[0] is not None:
         out += level
-        level = [child for node in level for child in (node.neg, node.pos)]
+        level = [child for node in level for child in (node["neg"], node["pos"])]
     return out
 
 
 def walked_generators(tree, signs):
     """Reference generators of a region or prefix: the axes met on a walk from
-    the root through the nodes, one child per sign."""
-    gens, node = np.empty((len(signs), tree.dimension)), tree.root
+    the root through the document's nodes, one child per sign."""
+    gens, node = np.empty((len(signs), tree.dimension)), serialize(tree)["root"]
     for k, s in enumerate(signs):
-        gens[k] = node.axis
-        node = node.pos if s > 0 else node.neg
+        gens[k] = node["axis"]
+        node = node["pos"] if s > 0 else node["neg"]
     return gens
 
 
@@ -114,30 +116,75 @@ def tree_3d():
     return compute_center_partition(cloud, CoordinateSystem.standard(3), CFG)
 
 
+def standard_doc(n):
+    """Document of the tree with standard axes about the origin."""
+    axes = np.zeros((2**n - 1, n))
+    for k in range(n):
+        axes[2**k - 1:2**(k + 1) - 1, k] = 1.0
+    return serialize(PartitionTree(CoordinateSystem.standard(n), np.zeros(n), axes, {}))
+
+
 class TestTreeInvariants:
     def test_axis_must_be_normalized(self):
-        node = PartitionNode(np.array([2.0, 0.0]),
-                             PartitionNode(np.array([0.0, 1.0]), None, None),
-                             PartitionNode(np.array([0.0, 1.0]), None, None))
-        with pytest.raises(PartitionFormatError):
-            PartitionTree(SYS2, np.zeros(2), node, {})
+        axes = [[2.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(PartitionFormatError, match="depth 1 is not normalized"):
+            PartitionTree(SYS2, np.zeros(2), axes, {})
 
     def test_axis_must_be_sub_diagonal(self):
-        leaf = PartitionNode(np.array([0.5, 1.0]), None, None)
-        node = PartitionNode(np.array([1.0, 0.0]), leaf, leaf)
-        with pytest.raises(PartitionFormatError):
-            PartitionTree(SYS2, np.zeros(2), node, {})
+        axes = [[1.0, 0.0], [0.0, 1.0], [0.5, 1.0]]
+        with pytest.raises(PartitionFormatError, match="depth 2 must vanish below"):
+            PartitionTree(SYS2, np.zeros(2), axes, {})
+
+    @pytest.mark.parametrize("axes", [np.eye(2), np.ones((3, 3)), np.ones(3), np.ones((7, 2))])
+    def test_table_shape_checked(self, axes):
+        with pytest.raises(PartitionFormatError, match="shape"):
+            PartitionTree(SYS2, np.zeros(2), axes, {})
 
     def test_paths_must_reach_the_dimension(self):
-        shallow = PartitionNode(np.array([1.0, 0.0]), None, None)
-        with pytest.raises(PartitionFormatError):
-            PartitionTree(SYS2, np.zeros(2), shallow, {})
+        doc = standard_doc(2)
+        doc["root"]["neg"] = doc["root"]["pos"] = None
+        with pytest.raises(PartitionFormatError, match="missing node at depth 2"):
+            deserialize(doc)
 
     def test_one_missing_child_rejected(self):
-        leaf = PartitionNode(np.array([0.0, 1.0]), None, None)
-        lopsided = PartitionNode(np.array([1.0, 0.0]), leaf, None)
-        with pytest.raises(PartitionFormatError):
-            PartitionTree(SYS2, np.zeros(2), lopsided, {})
+        doc = standard_doc(3)
+        doc["root"]["pos"]["neg"] = None
+        with pytest.raises(PartitionFormatError, match="missing node at depth 3"):
+            deserialize(doc)
+
+    def test_paths_must_end_at_the_dimension(self):
+        doc = standard_doc(2)
+        doc["root"]["pos"]["neg"] = {"axis": [0.0, 1.0], "neg": None, "pos": None}
+        with pytest.raises(PartitionFormatError, match="end exactly"):
+            deserialize(doc)
+
+    def test_axis_of_wrong_length_rejected(self):
+        doc = standard_doc(2)
+        doc["root"]["neg"]["axis"] = [0.0, 1.0, 0.0]
+        with pytest.raises(PartitionFormatError, match="depth 2 has wrong length"):
+            deserialize(doc)
+
+    @pytest.mark.parametrize("node", [[0.0, 1.0], 1.0, "node"])
+    def test_node_must_be_an_object(self, node):
+        doc = standard_doc(2)
+        doc["root"]["pos"] = node
+        with pytest.raises(PartitionFormatError, match="object or null"):
+            deserialize(doc)
+
+    def test_shallow_document_sizes_nothing_from_its_dimension(self):
+        # a (2^40 - 1, 40) table would take 320 TiB; the reader stops at the
+        # first missing node instead
+        n = 40
+        doc = {
+            "schema": "yaoyao-partition/v1",
+            "dim": n,
+            "system": {"matrix": np.eye(n).tolist(), "offset": [0.0] * n},
+            "center": [0.0] * n,
+            "root": {"axis": [1.0] + [0.0] * (n - 1), "neg": None, "pos": None},
+            "meta": {},
+        }
+        with pytest.raises(PartitionFormatError, match="missing node at depth 2"):
+            deserialize(doc)
 
 
 class TestRegions:
@@ -153,7 +200,7 @@ class TestRegions:
     def test_first_generator_is_root_axis(self, asym_tree):
         regs = regions(asym_tree)
         for signs, r in regs.items():
-            assert np.array_equal(r.basis.generators[0], asym_tree.root.axis)
+            assert np.array_equal(r.basis.generators[0], asym_tree.axes[0])
             assert r.signs == signs
             assert np.array_equal(r.apex, asym_tree.center)
 
@@ -266,7 +313,7 @@ class TestWitnessCertificateAgreement:
         rng = np.random.default_rng(n)
         failures = 0
         for node in level_order_nodes(tree)[:6]:
-            u = node.axis
+            u = np.array(node["axis"])
             for _ in range(400):
                 a = rng.standard_normal(n)
                 a -= (a @ u) / (u @ u) * u
@@ -284,7 +331,7 @@ class TestWitnessCertificateAgreement:
         for j in range(30):
             a = rng.standard_normal(n)
             if j % 2:  # orthogonal to one axis, so one derivative is near zero
-                u = nodes[rng.integers(len(nodes))].axis
+                u = np.array(nodes[rng.integers(len(nodes))]["axis"])
                 a -= (a @ u) / (u @ u) * u
             if not a.any():
                 continue
@@ -295,7 +342,7 @@ class TestWitnessCertificateAgreement:
             for s in signs:
                 rows.append(i)
                 i = 2 * i + 1 + (s > 0)
-            assert (tree._axes @ a)[rows].tobytes() == product.tobytes()
+            assert (tree.axes @ a)[rows].tobytes() == product.tobytes()
             assert list(signs) == [1 if d >= 0.0 else -1 for d in product]
 
 
@@ -315,18 +362,18 @@ class TestLevelOrderTable:
     def test_table_rows_are_the_nodes_in_level_order(self, n):
         tree = random_tree(np.random.default_rng(50 + n), n)
         nodes = level_order_nodes(tree)
-        assert tree._axes.shape == (2**n - 1, n) == (len(nodes), n)
-        assert tree._axes.tobytes() == np.array([v.axis for v in nodes]).tobytes()
+        assert tree.axes.shape == (2**n - 1, n) == (len(nodes), n)
+        assert tree.axes.tobytes() == np.array([v["axis"] for v in nodes]).tobytes()
 
     def test_table_is_read_only(self, tree_3d):
         with pytest.raises(ValueError):
-            tree_3d._axes[0, 1] = 5.0
-        assert not tree_3d._axes.flags.writeable
+            tree_3d.axes[0, 1] = 5.0
+        assert not tree_3d.axes.flags.writeable
 
     def test_deserialized_tree_has_the_same_table(self, tree_3d):
         again = deserialize(json.loads(json.dumps(serialize(tree_3d))))
-        assert again._axes.tobytes() == tree_3d._axes.tobytes()
-        assert not again._axes.flags.writeable
+        assert again.axes.tobytes() == tree_3d.axes.tobytes()
+        assert not again.axes.flags.writeable
 
 
 class TestPointLocation:

@@ -191,7 +191,7 @@ class TestTriangularAxisSolve:
         tree = compute_center_partition(cloud, SYS2, CFG)
         (record,) = tree.meta["root_trace"]["records"]
         assert record["iterations"] <= 2
-        assert abs(tree.root.axis[1] - root) <= CFG.root_tol
+        assert abs(tree.axes[0][1] - root) <= CFG.root_tol
 
     @pytest.mark.parametrize("seed", [301, 303])
     def test_gaussian_root_takes_few_steps(self, seed):
@@ -229,17 +229,17 @@ class TestComputeCenterPartition:
         cloud = WeightedPointCloud.from_points([[0.0], [1.0], [2.0], [3.0]])
         tree = compute_center_partition(cloud, CoordinateSystem.standard(1), CFG)
         assert tree.center[0] == 1.5
-        assert tree.root.neg is None and tree.root.pos is None
+        assert np.array_equal(tree.axes, [[1.0]])
 
     def test_square_fixture(self):
         tree = compute_center_partition(SQUARE, SYS2, CFG)
         assert np.array_equal(tree.center, [0.5, 0.5])
-        assert np.array_equal(tree.root.axis, [1.0, 0.0])
+        assert np.array_equal(tree.axes[0], [1.0, 0.0])
 
     def test_asymmetric_fixture(self):
         tree = compute_center_partition(ASYMMETRIC, SYS2, CFG)
         assert np.max(np.abs(tree.center - [1.5, 1.5])) <= 1e-9
-        assert abs(tree.root.axis[1] - 0.5) <= 1e-9
+        assert abs(tree.axes[0][1] - 0.5) <= 1e-9
 
     def test_dimension_cap(self):
         cloud = WeightedPointCloud.from_points(np.zeros((3, 9)))

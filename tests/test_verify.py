@@ -22,7 +22,7 @@ from yaoyao.measures import (
     symmetrize,
     weighted_quantile,
 )
-from yaoyao.partition import PartitionNode, PartitionTree, locate_points
+from yaoyao.partition import PartitionTree, locate_points
 from yaoyao.solver import SolverConfig, compute_center_partition
 from yaoyao.verify import (
     check_avoidance,
@@ -75,10 +75,8 @@ class TestEquipartition:
     def test_empty_prefix_counts_fully(self):
         # standard axes about the origin; prefix (+, -) holds no point, while
         # every non-empty prefix is off by exactly one half
-        leaf = PartitionNode(np.array([0.0, 0.0, 1.0]), None, None)
-        mid = PartitionNode(np.array([0.0, 1.0, 0.0]), leaf, leaf)
-        tree = PartitionTree(CoordinateSystem.standard(3), np.zeros(3),
-                             PartitionNode(np.array([1.0, 0.0, 0.0]), mid, mid), {})
+        axes = [[1.0, 0.0, 0.0]] + [[0.0, 1.0, 0.0]] * 2 + [[0.0, 0.0, 1.0]] * 4
+        tree = PartitionTree(CoordinateSystem.standard(3), np.zeros(3), axes, {})
         cloud = WeightedPointCloud.from_points(
             [(-1, -1, -1), (-1, -1, 1), (-1, -2, 2), (-1, 1, -1), (-1, 1, 1),
              (-1, 2, 2), (1, 1, -1), (1, 1, 1)]
@@ -111,16 +109,13 @@ class TestEquipartitionGathers:
         weights = rng.uniform(0.1, 5.0, size)
         cloud = WeightedPointCloud(pts, weights, rng.permutation(size))
 
-        def node(depth):
-            if depth > n:
-                return None
-            axis = np.zeros(n)
-            axis[depth - 1] = 1.0
-            axis[depth:] = rng.standard_normal(n - depth)
-            return PartitionNode(axis, node(depth + 1), node(depth + 1))
-
+        axes = np.zeros((2**n - 1, n))  # random sub-diagonal axes, level by level
+        for k in range(n):
+            rows = slice(2**k - 1, 2**(k + 1) - 1)
+            axes[rows, k] = 1.0
+            axes[rows, k + 1:] = rng.standard_normal((2**k, n - k - 1))
         center = np.concatenate([[0.0], rng.standard_normal(n - 1)])
-        tree = PartitionTree(CoordinateSystem.standard(n), center, node(1), {})
+        tree = PartitionTree(CoordinateSystem.standard(n), center, axes, {})
         rep = check_equipartition(tree, cloud)
         prefix, full = mask_region_masses(tree, cloud)
         assert list(rep.stats["region_masses"].values()) == full
@@ -182,7 +177,7 @@ class TestDepth:
         # the batched product may put each half-space's anchor, a data point
         # on its boundary, on the other side than halfspace_mass does
         cloud, tree = weighted
-        tree = PartitionTree(tree.system, tree.center + shift, tree.root, tree.meta)
+        tree = PartitionTree(tree.system, tree.center + shift, tree.axes, tree.meta)
         rep = check_depth(tree, cloud, 400, seed=9)
         normals, offsets = verify._halfspace_draws(seeded_generator(9), tree, cloud, 400)
         ref = np.array([halfspace_mass(cloud, HalfSpace(a, c))
@@ -196,7 +191,7 @@ class TestDepth:
 
     def test_center_outside_the_hull_fails(self, weighted):
         cloud, tree = weighted
-        moved = PartitionTree(tree.system, tree.center + 3.0, tree.root, tree.meta)
+        moved = PartitionTree(tree.system, tree.center + 3.0, tree.axes, tree.meta)
         rep = check_depth(moved, cloud, 200, seed=10)
         assert not rep.passed and 0 < rep.stats["failures"] <= 200
         assert rep.stats["min_mass"] < rep.stats["floor"]
@@ -205,7 +200,7 @@ class TestDepth:
         # 1000 half-spaces by 2^15 points would take 256 MiB as one product;
         # a block holds 2^21 products (16 MiB) plus 2 MiB of sides per block
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 2**15, seed=14)
-        tree = PartitionTree(SYS2, [0.5, 0.5], square_tree.root, {})
+        tree = PartitionTree(SYS2, [0.5, 0.5], square_tree.axes, {})
         tracemalloc.start()
         try:
             check_depth(tree, cloud, 1000, seed=15)
