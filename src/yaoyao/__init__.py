@@ -11,7 +11,6 @@ from .geometry import (
     CoordinateSystem,
     HalfSpace,
     SignSequence,
-    SubDiagonalBasis,
     cone_coefficients,
     cone_contains,
     halfspace_contains_region,

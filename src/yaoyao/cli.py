@@ -32,18 +32,16 @@ class _InputError(Exception):
     pass
 
 
+def _system_file(path) -> CoordinateSystem:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return CoordinateSystem(doc["matrix"], doc["offset"])
+
+
 def _load_system(path, dimension) -> CoordinateSystem:
     if path is None:
         return CoordinateSystem.standard(dimension)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        system = CoordinateSystem(
-            np.asarray(doc["matrix"], dtype=float),
-            np.asarray(doc["offset"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"bad coordinate system file: {exc}") from exc
+    system = _read(_system_file, path, "coordinate system")
     if system.dimension != dimension:
         raise _InputError(
             f"coordinate system is {system.dimension}-dimensional, "
@@ -53,10 +51,11 @@ def _load_system(path, dimension) -> CoordinateSystem:
 
 
 def _read(load, path, kind):
-    """load(path), with a bad or unreadable file reported as an input error."""
+    """load(path), with a bad or unreadable file reported as an input error;
+    a number too large for a float is one too."""
     try:
         return load(path)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"bad {kind} file: {exc}") from exc
 
 

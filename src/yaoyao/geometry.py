@@ -1,7 +1,8 @@
 """Affine coordinate frames, half-spaces, and simplicial cone regions.
 
-A partition region is stored as an apex plus a *sub-diagonal* basis: generators
-u^1..u^k, expressed in the coordinates of an owning ``CoordinateSystem``, with
+A partition region is an apex plus the cone of signed *sub-diagonal*
+generators u^1..u^k, expressed in the coordinates of an owning
+``CoordinateSystem``, with
 
     u^i_j = 0 for j < i      and      u^i_i = 1   (both exact, by construction).
 
@@ -25,7 +26,6 @@ __all__ = [
     "CoordinateSystem",
     "HalfSpace",
     "SignSequence",
-    "SubDiagonalBasis",
     "ConeRegion",
     "cone_coefficients",
     "cone_contains",
@@ -45,14 +45,8 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
-def membership_tolerance(apex: np.ndarray, points: np.ndarray,
-                         tol: float | None = None) -> np.ndarray:
-    """Facet fuzz per row of an (m, n) batch: the fixed ``tol`` if given,
-    else the scale-aware 1e-9 * (1 + |apex| + |p_i|)."""
-    if tol is not None:
-        if tol < 0:
-            raise ValueError("tolerance must be >= 0")
-        return np.full(points.shape[0], float(tol))
+def membership_tolerance(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Facet fuzz per row of an (m, n) batch: 1e-9 * (1 + |apex| + |p_i|)."""
     return 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(points, axis=1))
 
 
@@ -75,6 +69,8 @@ class CoordinateSystem:
             raise ValueError(f"coordinate matrix must be square, got {m.shape}")
         if b.shape != (m.shape[0],):
             raise ValueError("offset length must match matrix dimension")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("offset must be finite")
         cond = np.linalg.cond(m)
         if not np.isfinite(cond) or cond > DEFAULT_CONDITION_BOUND:
             raise ValueError(
@@ -156,11 +152,7 @@ class HalfSpace:
 
 
 class SignSequence(tuple):
-    """A tuple of +-1 signs indexing regions and their prefixes.
-
-    Behaves as a plain tuple (hashable, comparable, sliceable); concatenation
-    with another sign sequence or tuple stays a SignSequence.
-    """
+    """A tuple of +-1 signs indexing regions and their prefixes."""
 
     def __new__(cls, values=()):
         vals = tuple(map(int, values))
@@ -168,23 +160,22 @@ class SignSequence(tuple):
             raise ValueError(f"signs must be +-1, got {vals}")
         return super().__new__(cls, vals)
 
-    def __add__(self, other):
-        return SignSequence(tuple(self) + tuple(other))
-
-    def __getitem__(self, item):
-        out = super().__getitem__(item)
-        return SignSequence(out) if isinstance(item, slice) else out
-
-    def __repr__(self):
-        return f"SignSequence{tuple(self)!r}"
-
 
 @dataclass(frozen=True, eq=False)
-class SubDiagonalBasis:
-    """Generators u^1..u^k (rows), in coordinate space, with exact unit sub-diagonal
-    structure: u^i_j = 0 for j < i and u^i_i = 1, bit for bit."""
+class ConeRegion:
+    """apex + pos(sign_1 u^1, ..., sign_k u^k) + lin(e_{k+1}, ..., e_n).
 
+    The generators u^1..u^k are the rows of a (k, n) array in coordinate space,
+    unit sub-diagonal bit for bit: u^i_j = 0 for j < i and u^i_i = 1.  The
+    lineality directions are simply the last n-k standard basis vectors, so a
+    full region (k = n) has no free directions.  In a partition the apex is the
+    center and the generators are the node axes along one root-to-leaf path
+    (a prefix path for k < n).
+    """
+
+    apex: np.ndarray
     generators: np.ndarray
+    signs: SignSequence
 
     def __post_init__(self):
         g = _frozen(self.generators)
@@ -198,70 +189,34 @@ class SubDiagonalBasis:
                 raise ValueError(f"generator {i} must have unit entry at index {i}")
             if i > 0 and np.any(g[i, :i] != 0.0):
                 raise ValueError(f"generator {i} must vanish before index {i}")
+        apex = _frozen(self.apex)
+        if apex.shape != (n,):
+            raise ValueError("apex dimension does not match generators")
+        signs = SignSequence(self.signs)
+        if len(signs) != k:
+            raise ValueError("one sign per generator required")
+        object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "generators", g)
-
-    @property
-    def size(self) -> int:
-        return self.generators.shape[0]
+        object.__setattr__(self, "signs", signs)
 
     @property
     def dimension(self) -> int:
         return self.generators.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, SubDiagonalBasis):
-            return NotImplemented
-        return np.array_equal(self.generators, other.generators)
-
-
-@dataclass(frozen=True, eq=False)
-class ConeRegion:
-    """apex + pos(sign_1 u^1, ..., sign_k u^k) + lin(e_{k+1}, ..., e_n).
-
-    In coordinate space the lineality directions are simply the last n-k
-    standard basis vectors, so a full region (k = n) has no free directions.
-    """
-
-    apex: np.ndarray
-    basis: SubDiagonalBasis
-    signs: SignSequence
-
-    def __post_init__(self):
-        apex = _frozen(self.apex)
-        if apex.shape != (self.basis.dimension,):
-            raise ValueError("apex dimension does not match generators")
-        signs = SignSequence(self.signs)
-        if len(signs) != self.basis.size:
-            raise ValueError("one sign per generator required")
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "signs", signs)
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.dimension
-
     @property
     def size(self) -> int:
-        return self.basis.size
-
-    @property
-    def lineality_rank(self) -> int:
-        return self.dimension - self.size
-
-    @property
-    def is_full(self) -> bool:
-        return self.size == self.dimension
+        return self.generators.shape[0]
 
     def signed_generators(self) -> np.ndarray:
         """Rows sign_i * u^i."""
-        return self.basis.generators * np.asarray(self.signs, dtype=float)[:, None]
+        return self.generators * np.asarray(self.signs, dtype=float)[:, None]
 
     def __eq__(self, other):
         if not isinstance(other, ConeRegion):
             return NotImplemented
         return (
             np.array_equal(self.apex, other.apex)
-            and self.basis == other.basis
+            and np.array_equal(self.generators, other.generators)
             and self.signs == other.signs
         )
 
@@ -298,15 +253,12 @@ def cone_coefficients(region: ConeRegion, p: np.ndarray) -> np.ndarray:
     return coeffs[0] if single else coeffs
 
 
-def cone_contains(region: ConeRegion, p: np.ndarray, tol: float | None = None) -> bool | np.ndarray:
-    """Membership test: every cone coefficient >= -tol.
-
-    ``tol=None`` uses the scale-aware default ``membership_tolerance``.
-    """
+def cone_contains(region: ConeRegion, p: np.ndarray) -> bool | np.ndarray:
+    """Membership test: every cone coefficient >= -``membership_tolerance``."""
     p = _check_point(region, p)
     single = p.ndim == 1
     pts = np.atleast_2d(p)
-    tols = membership_tolerance(region.apex, pts, tol)
+    tols = membership_tolerance(region.apex, pts)
     coeffs = np.atleast_2d(cone_coefficients(region, pts))
     inside = np.all(coeffs >= -tols[:, None], axis=1)
     return bool(inside[0]) if single else inside
@@ -320,13 +272,13 @@ def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
     satisfies the form.  No sampling: sign checks on one product, whose rows are
     those ``witness_region`` reads, so a witness passes it by construction.
     """
-    if not region.is_full:
+    if region.size != region.dimension:
         raise ValueError("half-space certificates require a full region (k = n)")
     if h.dimension != region.dimension:
         raise ValueError("half-space and region dimensions differ")
     if h.value(region.apex) < 0.0:
         return False
-    d = (region.basis.generators @ h.normal).tolist()
+    d = (region.generators @ h.normal).tolist()
     return all(x >= 0.0 if s > 0 else x <= 0.0 for x, s in zip(d, region.signs))
 
 

@@ -37,7 +37,6 @@ from .geometry import (
     ConeRegion,
     HalfSpace,
     SignSequence,
-    SubDiagonalBasis,
     CoordinateSystem,
     _frozen,
     membership_tolerance,
@@ -87,6 +86,8 @@ class PartitionTree:
             raise PartitionFormatError("center length must equal the dimension")
         if axes.shape != (2**n - 1, n):
             raise PartitionFormatError(f"axis table must have shape ({2**n - 1}, {n})")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(axes))):
+            raise PartitionFormatError("center and axes must be finite")
         for k in range(n):
             level = axes[2**k - 1:2**(k + 1) - 1]
             if np.any(level[:, k] != 1.0):
@@ -118,7 +119,7 @@ def _region_for(tree: PartitionTree, signs: SignSequence) -> ConeRegion:
     for s in signs:
         rows.append(i)
         i = 2 * i + 1 + (s > 0)
-    return ConeRegion(tree.center, SubDiagonalBasis(tree.axes[rows]), signs)
+    return ConeRegion(tree.center, tree.axes[rows], signs)
 
 
 def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
@@ -157,7 +158,7 @@ def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
     return SignSequence(signs)
 
 
-def locate_points(tree: PartitionTree, points: np.ndarray, tol: float | None = None) -> np.ndarray:
+def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     """Sign words of the lexicographically first region (-1 first) containing
     each point, as an (N, n) array of +-1, found by one walk down the tree,
     all points one level at a time.
@@ -165,16 +166,16 @@ def locate_points(tree: PartitionTree, points: np.ndarray, tol: float | None = N
     At a depth-k node a point's coefficient along the node's axis is the k-th
     coordinate of what remains of p - center after the ancestors' axes are
     taken out.  Sign -1 holds it within tolerance exactly when that coefficient
-    is <= tol, and +1 does otherwise, so every feasible prefix extends to a
-    full region and taking -1 wherever feasible yields the first region of the
-    lexicographic order.  Costs O(N n^2) instead of a scan over 2^n regions.
+    is <= ``membership_tolerance``, and +1 does otherwise, so every feasible
+    prefix extends to a full region and taking -1 wherever feasible yields the
+    first region of the lexicographic order.  Costs O(N n^2) instead of a scan over 2^n regions.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != tree.dimension:
         raise ValueError("point dimension mismatch")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite (NaN or inf found)")
-    tols = membership_tolerance(tree.center, pts, tol)
+    tols = membership_tolerance(tree.center, pts)
     labels = np.empty(pts.shape, dtype=np.int64)
     rest = pts - tree.center
     code = np.zeros(pts.shape[0], dtype=np.intp)  # each point's node within its level
@@ -190,11 +191,11 @@ def locate_points(tree: PartitionTree, points: np.ndarray, tol: float | None = N
     return labels
 
 
-def region_of_point(tree: PartitionTree, p, tol: float | None = None) -> SignSequence:
+def region_of_point(tree: PartitionTree, p) -> SignSequence:
     """Sign word of the lexicographically first region containing the point
     (-1 before +1), so boundary points and the center itself resolve
     deterministically to all -1 choices."""
-    return SignSequence(locate_points(tree, np.atleast_2d(p), tol)[0])
+    return SignSequence(locate_points(tree, np.atleast_2d(p))[0])
 
 
 def _node_to_json(axes: np.ndarray, i: int):
@@ -260,20 +261,17 @@ def deserialize(doc: dict) -> PartitionTree:
     if missing:
         raise PartitionFormatError(f"document is missing keys {sorted(missing)}")
     try:
-        system = CoordinateSystem(
-            np.asarray(doc["system"]["matrix"], dtype=float),
-            np.asarray(doc["system"]["offset"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        system = CoordinateSystem(doc["system"]["matrix"], doc["system"]["offset"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PartitionFormatError(f"bad coordinate system: {exc}") from exc
     if system.dimension != doc["dim"]:
         raise PartitionFormatError("'dim' does not match the coordinate system")
-    axes = _axes_from_json(doc["root"], system.dimension)
     try:
-        return PartitionTree(system, np.asarray(doc["center"], dtype=float), axes, doc["meta"])
+        axes = _axes_from_json(doc["root"], system.dimension)
+        return PartitionTree(system, doc["center"], axes, doc["meta"])
     except PartitionFormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise PartitionFormatError(str(exc)) from exc
 
 

@@ -119,6 +119,9 @@ class SolverConfig:
     max_dimension: int = 8
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # a huge int raises OverflowError
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in ("root_tol", "residual_tol", "bracket_half_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")

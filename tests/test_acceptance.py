@@ -173,7 +173,7 @@ def test_criterion_9_representations(seeded_trees):
     checked = 0
     for tree in fixture_trees:
         for r in regions(tree).values():
-            gens = r.basis.generators
+            gens = r.generators
             for i in range(r.size):
                 assert gens[i, i] == 1.0
                 assert np.all(gens[i, :i] == 0.0)

@@ -301,3 +301,65 @@ class TestPlot:
         part = tmp_path / "part3.json"
         assert main(["center", str(cube), "-o", str(part)]) == 0
         assert main(["plot", str(part), str(cube), "-o", str(tmp_path / "x.svg")]) == 2
+
+
+
+def write_with_big(path, text):
+    """Write text with each BIG spelled out as an integer too large for a float."""
+    path.write_text(text.replace("BIG", "1" + "0" * 400))
+
+
+class TestNumbersOutOfRange:
+    """A non-finite number, or an integer too large for a float, in any input
+    file is an input error: exit 2 with one error line."""
+
+    @pytest.mark.parametrize("where, value", [
+        ("center", "NaN"), ("center", "Infinity"), ("center", "BIG"),
+        ("axis", "NaN"), ("axis", "-Infinity"), ("axis", "BIG"),
+        ("offset", "NaN"), ("offset", "Infinity"), ("matrix", "BIG"),
+    ])
+    def test_partition_file(self, workdir, capsys, where, value):
+        part = workdir / "part.json"
+        assert main(["center", str(workdir / "asym.csv"), "-o", str(part)]) == 0
+        doc = json.loads(part.read_text())
+        row = {"center": doc["center"], "axis": doc["root"]["axis"],
+               "offset": doc["system"]["offset"], "matrix": doc["system"]["matrix"][0]}[where]
+        row[1] = "SLOT"  # the root axis's free component, for "axis"
+        write_with_big(part, json.dumps(doc).replace('"SLOT"', value))
+        capsys.readouterr()
+        assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("text", [
+        '{"matrix": [[1, 0], [0, 1]], "offset": [NaN, 0]}',
+        '{"matrix": [[1, 0], [0, 1]], "offset": [0, -Infinity]}',
+        '{"matrix": [[1, 0], [0, 1]], "offset": [BIG, 0]}',
+        '{"matrix": [[1, 0], [0, BIG]], "offset": [0, 0]}',
+    ])
+    def test_system_file(self, workdir, capsys, text):
+        write_with_big(workdir / "sys.json", text)
+        code = main(["center", str(workdir / "asym.csv"), "--system", str(workdir / "sys.json")])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    def test_spec_file(self, workdir, capsys):
+        write_with_big(workdir / "spec.json", '{"kind": "uniform-box", "lo": [0, 0], "hi": [BIG, 1]}')
+        code = main(["sample", "--spec", str(workdir / "spec.json"), "-n", "5",
+                     "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"root_tol": NaN}', "root_tol must be finite"),
+        ('{"root_tol": Infinity}', "root_tol must be finite"),
+        ('{"residual_tol": NaN}', "residual_tol must be finite"),
+        ('{"bracket_growth": Infinity}', "bracket_growth must be finite"),
+        ('{"root_tol": BIG}', "too large"),
+        ('{"max_bisections": BIG}', "too large"),
+    ])
+    def test_config_file(self, workdir, capsys, text, message):
+        write_with_big(workdir / "cfg.json", text)
+        code = main(["center", str(workdir / "asym.csv"), "--config", str(workdir / "cfg.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad solver config file: ") and message in err

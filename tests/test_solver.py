@@ -45,6 +45,8 @@ class TestSolverConfig:
         cfg = SolverConfig.from_json(doc)
         assert cfg.root_tol == 1e-8 and cfg.max_bisections == 75
         assert cfg == SolverConfig(root_tol=1e-8, max_bisections=75)
+        # the config is recorded in a tree's meta, so 3 must not become 3.0
+        assert json.dumps(SolverConfig.from_json({"bracket_growth": 3}).to_json()["bracket_growth"]) == "3"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,6 +55,13 @@ class TestSolverConfig:
             SolverConfig(max_dimension=13)
         with pytest.raises(ValueError):
             SolverConfig.from_json({"bogus": 1})
+
+    @pytest.mark.parametrize("field", ["root_tol", "residual_tol", "bracket_half_width",
+                                       "bracket_growth", "max_bisections"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SolverConfig(**{field: value})
 
     def test_removed_memoize_key_is_unknown(self):
         with pytest.raises(ValueError, match="unknown solver config keys"):
