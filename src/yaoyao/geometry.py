@@ -7,9 +7,10 @@ generators u^1..u^k, expressed in the coordinates of an owning
     u^i_j = 0 for j < i      and      u^i_i = 1   (both exact, by construction).
 
 Stacking the signed generators column-wise therefore gives a unit lower
-triangular matrix (up to the +-1 signs on the diagonal), so membership tests
-reduce to an exact forward substitution and the half-space representation to an
-exact triangular inversion.  No pivoting, no least squares, no sampling.
+triangular matrix (up to the +-1 signs on the diagonal), so cone coefficients,
+membership and the half-space representation all come from one forward
+substitution, in the elementwise steps of the partition's point-location walk.
+No inversion, no pivoting, no least squares, no sampling.
 
 All types are immutable values (arrays are frozen); every operation is a pure
 function, safe for unrestricted concurrent use.
@@ -221,46 +222,46 @@ class ConeRegion:
         )
 
 
-def _check_point(region: ConeRegion, p: np.ndarray) -> np.ndarray:
+def _as_batch(region: ConeRegion, p) -> tuple[np.ndarray, bool]:
+    """``p`` as an (m, n) batch of finite points, and whether it was one point."""
     p = np.asarray(p, dtype=float)
-    if p.shape[-1] != region.dimension:
-        raise ValueError(
-            f"point dimension {p.shape[-1]} != region dimension {region.dimension}"
-        )
-    return p
+    if p.ndim not in (1, 2) or p.shape[-1] != region.dimension:
+        raise ValueError(f"expected one point or an (m, {region.dimension}) batch, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("points must be finite (NaN or inf found)")
+    return np.atleast_2d(p), p.ndim == 1
+
+
+def _substitute(region: ConeRegion, offsets: np.ndarray) -> np.ndarray:
+    """Cone coefficients of the rows of an (m, n) batch of offsets from the apex.
+
+    Takes the generators out one at a time with the elementwise steps of
+    ``locate_points``' walk, so a point's coefficients along its located region
+    are the walk's bit for bit.  The unit diagonal leaves coefficient i as the
+    i-th remaining coordinate times sign_i; returns shape (m, k).
+    """
+    k = region.size
+    rest = offsets[:, :k].copy()
+    for i in range(k - 1):
+        rest[:, i + 1:] -= rest[:, i, None] * region.generators[i, i + 1:k]
+    return rest * np.asarray(region.signs, dtype=float)
 
 
 def cone_coefficients(region: ConeRegion, p: np.ndarray) -> np.ndarray:
-    """Coefficients c with p - apex = sum_i c_i (sign_i u^i) + lineality part.
-
-    The first k coordinates of the signed generators form a lower triangular
-    matrix with +-1 diagonal, so c is obtained by exact forward substitution.
-    Accepts a single point or an (m, n) batch; returns shape (k,) or (m, k).
+    """Coefficients c with p - apex = sum_i c_i (sign_i u^i) + lineality part,
+    by one forward substitution.  Accepts a single point or an (m, n) batch of
+    finite points; returns shape (k,) or (m, k).
     """
-    p = _check_point(region, p)
-    single = p.ndim == 1
-    pts = np.atleast_2d(p)
-    k = region.size
-    rhs = pts[:, :k] - region.apex[:k]
-    gens = region.signed_generators()
-    coeffs = np.empty((pts.shape[0], k))
-    for i in range(k):
-        acc = rhs[:, i]
-        if i:
-            acc = acc - coeffs[:, :i] @ gens[:i, i]
-        # diagonal entry is sign_i = +-1, so dividing is an exact sign flip
-        coeffs[:, i] = acc * region.signs[i]
+    pts, single = _as_batch(region, p)
+    coeffs = _substitute(region, pts - region.apex)
     return coeffs[0] if single else coeffs
 
 
 def cone_contains(region: ConeRegion, p: np.ndarray) -> bool | np.ndarray:
     """Membership test: every cone coefficient >= -``membership_tolerance``."""
-    p = _check_point(region, p)
-    single = p.ndim == 1
-    pts = np.atleast_2d(p)
+    pts, single = _as_batch(region, p)
     tols = membership_tolerance(region.apex, pts)
-    coeffs = np.atleast_2d(cone_coefficients(region, pts))
-    inside = np.all(coeffs >= -tols[:, None], axis=1)
+    inside = np.all(_substitute(region, pts - region.apex) >= -tols[:, None], axis=1)
     return bool(inside[0]) if single else inside
 
 
@@ -282,35 +283,14 @@ def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
     return all(x >= 0.0 if s > 0 else x <= 0.0 for x, s in zip(d, region.signs))
 
 
-def _invert_unit_lower(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower triangular matrix with +-1 diagonal, by forward
-    substitution on identity columns.  Keeps the strict upper zeros exact."""
-    k = lower.shape[0]
-    inv = np.zeros((k, k))
-    for i in range(k):
-        inv[i, i] = 1.0 / lower[i, i]
-        for j in range(i):
-            inv[i, j] = -np.dot(lower[i, j:i], inv[j:i, j]) / lower[i, i]
-    return inv
-
-
 def region_halfspace_rep(region: ConeRegion) -> list[HalfSpace]:
     """The k half-spaces whose intersection (with the lineality span) is the region.
 
-    Row i of the inverse signed-generator matrix gives normal a_i supported on
-    coordinates 1..i with a_i[i] = sign_i; offset is a_i . apex.  A point lies
-    in all returned half-spaces exactly when its cone coefficients are all
+    Coefficient i is linear in p - apex, so substituting the identity's rows
+    gives its normal a_i as column i: supported on coordinates 1..i with
+    a_i[i] = sign_i and zeros of sign +.  The offset is a_i . apex.  A point
+    lies in all returned half-spaces exactly when its cone coefficients are all
     nonnegative.
     """
-    gens = region.signed_generators()
-    k = region.size
-    lower = gens[:, :k].T  # column i = signed u^i restricted to first k coords
-    if np.any(np.abs(np.diag(lower)) != 1.0):
-        raise ValueError("corrupted generators: diagonal must be +-1")
-    inv = _invert_unit_lower(lower)
-    halves = []
-    for i in range(k):
-        normal = np.zeros(region.dimension)
-        normal[: i + 1] = inv[i, : i + 1]
-        halves.append(HalfSpace(normal, float(normal @ region.apex)))
-    return halves
+    normals = _substitute(region, np.eye(region.dimension)).T + 0.0  # sign flips leave -0.0
+    return [HalfSpace(a, float(a @ region.apex)) for a in normals]

@@ -167,9 +167,10 @@ class MeasureSpec:
       finite-atoms:     points (m, n), weights (m)
       mixture:          components (list of MeasureSpec dicts), weights (m)
 
-    The params must hold exactly their kind's keys.  Weights follow the cloud
-    rule (each > 0, finite total), with m >= 1; a mixture's components share
-    one dimension.  ``dimension`` (n >= 1) is fixed when the spec is validated.
+    The params must hold exactly their kind's keys, every number finite.
+    Weights follow the cloud rule (each > 0, finite total), with m >= 1; a
+    mixture's components share one dimension.  ``dimension`` (n >= 1) is fixed
+    when the spec is validated.
     """
 
     kind: str
@@ -186,6 +187,11 @@ class MeasureSpec:
                 f"{self.kind} spec takes keys {list(keys)}; "
                 f"missing {missing}, unknown {unknown}"
             )
+        for key in keys:
+            if key not in ("weights", "components") and not np.all(
+                np.isfinite(np.asarray(self.params[key], dtype=float))
+            ):
+                raise ValueError(f"{self.kind} spec key {key!r} must be finite")
         n = self._validate()
         if n < 1:
             raise ValueError(f"{self.kind} spec must have dimension >= 1, got {n}")

@@ -171,7 +171,7 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     first region of the lexicographic order.  Costs O(N n^2) instead of a scan over 2^n regions.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != tree.dimension:
+    if pts.ndim != 2 or pts.shape[1] != tree.dimension:
         raise ValueError("point dimension mismatch")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite (NaN or inf found)")
@@ -194,8 +194,11 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
 def region_of_point(tree: PartitionTree, p) -> SignSequence:
     """Sign word of the lexicographically first region containing the point
     (-1 before +1), so boundary points and the center itself resolve
-    deterministically to all -1 choices."""
-    return SignSequence(locate_points(tree, np.atleast_2d(p))[0])
+    deterministically to all -1 choices.  Takes one n-vector; a batch goes
+    to ``locate_points``."""
+    if np.ndim(p) != 1:
+        raise ValueError(f"region_of_point takes one point, got shape {np.shape(p)}")
+    return SignSequence(locate_points(tree, np.asarray(p, dtype=float)[None])[0])
 
 
 def _node_to_json(axes: np.ndarray, i: int):

@@ -349,6 +349,17 @@ class TestNumbersOutOfRange:
         assert code == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("key, value", [("lo", "NaN"), ("hi", "Infinity")])
+    def test_spec_file_non_finite_rejected_as_spec(self, workdir, capsys, key, value):
+        doc = {"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1]}
+        doc[key][0] = "SLOT"
+        (workdir / "spec.json").write_text(json.dumps(doc).replace('"SLOT"', value))
+        code = main(["sample", "--spec", str(workdir / "spec.json"), "-n", "5",
+                     "-o", str(workdir / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: bad measure spec file: uniform-box spec key {key!r} must be finite"]
+
     @pytest.mark.parametrize("text, message", [
         ('{"root_tol": NaN}', "root_tol must be finite"),
         ('{"root_tol": Infinity}', "root_tol must be finite"),

@@ -127,6 +127,19 @@ class TestConeCoefficients:
         with pytest.raises(ValueError):
             cone_coefficients(IDENTITY_2D, (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("test", [cone_coefficients, cone_contains])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, test, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            test(IDENTITY_2D, (bad, 0.0))
+        with pytest.raises(ValueError, match="points must be finite"):
+            test(IDENTITY_2D, [(1.0, 1.0), (0.0, bad)])
+
+    @pytest.mark.parametrize("test", [cone_coefficients, cone_contains])
+    def test_more_than_two_dimensions_rejected(self, test):
+        with pytest.raises(ValueError, match="one point or an \\(m, 2\\) batch"):
+            test(IDENTITY_2D, np.zeros((2, 2, 2)))
+
     @given(st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_left_inverse_of_synthesis(self, n, seed):
@@ -246,25 +259,21 @@ class TestHalfspaceRep:
     @given(st.integers(2, 5), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_hrep_vrep_agreement(self, n, seed):
-        """Both representations classify random points identically off facets."""
+        """Both representations classify random points identically off facets,
+        for a full region and for a prefix region of k < n generators."""
         rng = np.random.default_rng(seed)
         gens = np.triu(rng.standard_normal((n, n)), 1) + np.eye(n)
-        r = region(rng.standard_normal(n), gens, rng.choice([-1, 1], size=n))
-        halves = region_halfspace_rep(r)
-        pts = r.apex + rng.standard_normal((2000, n)) * 3
-        coeffs = cone_coefficients(r, pts)
-        v_in = np.all(coeffs >= 0, axis=1)
-        h_vals = np.stack([h.value(pts) for h in halves], axis=1)
-        h_in = np.all(h_vals >= 0, axis=1)
-        margin = np.minimum(np.min(np.abs(coeffs), axis=1), np.min(np.abs(h_vals), axis=1))
-        off_facets = margin > 1e-9 * (1 + np.max(np.abs(pts)))
-        assert np.array_equal(v_in[off_facets], h_in[off_facets])
-
-    def test_rejects_corrupt_diagonal(self):
-        # build a region with a broken diagonal by bypassing validation
-        bad = object.__new__(ConeRegion)
-        object.__setattr__(bad, "apex", np.zeros(2))
-        object.__setattr__(bad, "generators", np.array([[2.0, 0.0], [0.0, 1.0]]))
-        object.__setattr__(bad, "signs", SignSequence((1, 1)))
-        with pytest.raises(ValueError):
-            region_halfspace_rep(bad)
+        full = region(rng.standard_normal(n), gens, rng.choice([-1, 1], size=n))
+        pts = full.apex + rng.standard_normal((2000, n)) * 3
+        k = rng.integers(n)
+        for r in (full, region(full.apex, gens[:k], full.signs[:k])):
+            halves = region_halfspace_rep(r)
+            assert len(halves) == r.size
+            coeffs = cone_coefficients(r, pts)
+            v_in = np.all(coeffs >= 0, axis=1)
+            h_vals = np.array([h.value(pts) for h in halves]).reshape(r.size, len(pts)).T
+            h_in = np.all(h_vals >= 0, axis=1)
+            margin = np.minimum(np.min(np.abs(coeffs), axis=1, initial=np.inf),
+                                np.min(np.abs(h_vals), axis=1, initial=np.inf))
+            off_facets = margin > 1e-9 * (1 + np.max(np.abs(pts)))
+            assert np.array_equal(v_in[off_facets], h_in[off_facets])

@@ -476,6 +476,19 @@ REJECTED_SPECS = {
     "mixture-zero-weight": (mixture_doc([1.0, 0.0]), WEIGHT_RULE),
     "mixture-of-2d-and-3d": (mixture_doc([1.0, 1.0], components=[BOX2, BOX3]),
                              "share one dimension"),
+    "box-nan-lo": ({"kind": "uniform-box", "lo": [float("nan"), 0], "hi": [1, 1]},
+                   "uniform-box spec key 'lo' must be finite"),
+    "box-inf-hi": ({"kind": "uniform-box", "lo": [0, 0], "hi": [float("inf"), 1]},
+                   "uniform-box spec key 'hi' must be finite"),
+    "gaussian-inf-mean": (gaussian_doc([1.0], means=[[float("inf"), 0.0]]),
+                          "gaussian-mixture spec key 'means' must be finite"),
+    "gaussian-nan-factor": (gaussian_doc([1.0], factors=[[[float("nan"), 0.0], [0.0, 1.0]]]),
+                            "gaussian-mixture spec key 'cov_factors' must be finite"),
+    "simplex-inf-vertex": (
+        {"kind": "uniform-simplex", "vertices": [[0, 0], [1, 0], [0, float("inf")]]},
+        "uniform-simplex spec key 'vertices' must be finite"),
+    "atoms-nan-point": (atoms_doc([1.0, 1.0], points=[[float("nan"), 0.0], [1.0, 1.0]]),
+                        "finite-atoms spec key 'points' must be finite"),
 }
 
 

@@ -100,6 +100,24 @@ def facet_points(rng, tree, count):
     return out
 
 
+def fuzz_edge_points(rng, tree, count):
+    """Points whose coefficient along one generator of a random region is
+    -tol * (1 +- 1e-15), tol the membership tolerance: on the edge of the facet
+    fuzz, where the last bits of the substitution decide membership."""
+    n = tree.dimension
+    regs = regions(tree)
+    out = np.empty((count, n))
+    for j in range(count):
+        r = regs[SignSequence(rng.choice([-1, 1], size=n))]
+        coeffs = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5)
+        i = rng.integers(n)
+        coeffs[i] = 0.0
+        tol = membership_tolerance(r.apex, (r.apex + coeffs @ r.signed_generators())[None])[0]
+        coeffs[i] = -tol * (1.0 + rng.choice([-1.0, 1.0]) * 1e-15)
+        out[j] = r.apex + coeffs @ r.signed_generators()
+    return out
+
+
 @pytest.fixture(scope="module")
 def square_tree():
     return compute_center_partition(SQUARE, SYS2, CFG)
@@ -434,8 +452,28 @@ class TestPointLocation:
             tree.center + rng.standard_normal((200, n)) * 10.0 ** rng.integers(-3, 3),
             tree.center,
         ])
-        both = np.vstack([pts, facet_points(rng, tree, 40)])
+        both = np.vstack([pts, facet_points(rng, tree, 40), fuzz_edge_points(rng, tree, 40)])
         assert np.array_equal(locate_points(tree, both), scan_labels(tree, both))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_located_points_lie_in_their_regions(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            tree = random_tree(rng, n)
+            regs = regions(tree)
+            pts = np.vstack([facet_points(rng, tree, 50), fuzz_edge_points(rng, tree, 200)])
+            labels = locate_points(tree, pts)
+            for word in {tuple(w) for w in labels.tolist()}:
+                mask = np.all(labels == word, axis=1)
+                assert np.all(cone_contains(regs[SignSequence(word)], pts[mask]))
+
+    def test_region_of_point_takes_one_point(self, square_tree):
+        with pytest.raises(ValueError, match="one point"):
+            region_of_point(square_tree, np.zeros((2, 2)))
+
+    def test_batch_must_be_a_table(self, square_tree):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            locate_points(square_tree, np.zeros((2, 2, 2)))
 
 
 class TestSerialization:
