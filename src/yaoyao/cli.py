@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -120,6 +121,8 @@ def cmd_verify(args) -> int:
     unknown = set(names) - set(_CHECKS)
     if unknown:
         raise _InputError(f"unknown checks: {sorted(unknown)} (known: {_CHECKS})")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _InputError("--tol must be finite and >= 0")
 
     reports = []
     try:

@@ -14,6 +14,8 @@ which reads only the first m coordinates.
 T is triangular: component k-1 depends only on v_2..v_k and runs to -inf/+inf
 as v_k does.  So the components are solved one at a time as one-dimensional
 roots (``bracket_and_bisect``), and later ones cannot disturb earlier ones.
+The root step returns the last point it evaluated, so the two child solves of
+the last evaluation for component m are the node's subtrees; none runs twice.
 Only intermediate-value structure is assumed: T is continuous for the
 interpolating median convention (piecewise linear in v for finite clouds).
 The center averages the two child centers, which keeps every convention
@@ -25,9 +27,8 @@ functions).  Below it the recursion runs on plain (points, weights) arrays in
 id order through the measures kernels, which build no clouds and take
 unit-weight medians by selection; a projection that overflows still raises.
 
-Everything here is a pure function of (inputs, config); the optional worker
-threads only split the two independent child solves at the root, so results
-are identical under any schedule.
+Everything here is a pure function of (inputs, config) and runs in the
+caller's thread.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -107,7 +107,7 @@ class SolverConfig:
     max_bracket_expansions times.
     max_bisections caps the root steps (interpolation or midpoint) per
     coordinate; midpoints take over before it runs out, so it never fails
-    where bisection alone would finish.
+    where bisection alone would finish.  The three budgets are integers.
     """
 
     root_tol: float = 1e-10
@@ -127,6 +127,14 @@ class SolverConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.bracket_growth <= 1:
             raise ValueError("bracket_growth must be > 1")
+        for name in ("max_bracket_expansions", "max_bisections", "max_dimension"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        if self.max_bracket_expansions < 0:
+            raise ValueError("max_bracket_expansions must be >= 0")
+        if self.max_bisections < 1:
+            raise ValueError("max_bisections must be >= 1")
         if not 1 <= self.max_dimension <= 12:
             raise ValueError("max_dimension must lie in 1..12 (cost grows as 2^n)")
 
@@ -275,38 +283,6 @@ def _child(half, alpha: float, v: np.ndarray, m: int, cfg: SolverConfig):
     return _solve(_project(points[:, :m + 1], alpha, v[:m + 1]), weights, m, cfg)
 
 
-def _axis_solve(low, high, alpha: float, m: int, cfg: SolverConfig):
-    """Solve axis components v_2..v_m of (points, weights) halves in turn;
-    returns (v, records), v of the halves' dimension with components beyond m
-    left 0.  Component k needs only child prefix solves of length k-1.
-    """
-    v = np.zeros(low[0].shape[1])
-    v[0] = 1.0
-    # with every point on the cut plane, projection ignores v and g is constant
-    frozen = bool(np.all(low[0][:, 0] == alpha) and np.all(high[0][:, 0] == alpha))
-    records = []
-    for k in range(2, m + 1):
-        def g(t, _k=k):
-            vt = v.copy()
-            vt[_k - 1] = t
-            c_neg = _child(low, alpha, vt, _k - 1, cfg)[0]
-            c_pos = _child(high, alpha, vt, _k - 1, cfg)[0]
-            return float(c_neg[_k - 2] - c_pos[_k - 2])
-
-        try:
-            root, bracket, expansions, iterations, residual = _bracket_and_bisect(
-                g, 0.0, cfg, frozen)
-        except (BracketNotFoundError, NonConvergenceError) as exc:
-            exc.coordinate = k
-            exc.records = tuple(records)
-            raise
-        v[k - 1] = root
-        records.append(
-            CoordinateSolveRecord(k, bracket, expansions, iterations, residual)
-        )
-    return v, records
-
-
 def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
     """First m center coordinates of (points, weights); returns (center,
     levels, worst, trace): levels[j] lists the 2^j local axes (length m - j)
@@ -321,16 +297,39 @@ def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
     return _solve_split(alpha, low, high, m, cfg)
 
 
-def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig, workers: int = 1):
-    """_solve after the split at alpha into (points, weights) halves; workers
-    >= 2 runs the two child solves side by side, everything below sequentially.
+def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
+    """_solve after the split at alpha into (points, weights) halves.
+
+    Axis components v_2..v_m are solved in turn; component k needs only child
+    prefix solves of length k-1.  The residual keeps the two child solves of
+    its latest evaluation, and the root step returns the last point it
+    evaluated, so after component m they are this node's subtrees.
     """
-    v, records = _axis_solve(low, high, alpha, m, cfg)
-    if workers >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            neg, pos = pool.map(lambda half: _child(half, alpha, v, m - 1, cfg), (low, high))
-    else:
-        neg, pos = (_child(half, alpha, v, m - 1, cfg) for half in (low, high))
+    v = np.zeros(low[0].shape[1])
+    v[0] = 1.0
+    # with every point on the cut plane, projection ignores v and g is constant
+    frozen = bool(np.all(low[0][:, 0] == alpha) and np.all(high[0][:, 0] == alpha))
+    records = []
+    neg = pos = None
+    for k in range(2, m + 1):
+        def g(t, _k=k):
+            nonlocal neg, pos
+            vt = v.copy()
+            vt[_k - 1] = t
+            neg, pos = (_child(half, alpha, vt, _k - 1, cfg) for half in (low, high))
+            return float(neg[0][_k - 2] - pos[0][_k - 2])
+
+        try:
+            root, bracket, expansions, iterations, residual = _bracket_and_bisect(
+                g, 0.0, cfg, frozen)
+        except (BracketNotFoundError, NonConvergenceError) as exc:
+            exc.coordinate = k
+            exc.records = tuple(records)
+            raise
+        v[k - 1] = root
+        records.append(
+            CoordinateSolveRecord(k, bracket, expansions, iterations, residual)
+        )
     c_neg, levels_neg, worst_neg, _ = neg
     c_pos, levels_pos, worst_pos, _ = pos
 
@@ -397,10 +396,16 @@ def compute_center_partition(
     every internal node agree within residual_tol and the recorded center is
     their midpoint.
 
+    workers must be >= 1.  It is accepted for compatibility and has no
+    effect: the solve runs in the caller's thread, and the tree is the same
+    bytes for every value.
+
     Raises BracketNotFoundError / NonConvergenceError for degenerate inputs,
     DegenerateInputError (a BracketNotFoundError) when a residual cannot move.
     """
     cfg = cfg or SolverConfig()
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if cloud.dimension != system.dimension:
         raise ValueError("cloud and coordinate system dimensions differ")
     if cloud.dimension > cfg.max_dimension:
@@ -414,7 +419,7 @@ def compute_center_partition(
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud, 0)
-        center, levels, worst, trace = _solve_split(alpha, *_halves(low, high), n, cfg, workers)
+        center, levels, worst, trace = _solve_split(alpha, *_halves(low, high), n, cfg)
     axes = np.zeros((2**n - 1, n))  # a depth-(k+1) axis starts with k zeros
     for k, level in enumerate(levels):
         axes[2**k - 1:2**(k + 1) - 1, k:] = level

@@ -49,6 +49,9 @@ __all__ = [
     "oracle_center_2d",
 ]
 
+# relative slack under mass / 2^n that check_depth allows a half-space
+_DEPTH_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -108,8 +111,11 @@ def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
     """Region masses by independent point location, against mass / 2^n.
 
     Also folds in the prefix masses: the mass reaching any sign prefix of
-    length k must be mass / 2^k, to the same relative tolerance.
+    length k must be mass / 2^k, to the same relative tolerance.  tol must
+    be finite and >= 0: NaN or inf would pass any tree.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
     n = tree.dimension
     labels = locate_points(tree, cloud.points)
     total = cloud.total_mass
@@ -166,7 +172,7 @@ def check_avoidance(tree: PartitionTree, count: int, seed: int,
 
 
 def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
-                seed: int, slack: float = 1e-6) -> CheckReport:
+                seed: int) -> CheckReport:
     """Every half-space containing the center carries at least mass / 2^n of
     the cloud (the witness region sits inside it), over count >= 1 trials.
 
@@ -176,14 +182,14 @@ def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
     """
     normals, offsets = _halfspace_draws(seeded_generator(seed), tree, cloud, count)
     masses = _halfspace_masses(cloud.points, cloud.weights, normals, offsets)
-    floor = cloud.total_mass / 2**tree.dimension * (1.0 - slack)
+    floor = cloud.total_mass / 2**tree.dimension * (1.0 - _DEPTH_SLACK)
     failures = int(np.count_nonzero(masses < floor))
     return CheckReport(
         "depth",
         failures == 0,
         stats={"min_mass": float(masses.min()), "floor": floor, "count": count,
                "failures": failures},
-        tolerances={"relative_slack": slack},
+        tolerances={"relative_slack": _DEPTH_SLACK},
         seed=seed,
     )
 

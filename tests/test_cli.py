@@ -147,6 +147,9 @@ class TestCenter:
         ("cfg.json", "{not json"),
         ("cfg.json", "[1, 2]"),
         ("cfg.json", json.dumps({"root_tolerance": 1e-10})),
+        ("cfg.json", json.dumps({"max_bisections": 10.5})),
+        ("cfg.json", json.dumps({"max_bracket_expansions": 2.5})),
+        ("cfg.json", json.dumps({"max_bisections": -1})),
     ])
     def test_bad_config_file_exits_2(self, workdir, capsys, name, text):
         if text is not None:
@@ -163,6 +166,12 @@ class TestCenter:
         code = main(["center", str(degenerate), "--config", str(cfgfile)])
         assert code == 3
         assert "solver failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, workdir, capsys, threads):
+        code = main(["center", str(workdir / "asym.csv"), "--threads", threads])
+        assert code == 2
+        assert_one_error_line(capsys)
 
     def test_custom_system_changes_center(self, workdir, capsys):
         # a frame whose first form reads the second ambient coordinate
@@ -266,6 +275,20 @@ class TestVerify:
         part = self.make_partition(workdir)
         capsys.readouterr()
         code = main(["verify", str(part), str(workdir / "asym.csv"), "--count", "0"])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("checks", ["equipartition", "depth"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_vacuous_or_negative_tol_exits_2(self, workdir, capsys, tol, checks):
+        # --tol inf would pass the shifted cloud, NaN any cloud; the value is
+        # checked even when no check reads it
+        part = self.make_partition(workdir)
+        shifted = workdir / "shifted.csv"
+        shifted.write_text("x1,x2\n10,10\n11,12\n12,11\n13,13\n")
+        capsys.readouterr()
+        code = main(["verify", str(part), str(shifted), "--checks", checks,
+                     "--tol", tol])
         assert code == 2
         assert_one_error_line(capsys)
 

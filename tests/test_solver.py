@@ -1,12 +1,13 @@
 """Center solves: bracketing, the axis residual, and the recursive engine."""
 
+import bisect
 import hashlib
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import yaoyao.measures as measures
 import yaoyao.solver as solver
@@ -63,6 +64,24 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SolverConfig(**{field: value})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"max_bisections": 10.5}, "max_bisections must be an integer"),
+        ({"max_bracket_expansions": 2.5}, "max_bracket_expansions must be an integer"),
+        ({"max_dimension": 3.0}, "max_dimension must be an integer"),
+        ({"max_bisections": True}, "max_bisections must be an integer"),
+        ({"max_bisections": 0}, "max_bisections must be >= 1"),
+        ({"max_bisections": -1}, "max_bisections must be >= 1"),
+        ({"max_bracket_expansions": -1}, "max_bracket_expansions must be >= 0"),
+        ({"max_dimension": 0}, "max_dimension must lie in 1..12"),
+    ])
+    def test_budgets_checked_at_construction(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig.from_json(doc)
+
+    def test_smallest_budgets_accepted(self):
+        cfg = SolverConfig(max_bracket_expansions=0, max_bisections=1, max_dimension=1)
+        assert cfg.to_json()["max_bisections"] == 1
+
     def test_removed_memoize_key_is_unknown(self):
         with pytest.raises(ValueError, match="unknown solver config keys"):
             SolverConfig.from_json({"memoize": False})
@@ -110,8 +129,29 @@ class TestBracketAndBisect:
         assert iterations <= cfg.max_bisections
 
 
+class TestLastEvaluatedPoint:
+    """The root step returns the argument of its last g call, so a caller can
+    keep what that call computed."""
+
+    @pytest.mark.parametrize("g, t0, expected", [
+        (lambda t: 0.0 * t, 0.25, 0.25),
+        (lambda t: t + 1.0, 0.0, -1.0),
+        (lambda t: t - 1.0, 0.0, 1.0),
+        (lambda t: t**3 - 0.3, 0.0, 0.3 ** (1 / 3)),
+    ], ids=["start", "left-probe", "right-probe", "converged"])
+    def test_on_every_return_path(self, g, t0, expected):
+        calls = []
+        root, *_ = solver._bracket_and_bisect(lambda t: calls.append(t) or g(t), t0, CFG)
+        assert root == calls[-1]
+        assert root == pytest.approx(expected, abs=CFG.root_tol)
+
+
 def _piecewise_linear(knots, values):
-    """Monotone when values are; extended with slope +-1 beyond the knots."""
+    """Monotone when values are; extended with slope +-1 beyond the knots.
+
+    Interpolates by the fraction of the segment covered, which stays in [0, 1]:
+    a slope (v1 - v0) / (k1 - k0), as np.interp forms it, overflows on a
+    segment of subnormal width."""
     slope = 1.0 if values[-1] >= values[0] else -1.0
 
     def g(t):
@@ -119,13 +159,18 @@ def _piecewise_linear(knots, values):
             return values[0] + slope * (t - knots[0])
         if t > knots[-1]:
             return values[-1] + slope * (t - knots[-1])
-        return float(np.interp(t, knots, values))
+        i = min(bisect.bisect_right(knots, t), len(knots) - 1)
+        (k0, k1), (v0, v1) = knots[i - 1:i + 1], values[i - 1:i + 1]
+        return float(v0 + (t - k0) / (k1 - k0) * (v1 - v0))
 
     return g
 
 
 class TestRootStepProperty:
     @settings(max_examples=200, deadline=None)
+    # the start t0 = 0 lies on a segment of subnormal width
+    @example(knots=[2.225073858507e-311, -1.0, -2.0, -2.2250738585072014e-308],
+             steps=[0, 0, 0, 5, 0, 0, 0, 0], shift=6, scale=1.0, decreasing=False, t0=0.0)
     @given(
         knots=st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True),
         steps=st.lists(st.floats(0, 10), min_size=8, max_size=8),
@@ -284,6 +329,11 @@ class TestComputeCenterPartition:
         assert a == b
         assert serialize(a) == serialize(b)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            compute_center_partition(SQUARE, SYS2, CFG, workers=workers)
+
     def test_id_relabeling_is_immaterial(self):
         # generic clouds have no mass ties, so labels cannot steer the greedy split
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 101, seed=13)
@@ -332,6 +382,26 @@ class TestComputeCenterPartition:
         compute_center_partition(SHIFTED, SYS2, CFG)
         assert splits == [SHIFTED.size]
 
+    def test_each_child_solve_runs_once(self, monkeypatch):
+        # a node's subtrees are the child solves of the residual evaluation
+        # that fixed its axis, not a second pair
+        cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 48, seed=8)
+        seen, halves = set(), []
+        real = solver._child
+
+        def child(half, alpha, v, m, cfg):
+            halves.append(half)  # keeps every id unique while the solve runs
+            key = (id(half[0]), v[:m + 1].tobytes(), m)
+            assert key not in seen
+            seen.add(key)
+            return real(half, alpha, v, m, cfg)
+
+        monkeypatch.setattr(solver, "_child", child)
+        tree = compute_center_partition(cloud, SYS3, CFG)
+        assert any(m == 2 for _, _, m in seen)
+        monkeypatch.undo()
+        assert tree == compute_center_partition(cloud, SYS3, CFG)
+
     @pytest.mark.parametrize("n, count, seed", [(3, 48, 8), (4, 24, 9)])
     def test_prefix_solve_is_prefix_of_full_center(self, n, count, seed):
         cloud = sample(MeasureSpec.uniform_box([0] * n, [1] * n), count, seed)
@@ -378,8 +448,13 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name, cloud", list(_golden_clouds()))
-def test_partition_bytes_are_golden(name, cloud):
+# workers has no effect on the solve; the bytes must not depend on it
+@pytest.mark.parametrize("name, cloud, workers", [
+    pytest.param(name, cloud, workers,
+                 id=f"{name}-cloud{i}" + ("" if workers == 1 else f"-workers{workers}"))
+    for workers in (1, 2) for i, (name, cloud) in enumerate(_golden_clouds())
+])
+def test_partition_bytes_are_golden(name, cloud, workers):
     if name == "odd-3d":
         # the root split divides one point's weight, so both subtrees carry
         # unequal weights and take the sorting median
@@ -388,6 +463,7 @@ def test_partition_bytes_are_golden(name, cloud):
     if name == "tied-weighted-2d":
         alpha, _, _ = split_at_median(cloud, 0)
         assert np.count_nonzero(cloud.points[:, 0] == alpha) > 1
-    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), CFG)
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), CFG,
+                                    workers=workers)
     doc = json.dumps(serialize(tree), indent=2).encode()
     assert hashlib.sha256(doc).hexdigest() == GOLDEN[name]

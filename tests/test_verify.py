@@ -59,6 +59,15 @@ class TestEquipartition:
         assert rep.stats["max_relative_deviation"] == 0.0
         assert sorted(rep.stats["region_masses"].values()) == [1.0, 1.0, 1.0, 1.0]
 
+    def test_zero_tol_accepted(self, square_tree):
+        assert check_equipartition(square_tree, SQUARE, tol=0.0).passed
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_tol_must_be_finite_and_non_negative(self, square_tree, tol):
+        # NaN or inf would pass any tree, a negative tol every tree fails
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            check_equipartition(square_tree, SQUARE, tol=tol)
+
     def test_asymmetric_exact(self, asym_tree):
         rep = check_equipartition(asym_tree, ASYMMETRIC)
         assert rep.passed
