@@ -491,9 +491,9 @@ def project_measure(
     return WeightedPointCloud(shifted, side.weights, side.ids)
 
 
-#: Entries of one block of ``_halfspace_masses`` (16 MB of products), so its
-#: row count depends on N alone and a result never depends on a setting.
-_BLOCK_ENTRIES = 1 << 21
+#: Entries of one block of half-space products (2 MiB, which stays in cache);
+#: fixed, so a result never depends on a setting.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
@@ -509,8 +509,8 @@ def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
     masses = np.empty(normals.shape[0])
     for lo in range(0, normals.shape[0], step):
         inside = normals[lo:lo + step] @ points.T >= offsets[lo:lo + step, None]
-        masses[lo:lo + step] = [np.count_nonzero(row) if counted
-                                else np.sum(np.compress(row, weights)) for row in inside]
+        masses[lo:lo + step] = (np.count_nonzero(inside, axis=1) if counted else
+                                [np.sum(np.compress(row, weights)) for row in inside])
     return masses * weights[0] if counted else masses
 
 

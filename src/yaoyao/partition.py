@@ -142,20 +142,25 @@ def prefix_region(tree: PartitionTree, signs) -> ConeRegion:
 
 
 def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
-    """Sign word of a region contained in the half-space (which must hold the
-    center).  Chooses +1 at each node iff the half-space's linear part is
-    nonnegative on the node's axis, read from one product of the axis table with
-    the normal; the certificate takes the same rows, so it holds by construction."""
+    """Sign word of a region inside the half-space (which must hold the
+    center): ``_witness_walk`` on one product of the axis table with the
+    normal, whose rows the certificate reads, so it holds by construction."""
     if h.dimension != tree.dimension:
         raise ValueError("half-space dimension mismatch")
     if h.value(tree.center) < 0.0:
         raise ValueError("half-space does not contain the center")
-    d = (tree.axes @ h.normal).tolist()
+    return SignSequence(_witness_walk((tree.axes @ h.normal).tolist(), tree.dimension))
+
+
+def _witness_walk(d: list, n: int) -> list:
+    """Signs of the path through ``d``, a normal's products with the axis
+    table in level order, taking +1 at a node iff its product is >= 0."""
     signs, i = [], 0
-    for _ in range(tree.dimension):
-        signs.append(1 if d[i] >= 0.0 else -1)
-        i = 2 * i + 1 + (d[i] >= 0.0)
-    return SignSequence(signs)
+    for _ in range(n):
+        plus = d[i] >= 0.0
+        signs.append(1 if plus else -1)
+        i = 2 * i + 1 + plus
+    return signs
 
 
 def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import CoordinateSystem, HalfSpace, halfspace_contains_region
+from .geometry import CoordinateSystem, HalfSpace
 from .measures import (
+    _BLOCK_ENTRIES,
     MeasureSpec,
     WeightedPointCloud,
     _halfspace_masses,
@@ -34,7 +35,7 @@ from .measures import (
     symmetrize,
     weighted_quantile,
 )
-from .partition import PartitionTree, locate_points, regions, witness_region
+from .partition import PartitionTree, _witness_walk, locate_points
 from .solver import SolverConfig, compute_center_partition
 
 __all__ = [
@@ -64,46 +65,53 @@ class CheckReport:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "stats": self.stats,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
-
-
-def _unit_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        g = rng.standard_normal(n)
-        norm = math.sqrt(g.dot(g))
-        if norm > 1e-12:
-            return g / norm
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 def _halfspace_draws(rng, tree: PartitionTree, cloud: WeightedPointCloud | None,
                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` >= 1 random half-spaces normal . y >= offset, as (normals,
-    offsets) rows, each oriented to contain the center; each boundary passes
-    through a random data point (or a unit-scale offset when no cloud given)."""
+    offsets) rows oriented to hold the center.  Blocks, in order: one (count, n)
+    normal block of directions; one (count,) integers block of the data points
+    their boundaries pass through, or with no cloud one (count, n) normal block
+    of such points' offsets from the center; redraws of norms <= 1e-12, by row."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n, center = tree.dimension, tree.center
+    n = tree.dimension
     if cloud is not None and cloud.dimension != n:
         raise ValueError("point dimension mismatch")
-    points = None if cloud is None else cloud.points
-    normals, offsets = np.empty((count, n)), np.empty(count)
-    for i in range(count):
-        a = _unit_normal(rng, n)
-        if points is not None:
-            anchor = points[rng.integers(len(points))]
-        else:
-            anchor = center + rng.standard_normal(n)
-        c = float(a @ anchor)
-        if float(a @ center) - c < 0.0:
-            a, c = -a, -c
-        normals[i], offsets[i] = a, c
-    return normals, offsets
+    g = rng.standard_normal((count, n))
+    anchors = (tree.center + rng.standard_normal((count, n)) if cloud is None
+               else cloud.points[rng.integers(cloud.size, size=count)])
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    for i in np.flatnonzero(norms <= 1e-12):
+        while norms[i] <= 1e-12:
+            g[i] = rng.standard_normal(n)
+            norms[i] = math.sqrt(g[i] @ g[i])
+    g /= norms[:, None]
+    offsets = np.einsum("ij,ij->i", g, anchors)
+    sign = np.where(g @ tree.center - offsets < 0.0, -1.0, 1.0)
+    g *= sign[:, None]
+    return g, offsets * sign
+
+
+def _certify_halfspaces(tree: PartitionTree, normals: np.ndarray,
+                        offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Witness sign words ((count, n), +-1) and certificates of each row of
+    (normals, offsets): ``witness_region``'s walk and the test of
+    ``halfspace_contains_region`` on products with the axis table in blocks."""
+    n, signs = tree.dimension, np.empty(normals.shape, dtype=np.int8)
+    certified = normals @ tree.center - offsets >= 0.0
+    step = max(1, _BLOCK_ENTRIES // len(tree.axes))
+    for lo in range(0, len(normals), step):
+        block, words = normals[lo:lo + step] @ tree.axes.T, signs[lo:lo + step]
+        words[:] = [_witness_walk(d.tolist(), n) for d in block]
+        node, rows = np.zeros(len(block), dtype=np.intp), np.arange(len(block))
+        for k in range(n):  # each product on the path, signed by its choice
+            certified[lo:lo + step] &= words[:, k] * block[rows, node] >= 0.0
+            node = 2 * node + 1 + (words[:, k] > 0)
+        del block  # before the next block's product, so one block is alive
+    return signs, certified
 
 
 def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
@@ -155,13 +163,7 @@ def check_avoidance(tree: PartitionTree, count: int, seed: int,
     center and demand an exact containment certificate from witness search.
     Must succeed count out of count (count >= 1); no statistical slack."""
     normals, offsets = _halfspace_draws(seeded_generator(seed), tree, cloud, count)
-    regs = regions(tree)
-    successes = 0
-    for a, c in zip(normals, offsets):
-        h = HalfSpace(a, c)
-        signs = witness_region(tree, h)
-        if halfspace_contains_region(h, regs[signs]):
-            successes += 1
+    successes = int(np.count_nonzero(_certify_halfspaces(tree, normals, offsets)[1]))
     return CheckReport(
         "avoidance",
         successes == count,

@@ -147,6 +147,27 @@ class TestAvoidance:
         with pytest.raises(ValueError, match="count"):
             check_avoidance(square_tree, 0, seed=1)
 
+    def test_memory_stays_within_one_block(self):
+        # 20000 half-spaces by the 255 axes of an 8-D tree would take 40 MB as
+        # one product; the draws hold at most three (20000, 8) arrays of 1.2 MiB,
+        # then one block of 2^18 products (2 MiB) is alive at a time beside the
+        # normals and offsets: the peak measured 3.73 MiB (two blocks: 5.4 MiB)
+        n, rng = 8, np.random.default_rng(16)
+        axes = np.zeros((2**n - 1, n))
+        for k in range(n):
+            level = slice(2**k - 1, 2**(k + 1) - 1)
+            axes[level, k] = 1.0
+            axes[level, k + 1:] = rng.standard_normal((2**k, n - k - 1))
+        tree = PartitionTree(CoordinateSystem.standard(n), rng.standard_normal(n), axes, {})
+        tracemalloc.start()
+        try:
+            rep = check_avoidance(tree, 20000, seed=17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak <= 5 * 2**20
+
     def test_report_is_json_ready(self, square_tree):
         import json
         rep = check_avoidance(square_tree, 10, seed=5, cloud=SQUARE)
@@ -207,7 +228,8 @@ class TestDepth:
 
     def test_memory_stays_within_one_block(self, square_tree):
         # 1000 half-spaces by 2^15 points would take 256 MiB as one product;
-        # a block holds 2^21 products (16 MiB) plus 2 MiB of sides per block
+        # a block holds 2^18 products (2 MiB) and their 256 KiB of sides, and
+        # each (1000, 2) array of the draws takes 16 KiB: the peak measured 2.53 MiB
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 2**15, seed=14)
         tree = PartitionTree(SYS2, [0.5, 0.5], square_tree.axes, {})
         tracemalloc.start()
@@ -216,7 +238,7 @@ class TestDepth:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 3 * 2**20
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_draws_reject_count_below_one(self, square_tree, count):
@@ -224,14 +246,16 @@ class TestDepth:
             verify._halfspace_draws(seeded_generator(1), square_tree, SQUARE, count)
 
 
-# sha256 of the (normals, offsets) bytes of 400 draws, recorded while each draw
-# still read the cloud and the center anew and took np.linalg.norm; any drift
+# sha256 of the (normals, offsets) bytes of 400 draws, recorded when the draws
+# became blocks: one (400, n) normal block of directions, then one integers
+# block of anchor rows (or, with no cloud, one (400, n) normal block of offsets
+# from the center), then any redraw of a direction of norm <= 1e-12; any drift
 # in the half-space stream that check_depth and check_avoidance share fails here
 DRAWS_GOLDEN = {
-    (2, "cloud"): "812342c848babdeb9b708e800fdc93d1c260c56c2769a577fb73e6a3de5bc5bf",
-    (2, "no-cloud"): "580e09c12dc346092731d558c045fbbfe8a1c7da01a9874ef57fbe25e248a1e6",
-    (3, "cloud"): "bd8bf5daf80f5fce68214db2f1fb5464e872d057c9f6060f5f84b24f2582d0de",
-    (3, "no-cloud"): "9e4156ff114047d646030f19892837a7b25bd85d2d5e1438d9e5b654f0ccaebb",
+    (2, "cloud"): "449f8dfe36ebf9e5a8167e04c37b94f151392f83b3e6a251dc6b6841bcc49f44",
+    (2, "no-cloud"): "32b0765bbda8183c920ff085976f4af3d3f17d40bae7cc057578289b88901432",
+    (3, "cloud"): "319f78be96436195ad82ba74b3a77154e613ac5e0bb310ade5292472a664e81f",
+    (3, "no-cloud"): "ca00df8b3b0292deed07cb84966e6b0f82e913325e14c5ef98f5b809643c8f08",
 }
 
 
@@ -243,6 +267,69 @@ def test_halfspace_draws_match_the_golden_stream(n, kind):
     normals, offsets = verify._halfspace_draws(seeded_generator(32), tree, source, 400)
     digest = hashlib.sha256(normals.tobytes() + offsets.tobytes()).hexdigest()
     assert digest == DRAWS_GOLDEN[n, kind]
+
+
+class _ZeroRows:
+    """A generator whose first block of normals has zero rows at ``rows``;
+    every other draw passes through to the seeded stream."""
+
+    def __init__(self, seed, rows):
+        self.rng, self.rows = seeded_generator(seed), rows
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if self.rows:
+            out[self.rows], self.rows = 0.0, None
+        return out
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestHalfspaceDraws:
+    """What every draw must satisfy, whatever the stream."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        cloud = sample(MeasureSpec.gaussian([0.0, 0.0, 0.0]), 500, seed=33)
+        return compute_center_partition(cloud, CoordinateSystem.standard(3), CFG), cloud
+
+    @pytest.mark.parametrize("with_cloud", [True, False], ids=["cloud", "no-cloud"])
+    def test_unit_normals_holding_the_center(self, fitted, with_cloud):
+        tree, cloud = fitted
+        source = cloud if with_cloud else None
+        normals, offsets = verify._halfspace_draws(seeded_generator(34), tree, source, 2000)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(np.sqrt(np.sum(normals**2, axis=1)) - 1.0) <= 4 * eps)
+        # the expression check_avoidance certifies the center with
+        assert np.all(normals @ tree.center - offsets >= 0.0)
+
+    def test_each_boundary_passes_through_a_cloud_point(self, fitted):
+        tree, cloud = fitted
+        normals, offsets = verify._halfspace_draws(seeded_generator(35), tree, cloud, 2000)
+        gaps = np.abs(normals @ cloud.points.T - offsets[:, None])
+        anchor = cloud.points[np.argmin(gaps, axis=1)]
+        # a . anchor, rounded either way, differs by a few ulps of its terms
+        bound = 8 * np.finfo(float).eps * np.sum(np.abs(normals * anchor), axis=1)
+        assert np.all(np.abs(np.sum(normals * anchor, axis=1) - offsets) <= bound)
+
+    def test_degenerate_directions_are_redrawn_in_row_order(self, fitted):
+        tree, cloud = fitted
+        normals, offsets = verify._halfspace_draws(_ZeroRows(36, [1, 4]), tree, cloud, 6)
+        plain = verify._halfspace_draws(seeded_generator(36), tree, cloud, 6)
+        keep = [0, 2, 3, 5]
+        assert normals[keep].tobytes() == plain[0][keep].tobytes()
+        assert offsets[keep].tobytes() == plain[1][keep].tobytes()
+        # the redraws follow both blocks of the stream, row 1 first
+        ref = seeded_generator(36)
+        ref.standard_normal((6, 3))
+        ref.integers(cloud.size, size=6)
+        for i in (1, 4):
+            g = ref.standard_normal(3)
+            u = g / np.linalg.norm(g)
+            assert np.allclose(normals[i], u, rtol=0, atol=1e-15) or \
+                np.allclose(normals[i], -u, rtol=0, atol=1e-15)
+        assert np.all(normals @ tree.center - offsets >= 0.0)
 
 
 @pytest.mark.parametrize("check", [
