@@ -57,7 +57,6 @@ from .verify import (
     check_continuity,
     check_depth,
     check_equipartition,
-    check_monotone_lift,
     check_prefix_dependence,
     check_symmetry,
     oracle_center_2d,

@@ -491,26 +491,55 @@ def project_measure(
     return WeightedPointCloud(shifted, side.weights, side.ids)
 
 
-#: Entries of one block of half-space products (2 MiB, which stays in cache);
-#: fixed, so a result never depends on a setting.
+#: Entries of one block of half-space products: a block takes as many rows as
+#: fit, and the row count decides whether BLAS runs gemm or gemv, and so how a
+#: boundary anchor rounds; fixed, so a result never depends on a setting.
 _BLOCK_ENTRIES = 1 << 18
+#: Entries of one column chunk of a block's product (256 KiB, which stays in cache).
+_CHUNK_ENTRIES = 1 << 15
+#: Points from which equal power-of-two weights are counted one row at a time.
+_ROW_COUNT_MIN = 1 << 11
 
 
 def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
                       normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """``halfspace_mass`` on checked arrays, for every row of (normals, offsets).
 
-    Rows are taken in blocks, one matrix product each.  On equal power-of-two
-    weights a mass is the count inside times w0, which is the id-order sum bit
-    for bit; other weights are summed in id order, one row at a time.
+    Rows are taken in blocks of _BLOCK_ENTRIES // N (at least one).  A block's
+    product with the points is made in column chunks of about _CHUNK_ENTRIES
+    entries, into one reused buffer, and compared into one reused (rows, N)
+    bool block.  A chunk keeps the block's rows, and so BLAS's choice of gemm
+    or gemv, and at least two columns (one column would be gemv); the last
+    chunk takes the rest.  So each product rounds as in one product per block,
+    except that BLAS rounds a row's last few products (its last partial kernel
+    tile, within the last N mod 64 points) otherwise in the whole row than in a
+    chunk.  On equal power-of-two weights a mass is the count inside times w0,
+    which is the id-order sum bit for bit; other weights are summed in id
+    order, one row at a time.
     """
-    step = max(1, _BLOCK_ENTRIES // points.shape[0])
+    size, count = points.shape[0], normals.shape[0]
+    step = max(1, _BLOCK_ENTRIES // size)
+    rows = max(1, min(step, count))
+    width = max(2, _CHUNK_ENTRIES // rows)
+    edges = [width * i for i in range(max(1, size // width))] + [size]
+    table = np.ascontiguousarray(points.T) if rows > 1 else None  # gemm's layout
     counted = _equal_power_of_two(weights)
-    masses = np.empty(normals.shape[0])
-    for lo in range(0, normals.shape[0], step):
-        inside = normals[lo:lo + step] @ points.T >= offsets[lo:lo + step, None]
-        masses[lo:lo + step] = (np.count_nonzero(inside, axis=1) if counted else
-                                [np.sum(np.compress(row, weights)) for row in inside])
+    product = np.empty(rows * (size - edges[-2]))
+    inside, masses = np.empty((rows, size), dtype=bool), np.empty(count)
+    for lo in range(0, count, step):
+        block, sides = normals[lo:lo + step], inside[:min(step, count - lo)]
+        for a, b in zip(edges, edges[1:]):
+            # one row is gemv, which rounds by the layout it reads: read the points
+            chunk = points[a:b].T if len(block) == 1 else table[:, a:b]
+            out = product[:len(block) * (b - a)].reshape(len(block), b - a)
+            np.greater_equal(np.matmul(block, chunk, out=out),
+                             offsets[lo:lo + step, None], out=sides[:, a:b])
+        if not counted:
+            masses[lo:lo + step] = [np.sum(np.compress(row, weights)) for row in sides]
+        elif size < _ROW_COUNT_MIN:  # short rows: one reduction beats a call per row
+            masses[lo:lo + step] = np.count_nonzero(sides, axis=1)
+        else:  # long rows: a flat count is fast, where a reduction over axis 1 is not
+            masses[lo:lo + step] = [np.count_nonzero(row) for row in sides]
     return masses * weights[0] if counted else masses
 
 

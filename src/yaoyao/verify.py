@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .geometry import CoordinateSystem, HalfSpace
+from .geometry import CoordinateSystem
 from .measures import (
     _BLOCK_ENTRIES,
     MeasureSpec,
@@ -46,7 +46,6 @@ __all__ = [
     "check_symmetry",
     "check_prefix_dependence",
     "check_continuity",
-    "check_monotone_lift",
     "oracle_center_2d",
 ]
 
@@ -178,9 +177,11 @@ def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
     """Every half-space containing the center carries at least mass / 2^n of
     the cloud (the witness region sits inside it), over count >= 1 trials.
 
-    The half-spaces are evaluated in blocks, one matrix product per block.  A
-    product rounds normal . x differently from a matrix-vector product, so a
-    point on a boundary (each passes through one) may fall on either side.
+    The half-spaces are evaluated in blocks of rows, each block's product made
+    in cache-sized column chunks that keep the block's rows (see
+    ``measures._halfspace_masses``).  A block product rounds normal . x
+    differently from a matrix-vector product, so a point on a boundary (each
+    passes through one) may fall on either side.
     """
     normals, offsets = _halfspace_draws(seeded_generator(seed), tree, cloud, count)
     masses = _halfspace_masses(cloud.points, cloud.weights, normals, offsets)
@@ -302,62 +303,6 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
                "monotone": monotone, "bounded": bounded},
         tolerances={"slack": slack, "rate_constant": rate_constant},
         seed=seed,
-    )
-
-
-def check_monotone_lift(cloud: WeightedPointCloud, form: HalfSpace,
-                        steps: int = 20, slopes=None) -> CheckReport:
-    """Mass lifted from the cut plane shrinks as the axis tilts along the form.
-
-    With F the median cut of coordinate 1 and A = F intersect {form >= 0},
-    the preimage of A under projection along an axis v is exactly
-
-        { x : x_1 >= alpha  and  form(x) >= (x_1 - alpha) * formvec(v) },
-
-    so the lifted mass is a function of the slope L = formvec(v) alone, and it
-    is non-increasing in L.  By default the slopes run geometrically from 0 up
-    past the largest ratio form(x) / (x_1 - alpha) in the data, where the mass
-    strictly above the cut provably bottoms out.
-    """
-    if form.dimension != cloud.dimension:
-        raise ValueError("form dimension mismatch")
-    alpha = weighted_quantile(cloud.coordinate(0), cloud.weights, 0.5)
-    x1 = cloud.coordinate(0)
-    values = form.value(cloud.points)
-    high = x1 > alpha
-    on_plane = x1 == alpha
-
-    default_slopes = slopes is None
-    if default_slopes:
-        # grow past the largest finite slope at which any strictly-above point
-        # still qualifies, so the last mass provably bottoms out
-        caps = np.compress(high, values) / (np.compress(high, x1) - alpha)
-        top = 2.0 * max(float(np.max(caps, initial=0.0)), 0.0) + 1.0
-        slopes = [0.0] + list(np.geomspace(1.0, top, steps - 1))
-    slopes = [float(s) for s in slopes]
-
-    masses = []
-    for L in slopes:
-        member = (x1 >= alpha) & (values >= (x1 - alpha) * L)
-        masses.append(float(np.sum(np.compress(member, cloud.weights))))
-    on_plane_inside = on_plane & (values >= 0.0)
-    plane_mass = float(np.sum(np.compress(on_plane_inside, cloud.weights)))
-
-    if len(set(slopes)) == 1:
-        passed = all(m == masses[0] for m in masses)
-    else:
-        monotone = all(
-            b <= a for (sa, a), (sb, b) in zip(zip(slopes, masses),
-                                               zip(slopes[1:], masses[1:]))
-            if sb >= sa
-        )
-        passed = monotone and (masses[-1] == plane_mass if default_slopes else True)
-    return CheckReport(
-        "monotone-lift",
-        passed,
-        stats={"slopes": slopes, "masses": masses, "cut": alpha,
-               "on_plane_mass": plane_mass},
-        tolerances={},
     )
 
 

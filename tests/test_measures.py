@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yaoyao.measures as measures
-from yaoyao.geometry import HalfSpace
+import yaoyao.verify as verify
+from yaoyao.geometry import CoordinateSystem, HalfSpace
 from yaoyao.measures import (
     MeasureSpec,
     WeightedPointCloud,
@@ -24,6 +25,7 @@ from yaoyao.measures import (
     weighted_quantile,
     write_csv,
 )
+from yaoyao.partition import PartitionTree
 
 
 def cloud_1d(values, weights=None):
@@ -295,6 +297,22 @@ class TestProjection:
         assert np.array_equal(out.weights, c.weights)
         assert np.array_equal(out.ids, c.ids)
 
+    def test_matches_explicit_projection(self):
+        # projecting along (1, t) and testing a form in the plane equals the
+        # closed-form membership form(x) >= (x_1 - alpha) * formvec((1, t))
+        cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 200, seed=34)
+        form = HalfSpace(np.array([-0.4, 1.0]), 0.3)
+        alpha, _, high = split_at_median(cloud, 0)
+        for slope in (0.0, 0.8, 2.5):
+            # realize an axis with this slope: v = (1, t) has formvec(v) = -0.4 + t
+            t = slope + 0.4
+            proj = project_measure(high, alpha, np.array([1.0, t]))
+            in_plane = form.normal[1] * proj.points[:, 0] + form.normal[0] * alpha
+            direct = np.sum(high.weights[in_plane >= form.offset])
+            x1, vals = high.points[:, 0], form.value(high.points)
+            closed = np.sum(high.weights[vals >= (x1 - alpha) * slope])
+            assert direct == pytest.approx(closed)
+
 
 class TestHalfspaceMass:
     def test_counts(self):
@@ -304,12 +322,32 @@ class TestHalfspaceMass:
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), 99.0)) == 0.0
 
 
-class TestHalfspaceMasses:
-    """The block kernel against one ``halfspace_mass`` call per half-space.
+def block_product_masses(points, weights, normals, offsets):
+    """Frozen copy of the kernel's former loop: one product per block of
+    _BLOCK_ENTRIES // N rows (at least one), then a count or an id-order sum
+    per row.  The chunked kernel must give these masses bit for bit, but for
+    half-spaces through a point of a row's last partial BLAS tile."""
+    step = max(1, measures._BLOCK_ENTRIES // points.shape[0])
+    counted = measures._equal_power_of_two(weights)
+    masses = np.empty(normals.shape[0])
+    for lo in range(0, normals.shape[0], step):
+        inside = normals[lo:lo + step] @ points.T >= offsets[lo:lo + step, None]
+        masses[lo:lo + step] = [np.count_nonzero(row) if counted else
+                                np.sum(np.compress(row, weights)) for row in inside]
+    return masses * weights[0] if counted else masses
 
-    Offsets are drawn apart from the points, so no point lies on a boundary
-    and a block product and a matrix-vector product put every point on the
-    same side; the masses must then agree bit for bit.
+
+class TestHalfspaceMasses:
+    """The chunked kernel against one ``halfspace_mass`` call per half-space,
+    and against one product per block.
+
+    In the first test, offsets are drawn apart from the points, so no point
+    lies on a boundary and a block product and a matrix-vector product put
+    every point on the same side: the masses must agree bit for bit.  The
+    others use check_depth's own draws, whose boundaries each pass through a
+    data point, so a product that rounded otherwise than the block product (a
+    one-row product, a one-column chunk, another layout for gemv) would move
+    anchors across.
     """
 
     WEIGHTS = {
@@ -327,6 +365,11 @@ class TestHalfspaceMasses:
         (2, 50, 23, 150),    # blocks of 3 rows, the last holds 2
         (3, 40, 9, 39),      # fewer entries than points: one row per block
         (5, 300, 64, None),  # one full block
+        (2, 4096, 16, None),       # 16 rows, two chunks of 2048 columns
+        (2, 5000, 70, None),       # 52-row blocks, 6 chunks of 630 columns, then 1220
+        (1, 40000, 3, None),       # 3 rows, 2 chunks of 10922 columns, then 18156
+        (2, 130, 600, None),       # 600 rows, chunks of 54 and 76 columns
+        (2, 2**17 + 3, 2, None),   # one-row blocks, 3 chunks of 2^15 columns, then 32771
     ])
     def test_blocks_match_one_call_per_row(self, monkeypatch, kind, n, size,
                                            count, entries):
@@ -345,6 +388,58 @@ class TestHalfspaceMasses:
         assert ref == [float(np.sum(cloud.weights[cloud.points @ a >= c]))
                        for a, c in zip(normals, offsets)]
         assert size == 1 or len(set(ref)) > 1  # the rows are told apart
+
+    @staticmethod
+    def depth_draws(n, size, count, kind):
+        """A cloud and check_depth's half-spaces on it, each boundary through a point."""
+        rng = np.random.default_rng(size + n)
+        weights = np.ones(size) if kind == "unit" else rng.uniform(0.1, 3.0, size)
+        cloud = WeightedPointCloud.from_points(rng.standard_normal((size, n)), weights)
+        axes = np.repeat(np.eye(n), 2**np.arange(n), axis=0)
+        tree = PartitionTree(CoordinateSystem.standard(n), 0.1 * rng.standard_normal(n),
+                             axes, {})
+        return cloud, *verify._halfspace_draws(seeded_generator(size), tree, cloud, count)
+
+    @pytest.mark.parametrize("n, size, count, kind, chunk", [
+        (2, 2**15, 1001, "unit", None),       # 8-row blocks, 8 chunks; last block 1 row
+        (3, 1024, 1000, "unit", None),        # 256-row blocks, 8 chunks of 128 columns
+        (3, 1024, 32, "unit", None),          # one block of 32 rows: one chunk
+        (2, 1632, 500, "general", 2**12),     # 160-row blocks, 64 chunks of 25, then 32
+        (3, 1040, 300, "general", None),      # 252-row blocks, then 48; chunks of 130
+        (3, 9, 20000, "general", None),       # 20000 rows: chunks of 2, 2, 2 and 3 columns
+        (2, 2**17 + 80, 12, "unit", None),    # one-row blocks (N > 2^17): gemv per chunk
+        (3, 2**17 + 5, 12, "general", None),  # the same, with a partial last tile
+    ])
+    def test_same_masses_as_one_product_per_block(self, monkeypatch, n, size,
+                                                   count, kind, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(measures, "_CHUNK_ENTRIES", chunk)
+        cloud, normals, offsets = self.depth_draws(n, size, count, kind)
+        masses = measures._halfspace_masses(cloud.points, cloud.weights, normals, offsets)
+        ref = block_product_masses(cloud.points, cloud.weights, normals, offsets)
+        assert masses.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n, size, count, kind", [
+        (2, 1007, 1000, "unit"),
+        (3, 255, 1568, "general"),
+        (5, 255, 1568, "unit"),
+    ])
+    def test_only_the_last_partial_tile_may_round_otherwise(self, n, size, count, kind):
+        # With N not a multiple of the kernel's tile, BLAS computes the last
+        # few products of a row in its tail code, which may round otherwise in
+        # a chunk than in the whole row (each case here moves at least one
+        # mass with OpenBLAS 0.3.31 on an AVX-512 Xeon, one thread).  So only
+        # a half-space whose anchor is one of the last N mod 64 points may
+        # change its mass, and by that point alone.
+        cloud, normals, offsets = self.depth_draws(n, size, count, kind)
+        masses = measures._halfspace_masses(cloud.points, cloud.weights, normals, offsets)
+        ref = block_product_masses(cloud.points, cloud.weights, normals, offsets)
+        moved = np.flatnonzero(masses != ref)
+        anchor = np.argmin(np.abs(normals[moved] @ cloud.points.T - offsets[moved, None]),
+                           axis=1)
+        assert np.all(anchor >= size - size % 64)
+        np.testing.assert_allclose(np.abs(masses[moved] - ref[moved]),
+                                   cloud.weights[anchor], rtol=1e-12)
 
 
 class TestSampling:
