@@ -34,22 +34,18 @@ from .partition import (
     PartitionTree,
     deserialize,
     locate_points,
-    prefix_region,
     region_of_point,
     regions,
     serialize,
     witness_region,
 )
 from .solver import (
-    AxisSolveTrace,
     BracketNotFoundError,
     DegenerateInputError,
     NonConvergenceError,
     SolverConfig,
-    bracket_and_bisect,
     compute_center_partition,
     evaluate_axis_residual,
-    triangular_axis_solve,
 )
 from .verify import (
     CheckReport,

@@ -78,7 +78,7 @@ def cmd_center(args) -> int:
         SolverConfig.load, args.config, "solver config")
     coords = _to_system_coords(cloud, system)
     try:
-        tree = compute_center_partition(coords, system, cfg, workers=args.threads)
+        tree = compute_center_partition(coords, system, cfg)
     except ValueError as exc:
         raise _InputError(f"cannot center: {exc}") from exc
     except (BracketNotFoundError, NonConvergenceError) as exc:
@@ -123,6 +123,10 @@ def cmd_verify(args) -> int:
         raise _InputError(f"unknown checks: {sorted(unknown)} (known: {_CHECKS})")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _InputError("--tol must be finite and >= 0")
+    if args.count < 1:
+        raise _InputError("--count must be >= 1")
+    if not 0 <= args.seed < 2**64:
+        raise _InputError("--seed must lie in 0..2^64 - 1")
 
     reports = []
     try:
@@ -288,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", help="coordinate system JSON (matrix + offset)")
     p.add_argument("--config", help="solver config JSON")
     p.add_argument("-o", "--out", help="partition JSON output path")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("verify", help="run checks against a stored partition")

@@ -147,10 +147,6 @@ class HalfSpace:
         """Signed form value normal . p - offset (>= 0 means inside)."""
         return np.asarray(points, dtype=float) @ self.normal - self.offset
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        # same sign as value(points) >= 0 for finite values, one pass fewer
-        return np.asarray(points, dtype=float) @ self.normal >= self.offset
-
 
 class SignSequence(tuple):
     """A tuple of +-1 signs indexing regions and their prefixes."""

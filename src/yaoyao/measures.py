@@ -133,9 +133,6 @@ class WeightedPointCloud:
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def coordinate(self, k: int) -> np.ndarray:
-        return self.points[:, k]
-
     def __eq__(self, other):
         if not isinstance(other, WeightedPointCloud):
             return NotImplemented

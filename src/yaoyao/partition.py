@@ -46,7 +46,6 @@ __all__ = [
     "PartitionTree",
     "PartitionFormatError",
     "regions",
-    "prefix_region",
     "witness_region",
     "region_of_point",
     "locate_points",
@@ -115,6 +114,8 @@ class PartitionTree:
 
 
 def _region_for(tree: PartitionTree, signs: SignSequence) -> ConeRegion:
+    """Cone of a sign word of length k <= n; a prefix (k < n) is free in the
+    last n-k coordinate directions, and the empty word is the whole space."""
     rows, i = [], 0
     for s in signs:
         rows.append(i)
@@ -130,15 +131,6 @@ def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
     """
     words = map(SignSequence, product((-1, 1), repeat=tree.dimension))
     return {signs: _region_for(tree, signs) for signs in words}
-
-
-def prefix_region(tree: PartitionTree, signs) -> ConeRegion:
-    """Partial cone for a sign prefix of length k < n; free in the last n-k
-    coordinate directions.  The empty prefix is the whole space."""
-    signs = SignSequence(signs)
-    if len(signs) >= tree.dimension:
-        raise ValueError("prefix must be shorter than the dimension; use regions()")
-    return _region_for(tree, signs)
 
 
 def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:

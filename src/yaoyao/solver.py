@@ -13,9 +13,10 @@ which reads only the first m coordinates.
 
 T is triangular: component k-1 depends only on v_2..v_k and runs to -inf/+inf
 as v_k does.  So the components are solved one at a time as one-dimensional
-roots (``bracket_and_bisect``), and later ones cannot disturb earlier ones.
-The root step returns the last point it evaluated, so the two child solves of
-the last evaluation for component m are the node's subtrees; none runs twice.
+roots (the root step ``_bracket_and_bisect``), and later ones cannot disturb
+earlier ones.  The root step returns the last point it evaluated, so the two
+child solves of the last evaluation for component m are the node's subtrees;
+none runs twice.
 Only intermediate-value structure is assumed: T is continuous for the
 interpolating median convention (piecewise linear in v for finite clouds).
 The center averages the two child centers, which keeps every convention
@@ -52,14 +53,11 @@ from .geometry import CoordinateSystem
 
 __all__ = [
     "SolverConfig",
-    "AxisSolveTrace",
     "CoordinateSolveRecord",
     "BracketNotFoundError",
     "DegenerateInputError",
     "NonConvergenceError",
-    "bracket_and_bisect",
     "evaluate_axis_residual",
-    "triangular_axis_solve",
     "compute_center_partition",
 ]
 
@@ -165,23 +163,20 @@ class CoordinateSolveRecord:
     residual: float
 
 
-@dataclass(frozen=True)
-class AxisSolveTrace:
-    """Per-coordinate solve records plus the final child-center gap."""
-
-    records: tuple
-    center_gap: float
-
-    def max_residual(self) -> float:
-        return max((r.residual for r in self.records), default=0.0)
-
-
 def _opposite(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
 def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
     """Root of g near t0; returns (root, bracket, expansions, iterations, residual).
+
+    If |g(t0)| <= residual_tol, the root is t0.  Otherwise the bracket
+    [t0 - h, t0 + h] grows geometrically until a sign change appears (left
+    endpoint probed first), then safeguarded Illinois regula-falsi steps
+    (interpolated points kept root_tol/2 inside, every 4th step a midpoint,
+    only midpoints once the budget is what bisection still needs) narrow it
+    as SolverConfig describes; the root is the last evaluated point.  Among
+    several roots in the bracket, the step rule's limit is the canonical one.
 
     frozen declares that g cannot move (a constant), so a nonzero start value
     raises DegenerateInputError without any expansion.
@@ -261,21 +256,6 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
     )
 
 
-def bracket_and_bisect(g, t0: float, cfg: SolverConfig) -> float:
-    """Find a root of the scalar function g, expanding a bracket around t0.
-
-    If |g(t0)| <= residual_tol, t0 is returned.  Otherwise the bracket
-    [t0 - h, t0 + h] grows geometrically until a sign change appears (left
-    endpoint probed first), then safeguarded Illinois regula-falsi steps
-    (interpolated points kept root_tol/2 inside, every 4th step a midpoint,
-    only midpoints once the budget is what bisection still needs) narrow it
-    as SolverConfig describes; the last evaluated point is returned.  Among
-    several roots in the bracket, the step rule's limit is the canonical one.
-    """
-    root, *_ = _bracket_and_bisect(g, t0, cfg)
-    return root
-
-
 def _child(half, alpha: float, v: np.ndarray, m: int, cfg: SolverConfig):
     """_solve of a (points, weights) half projected along v into the cut plane;
     only the m coordinates a prefix of length m reads are projected."""
@@ -285,12 +265,12 @@ def _child(half, alpha: float, v: np.ndarray, m: int, cfg: SolverConfig):
 
 def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
     """First m center coordinates of (points, weights); returns (center,
-    levels, worst, trace): levels[j] lists the 2^j local axes (length m - j)
+    levels, worst, root): levels[j] lists the 2^j local axes (length m - j)
     of depth j + 1, left (-) to right (+), a leaf's as the list [1.0] (leaves
     are most calls, and an array each costs 3% of a 3-D solve); only a prefix
     means anything if m < the dimension.  worst is the largest (axis residual,
-    child-center gap) in the partition, trace the root's AxisSolveTrace (None
-    at a leaf)."""
+    child-center gap) in the partition, root the top node's (coordinate solve
+    records, child-center gap), None at a leaf."""
     if m == 1:
         return np.array([_quantile(points[:, 0], weights, 0.5)]), [[[1.0]]], (0.0, 0.0), None
     alpha, (*low, _), (*high, _) = _split(points, weights)
@@ -333,11 +313,12 @@ def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
     c_neg, levels_neg, worst_neg, _ = neg
     c_pos, levels_pos, worst_pos, _ = pos
 
-    trace = AxisSolveTrace(tuple(records), float(np.max(np.abs(c_neg - c_pos))))
-    worst = (max(trace.max_residual(), worst_neg[0], worst_pos[0]),
-             max(trace.center_gap, worst_neg[1], worst_pos[1]))
+    gap = float(np.max(np.abs(c_neg - c_pos)))
+    worst = (max([r.residual for r in records] + [worst_neg[0], worst_pos[0]]),
+             max(gap, worst_neg[1], worst_pos[1]))
     center = np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
-    return center, [[v]] + [a + b for a, b in zip(levels_neg, levels_pos)], worst, trace
+    levels = [[v]] + [a + b for a, b in zip(levels_neg, levels_pos)]
+    return center, levels, worst, (records, gap)
 
 
 def _halves(low: WeightedPointCloud, high: WeightedPointCloud):
@@ -367,13 +348,6 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     return x_neg - x_pos, x_neg, x_pos
 
 
-def triangular_axis_solve(low: WeightedPointCloud, high: WeightedPointCloud,
-                          alpha: float, cfg: SolverConfig):
-    """Solve the full axis for a split pair; returns (v, AxisSolveTrace)."""
-    _, levels, _, trace = _solve_split(alpha, *_halves(low, high), low.dimension, cfg)
-    return levels[0][0].copy(), trace
-
-
 def _cloud_digest(cloud: WeightedPointCloud) -> str:
     h = hashlib.sha256()
     h.update(np.asarray(cloud.points.shape, dtype=np.int64).tobytes())
@@ -396,9 +370,10 @@ def compute_center_partition(
     every internal node agree within residual_tol and the recorded center is
     their midpoint.
 
-    workers must be >= 1.  It is accepted for compatibility and has no
-    effect: the solve runs in the caller's thread, and the tree is the same
-    bytes for every value.
+    workers must be >= 1 and has no effect: the solve runs in the caller's
+    thread, and the tree is the same bytes for every value.  It stays only
+    because the benchmark (bench/workloads.py) passes workers=1; it goes
+    with the next change to the benchmark.
 
     Raises BracketNotFoundError / NonConvergenceError for degenerate inputs,
     DegenerateInputError (a BracketNotFoundError) when a residual cannot move.
@@ -415,11 +390,11 @@ def compute_center_partition(
         )
     n = cloud.dimension
     if n == 1:
-        center, levels, worst, trace = _solve(cloud.points, cloud.weights, 1, cfg)
+        center, levels, worst, root = _solve(cloud.points, cloud.weights, 1, cfg)
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud, 0)
-        center, levels, worst, trace = _solve_split(alpha, *_halves(low, high), n, cfg)
+        center, levels, worst, root = _solve_split(alpha, *_halves(low, high), n, cfg)
     axes = np.zeros((2**n - 1, n))  # a depth-(k+1) axis starts with k zeros
     for k, level in enumerate(levels):
         axes[2**k - 1:2**(k + 1) - 1, k:] = level
@@ -428,9 +403,9 @@ def compute_center_partition(
         "input_digest": _cloud_digest(cloud),
         "max_residual": worst[0],
         "max_center_gap": worst[1],
-        "root_trace": None if trace is None else {
-            "center_gap": trace.center_gap,
-            "records": [dict(asdict(r), bracket=list(r.bracket)) for r in trace.records],
+        "root_trace": None if root is None else {
+            "center_gap": root[1],
+            "records": [dict(asdict(r), bracket=list(r.bracket)) for r in root[0]],
         },
     }
     return PartitionTree(system, center, axes, meta)

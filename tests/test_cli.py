@@ -167,12 +167,6 @@ class TestCenter:
         assert code == 3
         assert "solver failed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exit_2(self, workdir, capsys, threads):
-        code = main(["center", str(workdir / "asym.csv"), "--threads", threads])
-        assert code == 2
-        assert_one_error_line(capsys)
-
     def test_custom_system_changes_center(self, workdir, capsys):
         # a frame whose first form reads the second ambient coordinate
         sysfile = workdir / "sys.json"
@@ -183,12 +177,18 @@ class TestCenter:
         # the printed point is ambient either way; for this symmetric fixture it matches
         assert np.max(np.abs(np.array(vals) - 1.5)) <= 1e-9
 
-    def test_partition_json_deterministic_across_threads(self, workdir):
+    def test_partition_json_deterministic_across_threads(self, workdir, run_cli):
+        # threads act only inside BLAS: the bytes repeat in-process and under
+        # one and two BLAS threads in fresh processes
         a, b = workdir / "a.json", workdir / "b.json"
         base = ["center", str(workdir / "asym.csv")]
-        assert main(base + ["-o", str(a), "--threads", "1"]) == 0
-        assert main(base + ["-o", str(b), "--threads", "4"]) == 0
+        assert main(base + ["-o", str(a)]) == 0
+        assert main(base + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        for threads in ("1", "2"):
+            c = workdir / f"blas{threads}.json"
+            run_cli(base + ["-o", str(c)], OPENBLAS_NUM_THREADS=threads)
+            assert c.read_bytes() == a.read_bytes()
 
 
 class TestVerify:
@@ -275,6 +275,20 @@ class TestVerify:
         part = self.make_partition(workdir)
         capsys.readouterr()
         code = main(["verify", str(part), str(workdir / "asym.csv"), "--count", "0"])
+        assert code == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--count", "0"), ("--count", "-5"), ("--seed", "-1"),
+        ("--seed", str(2**64)),
+    ])
+    def test_count_and_seed_checked_whichever_checks_run(self, workdir, capsys,
+                                                         option, value):
+        # equipartition reads neither, yet a bad value is still an input error
+        part = self.make_partition(workdir)
+        capsys.readouterr()
+        code = main(["verify", str(part), str(workdir / "asym.csv"),
+                     "--checks", "equipartition", option, value])
         assert code == 2
         assert_one_error_line(capsys)
 

@@ -245,7 +245,7 @@ class TestHalfspaceRep:
         assert np.array_equal(halves[0].normal, (-1.0, 0.0)) and halves[0].offset == -1.5
         assert np.allclose(halves[1].normal, (-0.5, 1.0)) and halves[1].offset == 0.75
         inner = r.apex + np.array([1.0, 1.0]) @ r.signed_generators()
-        assert halves[0].contains(inner) and halves[1].contains(inner)
+        assert halves[0].value(inner) >= 0 and halves[1].value(inner) >= 0
 
     def test_normal_k_spans_first_k_coordinates(self):
         rng = np.random.default_rng(0)

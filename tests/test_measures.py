@@ -210,7 +210,7 @@ def tied_weighted_cloud(seed: int, n: int, size: int) -> WeightedPointCloud:
 
 def mask_split_at_median(cloud, axis_index):
     """split_at_median written with boolean-mask gathers, for comparison."""
-    coord = cloud.coordinate(axis_index)
+    coord = cloud.points[:, axis_index]
     alpha = weighted_quantile(coord, cloud.weights, 0.5)
     below, above = coord < alpha, coord > alpha
     need = 0.5 * cloud.total_mass - float(np.sum(cloud.weights[below]))

@@ -20,9 +20,9 @@ from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, seeded_gene
 from yaoyao.partition import (
     PartitionFormatError,
     PartitionTree,
+    _region_for,
     deserialize,
     locate_points,
-    prefix_region,
     region_of_point,
     regions,
     serialize,
@@ -288,12 +288,12 @@ class TestRegions:
 
 class TestPrefixRegion:
     def test_empty_prefix_is_everything(self, square_tree):
-        r = prefix_region(square_tree, ())
+        r = _region_for(square_tree, SignSequence())
         assert r.size == 0 and r.dimension == 2
         assert cone_contains(r, (123.0, -456.0))
 
     def test_depth_one_half_plane(self, square_tree):
-        r = prefix_region(square_tree, (1,))
+        r = _region_for(square_tree, SignSequence((1,)))
         assert cone_contains(r, (0.5, 99.0))
         assert cone_contains(r, (2.0, -99.0))
         assert not cone_contains(r, (0.4, 0.0))
@@ -301,7 +301,7 @@ class TestPrefixRegion:
     def test_prefix_union_of_children(self, asym_tree):
         rng = np.random.default_rng(8)
         pts = rng.uniform(-2, 4, size=(500, 2))
-        parent = prefix_region(asym_tree, (1,))
+        parent = _region_for(asym_tree, SignSequence((1,)))
         regs = regions(asym_tree)
         inside_parent = np.array([bool(cone_contains(parent, p)) for p in pts])
         in_children = np.array(
@@ -311,10 +311,6 @@ class TestPrefixRegion:
             ]
         )
         assert np.array_equal(inside_parent, in_children)
-
-    def test_full_length_prefix_rejected(self, square_tree):
-        with pytest.raises(ValueError):
-            prefix_region(square_tree, (1, 1))
 
 
 class TestWitness:
@@ -473,7 +469,7 @@ class TestLevelOrderTable:
             ref = walked_generators(tree, signs)
             assert region.generators.tobytes() == ref.tobytes()
             for k in range(n):
-                prefix = prefix_region(tree, signs[:k])
+                prefix = _region_for(tree, SignSequence(signs[:k]))
                 assert prefix.generators.shape == (k, n)
                 assert prefix.generators.tobytes() == ref[:k].tobytes()
 

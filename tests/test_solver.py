@@ -15,14 +15,11 @@ from yaoyao.geometry import CoordinateSystem
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, split_at_median
 from yaoyao.partition import serialize
 from yaoyao.solver import (
-    AxisSolveTrace,
     BracketNotFoundError,
     DegenerateInputError,
     SolverConfig,
-    bracket_and_bisect,
     compute_center_partition,
     evaluate_axis_residual,
-    triangular_axis_solve,
 )
 
 CFG = SolverConfig()
@@ -33,6 +30,13 @@ ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
 # residual 2t - 0.6: its root 0.3 is no dyadic midpoint of the first bracket
 SHIFTED = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 2.2)])
 SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def root_solve(cloud, cfg=CFG):
+    """Root axis and root trace of the full solve: the axis solve on the halves
+    split_at_median(cloud, 0) gives."""
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), cfg)
+    return tree.axes[0], tree.meta["root_trace"]
 
 
 class TestSolverConfig:
@@ -89,28 +93,30 @@ class TestSolverConfig:
 
 class TestBracketAndBisect:
     def test_linear(self):
-        assert bracket_and_bisect(lambda t: 2 * t - 1, 0.0, CFG) == pytest.approx(0.5, abs=1e-10)
+        root, *_ = solver._bracket_and_bisect(lambda t: 2 * t - 1, 0.0, CFG)
+        assert root == pytest.approx(0.5, abs=1e-10)
 
     def test_cubic_far_guess(self):
-        root = bracket_and_bisect(lambda t: t**3, 3.0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: t**3, 3.0, CFG)
         assert abs(root) <= CFG.root_tol
 
     def test_immediate_root(self):
-        assert bracket_and_bisect(lambda t: 0.0 * t, 0.25, CFG) == 0.25
+        root, *_ = solver._bracket_and_bisect(lambda t: 0.0 * t, 0.25, CFG)
+        assert root == 0.25
 
     def test_no_sign_change_raises(self):
         cfg = SolverConfig(max_bracket_expansions=8)
         with pytest.raises(BracketNotFoundError):
-            bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0, cfg)
+            solver._bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0, cfg)
 
     def test_large_scale_root(self):
-        root = bracket_and_bisect(lambda t: t - 1.0e7, 0.0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: t - 1.0e7, 0.0, CFG)
         assert root == pytest.approx(1.0e7, rel=1e-9)
 
     def test_root_between_adjacent_floats(self):
         # floats near 1e9 are 1.2e-7 apart, so no bracket gets root_tol wide
         r = 1.0e9 + 0.123
-        root = bracket_and_bisect(lambda t: -1.0 if t < r else 1.0, 0.0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: -1.0 if t < r else 1.0, 0.0, CFG)
         assert abs(root - r) <= np.spacing(r)
 
     def test_budget_guard_on_wide_bracket(self):
@@ -186,7 +192,7 @@ class TestRootStepProperty:
         if decreasing:
             values = -values
         g = _piecewise_linear(knots, list(values))
-        root = bracket_and_bisect(g, t0, CFG)
+        root, *_ = solver._bracket_and_bisect(g, t0, CFG)
         if root == t0 and abs(g(t0)) <= CFG.residual_tol:
             return
         tol = CFG.root_tol
@@ -234,11 +240,10 @@ class TestAxisResidual:
 
 class TestTriangularAxisSolve:
     def test_symmetric_square(self):
-        alpha, low, high = split_at_median(SQUARE, 0)
-        v, trace = triangular_axis_solve(low, high, alpha, CFG)
+        v, trace = root_solve(SQUARE)
         assert np.array_equal(v, [1.0, 0.0])
-        assert isinstance(trace, AxisSolveTrace)
-        assert trace.max_residual() == 0.0
+        assert list(trace) == ["center_gap", "records"]
+        assert max(r["residual"] for r in trace["records"]) == 0.0
 
     @pytest.mark.parametrize("cloud, root", [(ASYMMETRIC, 0.5), (SHIFTED, 0.3)])
     def test_linear_residual_takes_at_most_two_steps(self, cloud, root):
@@ -257,12 +262,11 @@ class TestTriangularAxisSolve:
         assert record["iterations"] <= 10
 
     def test_asymmetric_root(self):
-        alpha, low, high = split_at_median(ASYMMETRIC, 0)
         cfg = SolverConfig(residual_tol=1e-10)
-        v, trace = triangular_axis_solve(low, high, alpha, cfg)
+        v, trace = root_solve(ASYMMETRIC, cfg)
         assert v[0] == 1.0
         assert v[1] == pytest.approx(0.5, abs=1e-9)
-        assert trace.max_residual() <= 1e-10
+        assert max(r["residual"] for r in trace["records"]) <= 1e-10
 
     def test_3d_sign_symmetric(self):
         # negating coordinates 2 and 3 maps the cloud to itself, so both axis
@@ -273,8 +277,7 @@ class TestTriangularAxisSolve:
         )
         mirrored = half * np.array([1.0, -1.0, -1.0])
         cloud = WeightedPointCloud.from_points(np.vstack([half, mirrored]))
-        alpha, low, high = split_at_median(cloud, 0)
-        v, _ = triangular_axis_solve(low, high, alpha, CFG)
+        v, _ = root_solve(cloud)
         assert np.array_equal(v, [1.0, 0.0, 0.0])
 
 
@@ -309,8 +312,8 @@ class TestComputeCenterPartition:
     def test_prefix_stability_after_solve(self):
         # re-evaluating the residual at the solved axis leaves every component small
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [2, 1, 3]), 96, seed=5)
+        v, _ = root_solve(cloud)
         alpha, low, high = split_at_median(cloud, 0)
-        v, _ = triangular_axis_solve(low, high, alpha, CFG)
         res, _, _ = evaluate_axis_residual(low, high, alpha, v, CFG)
         assert np.max(np.abs(res)) <= CFG.residual_tol + 1e-12
 
