@@ -118,6 +118,8 @@ def cmd_verify(args) -> int:
     coords = _to_system_coords(cloud, tree.system)
 
     names = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not names:
+        raise _InputError(f"--checks names no check (known: {_CHECKS})")
     unknown = set(names) - set(_CHECKS)
     if unknown:
         raise _InputError(f"unknown checks: {sorted(unknown)} (known: {_CHECKS})")

@@ -135,24 +135,19 @@ def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
 
 def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
     """Sign word of a region inside the half-space (which must hold the
-    center): ``_witness_walk`` on one product of the axis table with the
-    normal, whose rows the certificate reads, so it holds by construction."""
+    center): the path through one product of the axis table with the normal,
+    taking +1 at a node iff its product is >= 0; the certificate reads the
+    same products, so it holds by construction."""
     if h.dimension != tree.dimension:
         raise ValueError("half-space dimension mismatch")
     if h.value(tree.center) < 0.0:
         raise ValueError("half-space does not contain the center")
-    return SignSequence(_witness_walk((tree.axes @ h.normal).tolist(), tree.dimension))
-
-
-def _witness_walk(d: list, n: int) -> list:
-    """Signs of the path through ``d``, a normal's products with the axis
-    table in level order, taking +1 at a node iff its product is >= 0."""
-    signs, i = [], 0
-    for _ in range(n):
+    d, signs, i = (tree.axes @ h.normal).tolist(), [], 0
+    for _ in range(tree.dimension):
         plus = d[i] >= 0.0
         signs.append(1 if plus else -1)
         i = 2 * i + 1 + plus
-    return signs
+    return SignSequence(signs)
 
 
 def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:

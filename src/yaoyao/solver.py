@@ -321,15 +321,6 @@ def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
     return center, levels, worst, (records, gap)
 
 
-def _halves(low: WeightedPointCloud, high: WeightedPointCloud):
-    """The (points, weights) arrays of two halves of one dimension >= 2."""
-    if low.dimension != high.dimension:
-        raise ValueError("halves have different dimensions")
-    if low.dimension < 2:
-        raise ValueError("axis solve needs dimension >= 2")
-    return (low.points, low.weights), (high.points, high.weights)
-
-
 def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
                            alpha: float, v, cfg: SolverConfig):
     """Residual x_neg - x_pos at a fixed normalized axis, plus both child centers.
@@ -338,13 +329,17 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     cloud's center is computed in full; the componentwise difference is the
     residual the axis solve drives to zero.
     """
-    halves = _halves(low, high)
+    if low.dimension != high.dimension:
+        raise ValueError("halves have different dimensions")
+    if low.dimension < 2:
+        raise ValueError("axis solve needs dimension >= 2")
     v = np.asarray(v, dtype=float)
     if v.shape != (low.dimension,) or v[0] != 1.0:
         raise ValueError("axis must be normalized: v[0] == 1")
     # an overflowing projection is reported by _project as a ValueError
     with np.errstate(over="ignore"):
-        x_neg, x_pos = (_child(half, alpha, v, low.dimension - 1, cfg)[0] for half in halves)
+        x_neg, x_pos = (_child((half.points, half.weights), alpha, v, low.dimension - 1, cfg)[0]
+                        for half in (low, high))
     return x_neg - x_pos, x_neg, x_pos
 
 
@@ -394,7 +389,8 @@ def compute_center_partition(
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud, 0)
-        center, levels, worst, root = _solve_split(alpha, *_halves(low, high), n, cfg)
+        center, levels, worst, root = _solve_split(
+            alpha, (low.points, low.weights), (high.points, high.weights), n, cfg)
     axes = np.zeros((2**n - 1, n))  # a depth-(k+1) axis starts with k zeros
     for k, level in enumerate(levels):
         axes[2**k - 1:2**(k + 1) - 1, k:] = level

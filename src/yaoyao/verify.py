@@ -35,7 +35,7 @@ from .measures import (
     symmetrize,
     weighted_quantile,
 )
-from .partition import PartitionTree, _witness_walk, locate_points
+from .partition import PartitionTree, locate_points
 from .solver import SolverConfig, compute_center_partition
 
 __all__ = [
@@ -97,18 +97,20 @@ def _halfspace_draws(rng, tree: PartitionTree, cloud: WeightedPointCloud | None,
 def _certify_halfspaces(tree: PartitionTree, normals: np.ndarray,
                         offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Witness sign words ((count, n), +-1) and certificates of each row of
-    (normals, offsets): ``witness_region``'s walk and the test of
-    ``halfspace_contains_region`` on products with the axis table in blocks."""
+    (normals, offsets): the rows of a block product with the axis table walk
+    down together, taking ``witness_region``'s sign at each node and testing
+    its product as ``halfspace_contains_region`` does in the same step."""
     n, signs = tree.dimension, np.empty(normals.shape, dtype=np.int8)
     certified = normals @ tree.center - offsets >= 0.0
     step = max(1, _BLOCK_ENTRIES // len(tree.axes))
     for lo in range(0, len(normals), step):
         block, words = normals[lo:lo + step] @ tree.axes.T, signs[lo:lo + step]
-        words[:] = [_witness_walk(d.tolist(), n) for d in block]
         node, rows = np.zeros(len(block), dtype=np.intp), np.arange(len(block))
-        for k in range(n):  # each product on the path, signed by its choice
-            certified[lo:lo + step] &= words[:, k] * block[rows, node] >= 0.0
-            node = 2 * node + 1 + (words[:, k] > 0)
+        for k in range(n):  # a NaN product takes -1 and fails its test
+            d = block[rows, node]
+            words[:, k] = np.where(d >= 0.0, 1, -1)
+            certified[lo:lo + step] &= words[:, k] * d >= 0.0
+            node = 2 * node + 1 + (d >= 0.0)
         del block  # before the next block's product, so one block is alive
     return signs, certified
 

@@ -189,6 +189,15 @@ class TestCenter:
             c = workdir / f"blas{threads}.json"
             run_cli(base + ["-o", str(c)], OPENBLAS_NUM_THREADS=threads)
             assert c.read_bytes() == a.read_bytes()
+        # the solve calls BLAS only to change frames; verify's avoidance
+        # blocks (37449 x 3 by 3 x 7 at n = 3, count 100000) are products
+        # OpenBLAS splits across two threads, and its report may not move
+        spec, pts, part = workdir / "cube.json", workdir / "cube.csv", workdir / "cube-part.json"
+        spec.write_text(json.dumps({"kind": "uniform-box", "lo": [0, 0, 0], "hi": [1, 1, 1]}))
+        assert main(["sample", "--spec", str(spec), "-n", "64", "--seed", "1", "-o", str(pts)]) == 0
+        assert main(["center", str(pts), "-o", str(part)]) == 0
+        argv = ["verify", str(part), str(pts), "--count", "100000"]
+        assert run_cli(argv, OPENBLAS_NUM_THREADS="1") == run_cli(argv, OPENBLAS_NUM_THREADS="2")
 
 
 class TestVerify:
@@ -310,6 +319,15 @@ class TestVerify:
         part = self.make_partition(workdir)
         assert main(["verify", str(part), str(workdir / "asym.csv"),
                      "--checks", "nope"]) == 2
+
+    @pytest.mark.parametrize("checks", ["", ",", " , "])
+    def test_no_check_named_exits_2(self, workdir, capsys, checks):
+        # an empty report would read all_passed: true and certify nothing
+        part = self.make_partition(workdir)
+        capsys.readouterr()
+        assert main(["verify", str(part), str(workdir / "asym.csv"),
+                     "--checks", checks]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestPlot:

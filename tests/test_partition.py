@@ -416,15 +416,22 @@ class TestBatchedCertificateAgreement:
         tree = random_tree(rng, n)
         regs = regions(tree)
         cloud = WeightedPointCloud.from_points(rng.standard_normal((64, n)))
-        for seed, source in enumerate((cloud, None)):
-            normals, offsets = verify._halfspace_draws(seeded_generator(seed), tree, source, 300)
+        inputs = [verify._halfspace_draws(seeded_generator(seed), tree, source, 300)
+                  for seed, source in enumerate((cloud, None))]
+        # normals +-e_j through the center: every product below depth j + 1 is
+        # an exact +-0.0 under any BLAS kernel, a tie the rule breaks to +1
+        ties = np.concatenate([np.eye(n), -np.eye(n)])
+        inputs.append((ties, ties @ tree.center))
+        for normals, offsets in inputs:
             signs, certified = verify._certify_halfspaces(tree, normals, offsets)
-            assert signs.shape == (300, n) and certified.all()
+            assert signs.shape == (len(normals), n) and certified.all()
             for a, c, word in zip(normals, offsets, signs.tolist()):
                 h = HalfSpace(a, c)
                 witness = witness_region(tree, h)
                 assert word == list(witness)
                 assert halfspace_contains_region(h, regs[witness])
+        below = np.arange(n) > np.arange(2 * n)[:, None] % n  # the ties' depths past j + 1
+        assert (signs[below] == 1).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_axis_orthogonal_normals_certify(self, n):
