@@ -33,7 +33,10 @@ which fixes its ``dimension``; its weights follow the cloud rule.
 Clouds travel as CSV (``read_csv``/``write_csv``): a header ``x1,...,xn[,w]``
 with n >= 1, unquoted comma-separated numbers spelled as for Python's
 ``float``, LF or CRLF line ends, blank lines skipped.  The body is parsed by
-one numpy conversion and written by one join, in shortest round-trip form.
+numpy's C reader (``np.loadtxt``), which converts each field with the same
+correctly rounded routine as ``float``; the row-by-row reader takes over for
+the spellings only ``float`` accepts (``1_000``, non-ASCII digits) and to
+name a bad row.  Clouds are written by one join, in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -605,12 +608,23 @@ def write_csv(cloud: WeightedPointCloud, path_or_file) -> None:
         path_or_file.write(text)
 
 
+# numpy's field parser strips these as whitespace; ``float`` rejects them.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
 def read_csv(path_or_file) -> WeightedPointCloud:
     """Read a ``x1,...,xn[,w]`` table (n >= 1); a missing weight column means 1.0.
 
     Fields are unquoted and separated by commas; each is a number as Python's
     ``float`` spells it, spaces around it allowed.  Lines end in LF or CRLF,
     and blank lines are skipped.
+
+    The non-blank lines go to numpy's C reader, which gives the floats
+    ``float`` gives (both round with ``PyOS_string_to_double``).
+    A character only numpy takes for whitespace, any ``ValueError`` from
+    numpy or a column count off the header's width sends them to the
+    row-by-row reader instead: that one reads ``1_000`` and non-ASCII digits,
+    and raises the errors that name a bad row.
     """
     if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
         with open(path_or_file, "r", encoding="utf-8", newline="") as fh:
@@ -635,6 +649,22 @@ def read_csv(path_or_file) -> WeightedPointCloud:
     rows = [line for line in lines[1:] if line and not line.isspace()]
     if not rows:
         raise ValueError("CSV contains no data rows")
+    table = None
+    if not any(c in text for c in _NUMPY_ONLY_SPACES):
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+    if table is None or table.shape[1] != width:
+        table = _read_rows(lines, rows, width)
+    if has_w:
+        return WeightedPointCloud.from_points(table[:, :-1], table[:, -1])
+    return WeightedPointCloud.from_points(table)
+
+
+def _read_rows(lines: list[str], rows: list[str], width: int) -> np.ndarray:
+    """The row-by-row reader: names a row whose field count is off, then
+    converts every field with ``float``'s grammar."""
     if [line.count(",") for line in rows].count(width - 1) != len(rows):
         for lineno, line in enumerate(lines[1:], start=2):
             fields = line.count(",") + 1
@@ -642,7 +672,4 @@ def read_csv(path_or_file) -> WeightedPointCloud:
                 raise ValueError(
                     f"CSV row {lineno} has {fields} fields, expected {width}"
                 )
-    table = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), width)
-    if has_w:
-        return WeightedPointCloud.from_points(table[:, :-1], table[:, -1])
-    return WeightedPointCloud.from_points(table)
+    return np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), width)

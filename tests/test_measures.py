@@ -3,6 +3,7 @@
 import io
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -770,3 +771,123 @@ class TestCsv:
             read_csv(io.StringIO(""))
         with pytest.raises(ValueError):
             read_csv(io.StringIO("x1,x2\n"))
+
+
+def _read_outcome(text):
+    """What ``read_csv`` makes of text: the cloud's bytes, or the error it raises."""
+    try:
+        c = read_csv(io.StringIO(text))
+    except ValueError as e:
+        return type(e), str(e)
+    return c.points.shape, c.points.tobytes(), c.weights.tobytes(), c.ids.tobytes()
+
+
+def _row_by_row_outcome(text):
+    """The same, with numpy's reader refusing every table."""
+    with mock.patch.object(measures.np, "loadtxt", side_effect=ValueError("unused")):
+        return _read_outcome(text)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WEIGHT = st.floats(min_value=5e-324, max_value=1e300)
+# Spellings beyond ``repr``: some only ``float`` reads, some neither reads.
+_LISTED_SPELLING = st.sampled_from([
+    "1_000", "\u0661", "1\u0662.5", "nan", "-inf", "Infinity", "0x10", "", "007.50", "+1",
+    "1E5", ".5", "5.", "\u00a01", "1\r2", "1 2", "#1",
+    "1\x1c", "\x1d1", "1 \x1e", "\x1f2", "1\u00a0\x1c",
+])
+_ODD_SPELLING = st.one_of(
+    _LISTED_SPELLING,
+    _FINITE.map(lambda x: f"{x:+.17E}"),
+    st.builds(lambda digits, e: f"{digits}e{e}",
+              st.text("0123456789", min_size=18, max_size=30), st.integers(-340, 320)),
+)
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_BLANK_LINE = st.sampled_from(["", "\r", " ", "\t ", "\x1c"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Tables of ``repr`` floats, 1 to 6 columns with or without ``w``, 1 to 50
+    rows, LF or CRLF, with blank lines of one or more kinds; in half of them
+    one other spelling, padded, stands in up to three fields, or up to three
+    rows get a trailing comma (spelling ``","``)."""
+    n = draw(st.integers(1, 6))
+    has_w = draw(st.booleans())
+    row = st.tuples(st.lists(_FINITE.map(repr), min_size=n, max_size=n),
+                    st.lists(_WEIGHT.map(repr), min_size=int(has_w), max_size=int(has_w)))
+    rows = [coords + w for coords, w in draw(st.lists(row, min_size=1, max_size=50))]
+    if draw(st.booleans()):
+        spelling = draw(st.one_of(st.just(","), _ODD_SPELLING, _LISTED_SPELLING))
+        for _ in range(draw(st.integers(1, 3))):
+            fields = rows[draw(st.integers(0, len(rows) - 1))]
+            if spelling == ",":
+                fields.append("")
+            else:
+                fields[draw(st.integers(0, len(fields) - 1))] = (
+                    draw(_PAD) + spelling + draw(_PAD))
+    blank = st.sampled_from(draw(st.lists(_BLANK_LINE, min_size=1, max_size=3, unique=True)))
+    lines = [",".join([f"x{i + 1}" for i in range(n)] + ["w"] * has_w)]
+    for fields in rows:
+        lines += draw(st.lists(blank, max_size=2))
+        lines.append(",".join(fields))
+    lines += draw(st.lists(blank, max_size=2))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestCsvReaderParity:
+    """numpy's C reader and the row-by-row reader agree bit for bit, errors included."""
+
+    @given(_csv_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_same_cloud_or_same_error(self, text):
+        assert _read_outcome(text) == _row_by_row_outcome(text)
+
+    @given(st.one_of(st.tuples(_PAD, _ODD_SPELLING, _PAD).map("".join),
+                     st.text(st.characters(max_codepoint=0x7F), max_size=6),
+                     st.text(max_size=4)))
+    @settings(max_examples=400, deadline=None)
+    def test_one_field_reads_as_float_reads_it(self, field):
+        text = f"x1,x2\n0.5,{field}\n"
+        assert _read_outcome(text) == _row_by_row_outcome(text)
+
+    @pytest.mark.parametrize("text", ["x1\n1\x1c\n", "x1,x2\n1,\x1f2\n", "x1\n1\r2\n"])
+    def test_separators_only_numpy_knows_follow_float(self, text):
+        """numpy takes \\x1c-\\x1f for whitespace and a lone CR for a line end."""
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            read_csv(io.StringIO(text))
+
+
+class TestCsvFastPath:
+    """Clean ``write_csv`` output never reaches the row-by-row reader."""
+
+    @pytest.mark.parametrize("n, size", [(1, 1), (1, 40), (2, 1), (5, 40)])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("via_path", [False, True])
+    def test_write_csv_output_read_by_numpy(self, tmp_path, n, size, eol, via_path):
+        c = sample(MeasureSpec.uniform_box([0.0] * n, [1.0] * n), size, seed=3)
+        buf = io.StringIO()
+        write_csv(c, buf)
+        text = buf.getvalue().replace("\n", eol)
+        if via_path:
+            source = tmp_path / "pts.csv"
+            source.write_bytes(text.encode("utf-8"))
+        else:
+            source = io.StringIO(text)
+        with mock.patch.object(measures, "_read_rows", side_effect=AssertionError("fell back")):
+            again = read_csv(source)
+        assert again == c
+        assert again.points.tobytes() == c.points.tobytes()
+
+
+class TestCsvNoData:
+    @pytest.mark.parametrize("text", [
+        "x1,x2", "x1,x2\n", "x1,x2\r\n", "x1,x2\n\n\n", "x1,x2\r\n\r\n", "x1,x2\n\r",
+        "x1,x2\n\r\n\r", "x1\n   \n\t\n", "x1,w\r\n \r\n\r\n", "x1\n\x1c\n",
+    ])
+    def test_no_data_rows_raise_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="CSV contains no data rows"):
+                read_csv(io.StringIO(text))
