@@ -25,7 +25,7 @@ cloud = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
 cfg = SolverConfig()
 
 # watch the residual change sign exactly as the hand computation predicts
-alpha, low, high = split_at_median(cloud, 0)
+alpha, low, high = split_at_median(cloud)
 print(f"cut value alpha = {alpha}")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
     res, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, np.array([1.0, t]), cfg)

@@ -101,10 +101,13 @@ def cmd_center(args) -> int:
 
 
 def _to_system_coords(cloud, system: CoordinateSystem):
-    """Re-express an ambient cloud in the system's coordinates."""
-    return measures.WeightedPointCloud(
-        system.to_coordinates(cloud.points), cloud.weights, cloud.ids
-    )
+    """Re-express an ambient cloud in the system's coordinates (input error if not finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = system.to_coordinates(cloud.points)
+    try:
+        return measures.WeightedPointCloud(coords, cloud.weights, cloud.ids)
+    except ValueError as exc:
+        raise _InputError(f"cannot express the points in the coordinate system: {exc}") from exc
 
 
 _CHECKS = ("equipartition", "avoidance", "depth")
@@ -187,7 +190,7 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def render_svg(tree, ambient_points, size: float = 640.0) -> str:
+def render_svg(tree, ambient_points) -> str:
     """Deterministic SVG of a 2-D partition: filled regions clipped to the data
     bounding box grown by 1.2, boundary rays from the center, the points, and a
     center marker."""
@@ -205,7 +208,7 @@ def render_svg(tree, ambient_points, size: float = 640.0) -> str:
         np.array([lo[0], hi[1]]),
     ]
 
-    scale = size / float(np.max(hi - lo))
+    scale = 640.0 / float(np.max(hi - lo))  # 640 px along the longer side
     width = (hi[0] - lo[0]) * scale
     height = (hi[1] - lo[1]) * scale
 

@@ -208,15 +208,6 @@ class ConeRegion:
         """Rows sign_i * u^i."""
         return self.generators * np.asarray(self.signs, dtype=float)[:, None]
 
-    def __eq__(self, other):
-        if not isinstance(other, ConeRegion):
-            return NotImplemented
-        return (
-            np.array_equal(self.apex, other.apex)
-            and np.array_equal(self.generators, other.generators)
-            and self.signs == other.signs
-        )
-
 
 def _as_batch(region: ConeRegion, p) -> tuple[np.ndarray, bool]:
     """``p`` as an (m, n) batch of finite points, and whether it was one point."""

@@ -10,11 +10,11 @@ and so gives bit-identical sums to boolean indexing at a fraction of its
 cost on masks that are scattered in id order.
 
 The median convention is fixed once for the whole library: a quantile is the
-midpoint of the quantile interval, and an equal-mass split assigns mass tied
-at the cut greedily by ascending id to the low side, splitting at most one
-point's weight.  This makes every split reproducible and exactly mass-halving,
-which is what pins down a canonical center for atomic inputs (clouds put mass
-on hyperplanes, so for them the center is a convention, not a theorem).
+midpoint of the quantile interval, and the equal-mass split at the median of
+coordinate 1 gives mass tied at the cut to the low side greedily by ascending
+id, splitting at most one point's weight.  So every split is reproducible and
+exactly mass-halving, which pins down a canonical center for atomic inputs
+(clouds put mass on hyperplanes: their center is a convention, not a theorem).
 
 Only clouds and public functions validate; the quantile, split, projection
 and half-space masses then run as private kernels on plain arrays in id
@@ -261,24 +261,6 @@ class MeasureSpec:
         return cls("uniform-box", {"lo": list(lo), "hi": list(hi)})
 
     @classmethod
-    def finite_atoms(cls, points, weights) -> "MeasureSpec":
-        return cls(
-            "finite-atoms",
-            {"points": np.asarray(points, dtype=float).tolist(),
-             "weights": list(weights)},
-        )
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        if self.kind == "mixture":
-            doc["components"] = [c.to_json() for c in self.params["components"]]
-            doc["weights"] = list(map(float, self.params["weights"]))
-        else:
-            for key, val in self.params.items():
-                doc[key] = np.asarray(val, dtype=float).tolist()
-        return doc
-
-    @classmethod
     def from_json(cls, doc: dict) -> "MeasureSpec":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValueError("measure spec document must be an object with a 'kind'")
@@ -414,10 +396,10 @@ def weighted_quantile(values, weights, q: float) -> float:
     return _quantile(v, w, q)
 
 
-def _split(points: np.ndarray, weights: np.ndarray, axis_index: int = 0):
+def _split(points: np.ndarray, weights: np.ndarray):
     """``split_at_median`` on checked arrays in id order; returns alpha and,
     per half, (points, weights, mask of the input rows)."""
-    coord = points[:, axis_index]
+    coord = points[:, 0]
     alpha = _quantile(coord, weights, 0.5)
     in_low, in_high = coord < alpha, coord > alpha
     need = 0.5 * float(np.sum(weights)) - float(np.sum(np.compress(in_low, weights)))
@@ -443,16 +425,16 @@ def _split(points: np.ndarray, weights: np.ndarray, axis_index: int = 0):
 
 
 def split_at_median(
-    cloud: WeightedPointCloud, axis_index: int = 0
+    cloud: WeightedPointCloud,
 ) -> tuple[float, WeightedPointCloud, WeightedPointCloud]:
-    """Cut the cloud at the weighted median of one coordinate into exact halves.
+    """Cut the cloud at the weighted median of coordinate 1 into exact halves.
 
     Points strictly below the median value go low, strictly above go high.
     Mass tied at the median is assigned greedily by ascending id to the low
     side until it holds exactly half the total, splitting at most one point's
     weight; a split point appears in both halves with the same id.
     """
-    alpha, *halves = _split(cloud.points, cloud.weights, axis_index)
+    alpha, *halves = _split(cloud.points, cloud.weights)
     return alpha, *(
         WeightedPointCloud(pts, w, np.compress(mask, cloud.ids))
         for pts, w, mask in halves

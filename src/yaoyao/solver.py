@@ -388,7 +388,7 @@ def compute_center_partition(
         center, levels, worst, root = _solve(cloud.points, cloud.weights, 1, cfg)
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
-        alpha, low, high = split_at_median(cloud, 0)
+        alpha, low, high = split_at_median(cloud)
         center, levels, worst, root = _solve_split(
             alpha, (low.points, low.weights), (high.points, high.weights), n, cfg)
     axes = np.zeros((2**n - 1, n))  # a depth-(k+1) axis starts with k zeros

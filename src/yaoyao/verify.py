@@ -8,9 +8,10 @@ a ham-sandwich cut of the two halves it separates, without touching the solver.
 
 Avoidance and depth are structural theorems about any valid tree, so their
 checks must succeed on every trial; a failure there is an implementation bug,
-never sampling noise.  Mass and symmetry checks carry explicit tolerances.
+never sampling noise.  Mass checks carry explicit tolerances; the symmetry
+check of a symmetrized cloud allows 50 * residual_tol.
 
-Every check is a pure function of (inputs, seed).
+Every check is a pure function of its inputs (and seed, where it draws).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .measures import (
     _halfspace_masses,
     project_measure,
     regularize,
-    sample,
     seeded_generator,
     split_at_median,
     symmetrize,
@@ -199,28 +199,19 @@ def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
     )
 
 
-def check_symmetry(source, z, cfg: SolverConfig | None = None, *,
-                   count: int = 4096, seed: int = 0,
-                   tol: float | None = None) -> CheckReport:
-    """Centers of centrally symmetric measures sit at the symmetry point.
+def check_symmetry(cloud: WeightedPointCloud, z,
+                   cfg: SolverConfig | None = None) -> CheckReport:
+    """The center of a centrally symmetric cloud sits at its symmetry point.
 
-    A cloud source is symmetrized about z first and checked at the exact
-    tolerance 50 * residual_tol; a spec source is sampled (count, seed) and
-    needs an explicit statistical tolerance.
+    The cloud is symmetrized about z first, and the center must lie within
+    50 * residual_tol of z in every coordinate.  Nothing is drawn, so the
+    report carries no seed.
     """
     cfg = cfg or SolverConfig()
     z = np.asarray(z, dtype=float)
-    if isinstance(source, WeightedPointCloud):
-        cloud = symmetrize(source, z)
-        tol = 50.0 * cfg.residual_tol if tol is None else tol
-    elif isinstance(source, MeasureSpec):
-        if tol is None:
-            raise ValueError("sampled symmetry checks need an explicit tolerance")
-        cloud = sample(source, count, seed)
-    else:
-        raise TypeError("source must be a WeightedPointCloud or MeasureSpec")
+    tol = 50.0 * cfg.residual_tol
     system = CoordinateSystem.standard(cloud.dimension)
-    tree = compute_center_partition(cloud, system, cfg)
+    tree = compute_center_partition(symmetrize(cloud, z), system, cfg)
     dev = float(np.max(np.abs(tree.center - z)))
     return CheckReport(
         "symmetry",
@@ -229,7 +220,6 @@ def check_symmetry(source, z, cfg: SolverConfig | None = None, *,
                "target": [float(v) for v in z],
                "max_deviation": dev},
         tolerances={"max_abs": tol},
-        seed=seed,
     )
 
 
@@ -329,7 +319,7 @@ def oracle_center_2d(cloud: WeightedPointCloud) -> np.ndarray:
     """
     if cloud.dimension != 2:
         raise ValueError("oracle is two-dimensional only")
-    alpha, low, high = split_at_median(cloud, 0)
+    alpha, low, high = split_at_median(cloud)
 
     def g(t: float) -> float:
         m_low, m_high = _projected_medians(low, high, alpha, t)

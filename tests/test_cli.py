@@ -11,6 +11,8 @@ BOX_SPEC = {"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1]}
 
 ASYM_CSV = "x1,x2\n0,0\n1,2\n2,1\n3,3\n"
 SQUARE_CSV = "x1,x2\n0,0\n1,0\n0,1\n1,1\n"
+# 1e308 * x1 + 1e308 leaves the float range for x1 > 0.8
+OVERFLOW_SYSTEM = {"matrix": [[1e308, 0], [0, 1e308]], "offset": [1e308, 0]}
 
 
 @pytest.fixture
@@ -167,6 +169,31 @@ class TestCenter:
         assert code == 3
         assert "solver failed" in capsys.readouterr().err
 
+    def test_solver_failure_prints_solved_coordinates(self, workdir, capsys):
+        # every point lies on the cut plane x1 = 0; the halves share the
+        # median 0.5 of x2, so coordinate 2 is solved at t = 0, but their
+        # (x2, x3) centers differ, and coordinate 3 cannot move
+        flat = workdir / "flat3.csv"
+        flat.write_text("x1,x2,x3\n0,0,0\n0,1,0\n0,0,1\n0,1,1\n"
+                        "0,0,0\n0,1,0\n0,0,3\n0,1,3\n")
+        assert main(["center", str(flat)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("solver failed: residual -1 cannot move")
+        assert err[1:] == [
+            "  while solving axis coordinate 3",
+            "  coordinate 2: bracket (0.0, 0.0), 0 expansions, 0 iterations, "
+            "residual 0.000e+00",
+        ]
+
+    def test_system_overflowing_the_points_exits_2(self, workdir, capsys):
+        pts, sysfile = workdir / "pts.csv", workdir / "overflow-system.json"
+        sysfile.write_text(json.dumps(OVERFLOW_SYSTEM))
+        assert main(["sample", "--spec", str(workdir / "box.json"), "-n", "64",
+                     "--seed", "7", "-o", str(pts)]) == 0
+        capsys.readouterr()
+        assert main(["center", str(pts), "--system", str(sysfile)]) == 2
+        assert_one_error_line(capsys)
+
     def test_custom_system_changes_center(self, workdir, capsys):
         # a frame whose first form reads the second ambient coordinate
         sysfile = workdir / "sys.json"
@@ -254,6 +281,15 @@ class TestVerify:
         part.write_bytes(b"\xff\xfe{}")
         argv = [command, str(part), str(workdir / "asym.csv")]
         assert main(argv + (["-o", str(workdir / "x.svg")] if command == "plot" else [])) == 2
+        assert_one_error_line(capsys)
+
+    def test_system_overflowing_the_points_exits_2(self, workdir, capsys):
+        part = self.make_partition(workdir)
+        doc = json.loads(part.read_text())
+        doc["system"] = OVERFLOW_SYSTEM
+        part.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
         assert_one_error_line(capsys)
 
     def test_mismatched_cloud_fails_checks(self, workdir, capsys):

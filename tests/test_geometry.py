@@ -186,6 +186,11 @@ class TestHalfspaceCertificate:
         r = region((1.5, 1.5), [(1, 0.5), (0, 1)], (-1, 1))
         assert not halfspace_contains_region(h, r)
 
+    def test_apex_outside_breaks_certificate(self):
+        # both signed generators pass (products 1 and 0); the apex x = 1.5 does not
+        h = HalfSpace(np.array([1.0, 0.0]), 2.0)  # x >= 2
+        assert not halfspace_contains_region(h, SHEARED)
+
     def test_boundary_apex_closed(self):
         h = HalfSpace(np.array([1.0, 0.0]), 0.0)  # x >= 0, apex on boundary
         assert halfspace_contains_region(h, IDENTITY_2D)

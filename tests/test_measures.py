@@ -209,9 +209,9 @@ def tied_weighted_cloud(seed: int, n: int, size: int) -> WeightedPointCloud:
     return WeightedPointCloud(pts, weights, rng.permutation(size) * 3)
 
 
-def mask_split_at_median(cloud, axis_index):
+def mask_split_at_median(cloud):
     """split_at_median written with boolean-mask gathers, for comparison."""
-    coord = cloud.points[:, axis_index]
+    coord = cloud.points[:, 0]
     alpha = weighted_quantile(coord, cloud.weights, 0.5)
     below, above = coord < alpha, coord > alpha
     need = 0.5 * cloud.total_mass - float(np.sum(cloud.weights[below]))
@@ -238,14 +238,13 @@ class TestGathersMatchBooleanMasks:
     @settings(max_examples=60, deadline=None)
     def test_split_and_halfspace_mass_bit_identical(self, seed, n, size):
         cloud = tied_weighted_cloud(seed, n, size)
-        for axis_index in range(n):
-            alpha, low, high = split_at_median(cloud, axis_index)
-            ref_alpha, ref_halves = mask_split_at_median(cloud, axis_index)
-            assert alpha == ref_alpha
-            for side, (pts, w, ids) in zip((low, high), ref_halves):
-                assert side.points.tobytes() == pts.tobytes()
-                assert side.weights.tobytes() == w.tobytes()
-                assert side.ids.tobytes() == ids.tobytes()
+        alpha, low, high = split_at_median(cloud)
+        ref_alpha, ref_halves = mask_split_at_median(cloud)
+        assert alpha == ref_alpha
+        for side, (pts, w, ids) in zip((low, high), ref_halves):
+            assert side.points.tobytes() == pts.tobytes()
+            assert side.weights.tobytes() == w.tobytes()
+            assert side.ids.tobytes() == ids.tobytes()
         rng = np.random.default_rng(seed + 1)
         for offset in (0.0, 0.25, float(rng.standard_normal())):
             h = HalfSpace(rng.standard_normal(n), offset)
@@ -303,7 +302,7 @@ class TestProjection:
         # closed-form membership form(x) >= (x_1 - alpha) * formvec((1, t))
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 200, seed=34)
         form = HalfSpace(np.array([-0.4, 1.0]), 0.3)
-        alpha, _, high = split_at_median(cloud, 0)
+        alpha, _, high = split_at_median(cloud)
         for slope in (0.0, 0.8, 2.5):
             # realize an axis with this slope: v = (1, t) has formvec(v) = -0.4 + t
             t = slope + 0.4
@@ -471,7 +470,7 @@ class TestSampling:
         assert np.all(np.abs(c.points.mean(axis=0)) < 0.05)  # 3 / sqrt(N) headroom
 
     def test_finite_atoms_exact(self):
-        spec = MeasureSpec.finite_atoms([[0, 0], [1, 1]], [1.0, 1.0])
+        spec = MeasureSpec("finite-atoms", {"points": [[0, 0], [1, 1]], "weights": [1.0, 1.0]})
         c = sample(spec, 2, seed=123)
         assert np.array_equal(np.sort(c.points[:, 0]), [0.0, 1.0])
         assert np.array_equal(c.weights, [1.0, 1.0])
@@ -518,9 +517,10 @@ class TestSampling:
 
     def test_spec_json_round_trip(self):
         spec = MeasureSpec.uniform_box([0, 0], [1, 2])
-        again = MeasureSpec.from_json(spec.to_json())
+        again = MeasureSpec.from_json({"kind": "uniform-box", "lo": [0.0, 0.0], "hi": [1.0, 2.0]})
         assert again.kind == spec.kind
         assert again.params["lo"] == [0.0, 0.0] and again.params["hi"] == [1.0, 2.0]
+        assert again == spec and sample(again, 20, seed=1) == sample(spec, 20, seed=1)
 
 
 BOX2 = {"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1]}
@@ -622,15 +622,15 @@ class TestMeasureSpec:
 
     def test_mixture_json_round_trip(self):
         doc = mixture_doc([2, 1], components=[gaussian_doc([1]), mixture_doc([1], [BOX2])])
-        spec = MeasureSpec.from_json(doc)
-        again = MeasureSpec.from_json(json.loads(json.dumps(spec.to_json())))
-        assert again.to_json() == spec.to_json()
-        assert again.to_json()["weights"] == [2.0, 1.0]
+        spec = MeasureSpec.from_json(json.loads(json.dumps(doc)))  # tuples become lists
+        again = MeasureSpec.from_json(json.loads(json.dumps(doc)))
+        assert again == spec
+        assert again.params["weights"] == [2.0, 1.0]
         assert sample(again, 50, seed=4) == sample(spec, 50, seed=4)
 
     def test_finite_atoms_draw(self):
         atoms = [[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]
-        spec = MeasureSpec.finite_atoms(atoms, [1.0, 2.0, 3.0])
+        spec = MeasureSpec("finite-atoms", {"points": atoms, "weights": [1.0, 2.0, 3.0]})
         c = sample(spec, 7, seed=11)
         assert c == sample(spec, 7, seed=11)
         assert c.size == 7 and np.array_equal(c.weights, np.ones(7))

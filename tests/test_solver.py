@@ -17,6 +17,7 @@ from yaoyao.partition import serialize
 from yaoyao.solver import (
     BracketNotFoundError,
     DegenerateInputError,
+    NonConvergenceError,
     SolverConfig,
     compute_center_partition,
     evaluate_axis_residual,
@@ -34,7 +35,7 @@ SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 def root_solve(cloud, cfg=CFG):
     """Root axis and root trace of the full solve: the axis solve on the halves
-    split_at_median(cloud, 0) gives."""
+    split_at_median(cloud) gives."""
     tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), cfg)
     return tree.axes[0], tree.meta["root_trace"]
 
@@ -108,6 +109,13 @@ class TestBracketAndBisect:
         cfg = SolverConfig(max_bracket_expansions=8)
         with pytest.raises(BracketNotFoundError):
             solver._bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0, cfg)
+
+    def test_exhausted_budget_raises(self):
+        # one midpoint step halves the bracket [0, 1] around 0.3 to [0, 0.5],
+        # far wider than root_tol
+        cfg = SolverConfig(max_bisections=1)
+        with pytest.raises(NonConvergenceError, match="did not converge in 1 iterations"):
+            solver._bracket_and_bisect(lambda t: t - 0.3, 0.0, cfg)
 
     def test_large_scale_root(self):
         root, *_ = solver._bracket_and_bisect(lambda t: t - 1.0e7, 0.0, CFG)
@@ -201,7 +209,7 @@ class TestRootStepProperty:
 
 class TestAxisResidual:
     def residual_at(self, t):
-        alpha, low, high = split_at_median(ASYMMETRIC, 0)
+        alpha, low, high = split_at_median(ASYMMETRIC)
         res, _, _ = evaluate_axis_residual(low, high, alpha, np.array([1.0, t]), CFG)
         return res[0]
 
@@ -212,26 +220,26 @@ class TestAxisResidual:
         assert self.residual_at(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_child_centers_returned(self):
-        alpha, low, high = split_at_median(ASYMMETRIC, 0)
+        alpha, low, high = split_at_median(ASYMMETRIC)
         _, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, np.array([1.0, 0.0]), CFG)
         assert x_neg[0] == pytest.approx(1.0)
         assert x_pos[0] == pytest.approx(2.0)
 
     def test_requires_normalized_axis(self):
-        alpha, low, high = split_at_median(ASYMMETRIC, 0)
+        alpha, low, high = split_at_median(ASYMMETRIC)
         with pytest.raises(ValueError):
             evaluate_axis_residual(low, high, alpha, np.array([2.0, 0.0]), CFG)
 
     def test_overflowing_projection_raises(self):
         # 50 * 1e308 overflows: the projected halves are no longer finite
         cloud = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
-        alpha, low, high = split_at_median(cloud, 0)
+        alpha, low, high = split_at_median(cloud)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]), CFG)
 
     def test_overflowing_projection_raises_with_warnings_as_errors(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
-        alpha, low, high = split_at_median(cloud, 0)
+        alpha, low, high = split_at_median(cloud)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
@@ -313,7 +321,7 @@ class TestComputeCenterPartition:
         # re-evaluating the residual at the solved axis leaves every component small
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [2, 1, 3]), 96, seed=5)
         v, _ = root_solve(cloud)
-        alpha, low, high = split_at_median(cloud, 0)
+        alpha, low, high = split_at_median(cloud)
         res, _, _ = evaluate_axis_residual(low, high, alpha, v, CFG)
         assert np.max(np.abs(res)) <= CFG.residual_tol + 1e-12
 
@@ -379,8 +387,7 @@ class TestComputeCenterPartition:
         for module in (measures, solver):
             monkeypatch.setattr(
                 module, "_split",
-                lambda points, weights, axis_index=0: splits.append(len(points))
-                or real(points, weights, axis_index),
+                lambda points, weights: splits.append(len(points)) or real(points, weights),
             )
         compute_center_partition(SHIFTED, SYS2, CFG)
         assert splits == [SHIFTED.size]
@@ -461,10 +468,10 @@ def test_partition_bytes_are_golden(name, cloud, workers):
     if name == "odd-3d":
         # the root split divides one point's weight, so both subtrees carry
         # unequal weights and take the sorting median
-        _, low, high = split_at_median(cloud, 0)
+        _, low, high = split_at_median(cloud)
         assert 0.5 in low.weights and 0.5 in high.weights
     if name == "tied-weighted-2d":
-        alpha, _, _ = split_at_median(cloud, 0)
+        alpha, _, _ = split_at_median(cloud)
         assert np.count_nonzero(cloud.points[:, 0] == alpha) > 1
     tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), CFG,
                                     workers=workers)

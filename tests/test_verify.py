@@ -347,20 +347,12 @@ class TestSymmetry:
     def test_square_fixture(self):
         rep = check_symmetry(SQUARE, (0.5, 0.5), CFG)
         assert rep.passed and rep.stats["max_deviation"] <= 50 * CFG.residual_tol
+        assert rep.tolerances == {"max_abs": 50 * CFG.residual_tol} and rep.seed is None
 
     def test_symmetrized_cloud_2d(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [3, 1]), 150, seed=44)
         rep = check_symmetry(cloud, (1.0, 2.0), CFG)
         assert rep.passed
-
-    def test_gaussian_spec_statistical(self):
-        spec = MeasureSpec.gaussian([0.0, 0.0])
-        rep = check_symmetry(spec, (0.0, 0.0), CFG, count=20_000, seed=9, tol=0.05)
-        assert rep.passed
-
-    def test_spec_requires_tolerance(self):
-        with pytest.raises(ValueError):
-            check_symmetry(MeasureSpec.gaussian([0.0, 0.0]), (0.0, 0.0), CFG)
 
 
 class TestPrefixDependence:
@@ -408,14 +400,15 @@ class TestContinuity:
     def test_symmetric_perturbation_leaves_center(self):
         z = (0.5, 0.5)
         cloud = symmetrize(sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 101, seed=2), z)
-        gamma = MeasureSpec.finite_atoms([[0.25, 0.5], [0.75, 0.5]], [1.0, 1.0])
+        gamma = MeasureSpec("finite-atoms", {"points": [[0.25, 0.5], [0.75, 0.5]],
+                                             "weights": [1.0, 1.0]})
         rep = check_continuity(cloud, gamma, [0.1], CFG, count=2, seed=3)
         assert rep.stats["distances"][0] <= 100 * CFG.residual_tol
 
 
 def scanned_center_2d(cloud):
     """The oracle's center with g evaluated at every breakpoint, no bisection."""
-    alpha, low, high = split_at_median(cloud, 0)
+    alpha, low, high = split_at_median(cloud)
 
     def medians(t):
         axis = np.array([1.0, t])
