@@ -338,6 +338,7 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> WeightedPointCloud:
     The generator is Philox4x64 keyed by ``seed``; identical (spec, count,
     seed) give bit-identical clouds.  A finite-atoms spec with count equal to
     its atom count returns the atoms themselves, with their own weights.
+    Draws that leave the float range raise ValueError, with no numpy warning.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -346,7 +347,10 @@ def sample(spec: MeasureSpec, count: int, seed: int) -> WeightedPointCloud:
         pts = np.asarray(spec.params["points"], dtype=float)
         if pts.shape[0] == count:
             return WeightedPointCloud.from_points(pts, spec.params["weights"])
-    return WeightedPointCloud.from_points(_draw(spec, count, rng))
+    # an overflowing draw is reported by the cloud's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = _draw(spec, count, rng)
+    return WeightedPointCloud.from_points(points)
 
 
 def _equal_power_of_two(w: np.ndarray) -> bool:
@@ -441,10 +445,10 @@ def split_at_median(
     )
 
 
-def _project(points: np.ndarray, alpha: float, axis: np.ndarray) -> np.ndarray:
-    """``project_measure`` on checked arrays: the projected points."""
-    reach = points[:, 0] - alpha
-    shifted = points[:, 1:] - reach[:, None] * axis[1:]
+def _slide(tail: np.ndarray, reach: np.ndarray, axis_tail: np.ndarray) -> np.ndarray:
+    """``project_measure`` on checked arrays: tail - reach * axis_tail row by
+    row, for reach = x_1 - alpha and tail, axis_tail without coordinate 1."""
+    shifted = tail - reach[:, None] * axis_tail
     if not np.isfinite(shifted).all():
         raise ValueError("points must be finite")
     return shifted
@@ -467,9 +471,9 @@ def project_measure(
         raise ValueError("axis dimension mismatch")
     if axis[0] != 1.0:
         raise ValueError("axis must be normalized: first component exactly 1")
-    # an overflowing product is reported by _project as a ValueError, not a warning
+    # an overflowing product is reported by _slide as a ValueError, not a warning
     with np.errstate(over="ignore"):
-        shifted = _project(side.points, alpha, axis)
+        shifted = _slide(side.points[:, 1:], side.points[:, 0] - alpha, axis[1:])
     return WeightedPointCloud(shifted, side.weights, side.ids)
 
 

@@ -7,16 +7,17 @@ cloud at alpha into equal-mass halves, slide each along a normalized axis v
 center coordinates of the projected halves, x_neg (low) and x_pos (high).
 The axis residual T(v) = x_neg(v) - x_pos(v) vanishes exactly when both
 halves agree on a common center, and then the center prefix is (alpha,
-common child prefix).  The full solve (m = d) also returns the partition
-tree; every residual evaluation is the same recursion with a shorter prefix,
+common child prefix).  A solve also returns its node (axis v, solve
+records, two child solves); the full solve's (m = d) nodes form the partition
+tree.  Every residual evaluation is the same recursion with a shorter prefix,
 which reads only the first m coordinates.
 
 T is triangular: component k-1 depends only on v_2..v_k and runs to -inf/+inf
 as v_k does.  So the components are solved one at a time as one-dimensional
 roots (the root step ``_bracket_and_bisect``), and later ones cannot disturb
-earlier ones.  The root step returns the last point it evaluated, so the two
-child solves of the last evaluation for component m are the node's subtrees;
-none runs twice.
+earlier ones.  The root step's last evaluation is its root, so the two child
+solves of the last evaluation for component m are the node's subtrees; none
+runs twice.
 Only intermediate-value structure is assumed: T is continuous for the
 interpolating median convention (piecewise linear in v for finite clouds).
 The center averages the two child centers, which keeps every convention
@@ -26,7 +27,8 @@ up to roundoff.
 Input is validated only at the public boundary (the clouds and the public
 functions).  Below it the recursion runs on plain (points, weights) arrays in
 id order through the measures kernels, which build no clouds and take
-unit-weight medians by selection; a projection that overflows still raises.
+unit-weight medians by selection.  A node takes each half's x_1 - alpha
+once, and each evaluation slides the half along v; an overflow still raises.
 
 Everything here is a pure function of (inputs, config) and runs in the
 caller's thread.
@@ -43,8 +45,8 @@ import numpy as np
 
 from .measures import (
     WeightedPointCloud,
-    _project,
     _quantile,
+    _slide,
     _split,
     split_at_median,
 )
@@ -256,23 +258,14 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
     )
 
 
-def _child(half, alpha: float, v: np.ndarray, m: int, cfg: SolverConfig):
-    """_solve of a (points, weights) half projected along v into the cut plane;
-    only the m coordinates a prefix of length m reads are projected."""
-    points, weights = half
-    return _solve(_project(points[:, :m + 1], alpha, v[:m + 1]), weights, m, cfg)
-
-
 def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
-    """First m center coordinates of (points, weights); returns (center,
-    levels, worst, root): levels[j] lists the 2^j local axes (length m - j)
-    of depth j + 1, left (-) to right (+), a leaf's as the list [1.0] (leaves
-    are most calls, and an array each costs 3% of a 3-D solve); only a prefix
-    means anything if m < the dimension.  worst is the largest (axis residual,
-    child-center gap) in the partition, root the top node's (coordinate solve
-    records, child-center gap), None at a leaf."""
+    """First m center coordinates of (points, weights) and the node that fixed
+    them; returns (center, node).  node is None at a leaf (m = 1), otherwise
+    (v, records, neg, pos): the local axis v (length m, v[0] = 1), the
+    coordinate solve records, and the child solves (center, node) of the low
+    (-) and high (+) halves.  Columns past m are never read."""
     if m == 1:
-        return np.array([_quantile(points[:, 0], weights, 0.5)]), [[[1.0]]], (0.0, 0.0), None
+        return np.array([_quantile(points[:, 0], weights, 0.5)]), None
     alpha, (*low, _), (*high, _) = _split(points, weights)
     return _solve_split(alpha, low, high, m, cfg)
 
@@ -280,45 +273,40 @@ def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
 def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
     """_solve after the split at alpha into (points, weights) halves.
 
+    Each half is prepared once as (coordinates 2..m, x_1 - alpha, weights).
     Axis components v_2..v_m are solved in turn; component k needs only child
-    prefix solves of length k-1.  The residual keeps the two child solves of
-    its latest evaluation, and the root step returns the last point it
-    evaluated, so after component m they are this node's subtrees.
+    prefix solves of length k-1.  The residual writes its argument into v and
+    keeps the two child solves of its latest evaluation; the root step's last
+    evaluation is its root, so after component m, v is this node's axis and
+    those solves are its subtrees.
     """
-    v = np.zeros(low[0].shape[1])
+    halves = [(pts[:, 1:m], pts[:, 0] - alpha, w) for pts, w in (low, high)]
+    v = np.zeros(m)
     v[0] = 1.0
-    # with every point on the cut plane, projection ignores v and g is constant
-    frozen = bool(np.all(low[0][:, 0] == alpha) and np.all(high[0][:, 0] == alpha))
+    # with every point on the cut plane, sliding ignores v and g is constant
+    frozen = not any(reach.any() for _, reach, _ in halves)
     records = []
     neg = pos = None
     for k in range(2, m + 1):
         def g(t, _k=k):
             nonlocal neg, pos
-            vt = v.copy()
-            vt[_k - 1] = t
-            neg, pos = (_child(half, alpha, vt, _k - 1, cfg) for half in (low, high))
+            v[_k - 1] = t
+            neg, pos = (_solve(_slide(tail[:, :_k - 1], reach, v[1:_k]), w, _k - 1, cfg)
+                        for tail, reach, w in halves)
             return float(neg[0][_k - 2] - pos[0][_k - 2])
 
         try:
-            root, bracket, expansions, iterations, residual = _bracket_and_bisect(
+            _, bracket, expansions, iterations, residual = _bracket_and_bisect(
                 g, 0.0, cfg, frozen)
         except (BracketNotFoundError, NonConvergenceError) as exc:
             exc.coordinate = k
             exc.records = tuple(records)
             raise
-        v[k - 1] = root
         records.append(
             CoordinateSolveRecord(k, bracket, expansions, iterations, residual)
         )
-    c_neg, levels_neg, worst_neg, _ = neg
-    c_pos, levels_pos, worst_pos, _ = pos
-
-    gap = float(np.max(np.abs(c_neg - c_pos)))
-    worst = (max([r.residual for r in records] + [worst_neg[0], worst_pos[0]]),
-             max(gap, worst_neg[1], worst_pos[1]))
-    center = np.concatenate([[alpha], 0.5 * (c_neg + c_pos)])
-    levels = [[v]] + [a + b for a, b in zip(levels_neg, levels_pos)]
-    return center, levels, worst, (records, gap)
+    center = np.concatenate([[alpha], 0.5 * (neg[0] + pos[0])])
+    return center, (v, records, neg, pos)
 
 
 def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
@@ -336,10 +324,10 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     v = np.asarray(v, dtype=float)
     if v.shape != (low.dimension,) or v[0] != 1.0:
         raise ValueError("axis must be normalized: v[0] == 1")
-    # an overflowing projection is reported by _project as a ValueError
+    # an overflowing slide is reported by _slide as a ValueError
     with np.errstate(over="ignore"):
-        x_neg, x_pos = (_child((half.points, half.weights), alpha, v, low.dimension - 1, cfg)[0]
-                        for half in (low, high))
+        x_neg, x_pos = (_solve(_slide(h.points[:, 1:], h.points[:, 0] - alpha, v[1:]),
+                               h.weights, low.dimension - 1, cfg)[0] for h in (low, high))
     return x_neg - x_pos, x_neg, x_pos
 
 
@@ -385,23 +373,29 @@ def compute_center_partition(
         )
     n = cloud.dimension
     if n == 1:
-        center, levels, worst, root = _solve(cloud.points, cloud.weights, 1, cfg)
+        center, root = _solve(cloud.points, cloud.weights, 1, cfg)
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud)
-        center, levels, worst, root = _solve_split(
+        center, root = _solve_split(
             alpha, (low.points, low.weights), (high.points, high.weights), n, cfg)
-    axes = np.zeros((2**n - 1, n))  # a depth-(k+1) axis starts with k zeros
-    for k, level in enumerate(levels):
-        axes[2**k - 1:2**(k + 1) - 1, k:] = level
+    kept, level = [], [root]  # the internal nodes in level order, left (-) to right (+)
+    for _ in range(n - 1):
+        kept += level
+        level = [child[1] for *_, neg, pos in level for child in (neg, pos)]
+    axes = np.zeros((2**n - 1, n))
+    for i, (v, *_) in enumerate(kept):
+        axes[i, n - len(v):] = v  # a depth-(k+1) axis starts with k zeros
+    axes[len(kept):, n - 1] = 1.0  # the leaves
+    gaps = [float(np.max(np.abs(neg[0] - pos[0]))) for *_, neg, pos in kept]
     meta = {
         "config": cfg.to_json(),
         "input_digest": _cloud_digest(cloud),
-        "max_residual": worst[0],
-        "max_center_gap": worst[1],
+        "max_residual": max([0.0] + [r.residual for _, records, *_ in kept for r in records]),
+        "max_center_gap": max([0.0] + gaps),
         "root_trace": None if root is None else {
-            "center_gap": root[1],
-            "records": [dict(asdict(r), bracket=list(r.bracket)) for r in root[0]],
+            "center_gap": gaps[0],
+            "records": [dict(asdict(r), bracket=list(r.bracket)) for r in root[1]],
         },
     }
     return PartitionTree(system, center, axes, meta)

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, and byte determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ class TestSample:
                      "-n", "0", "-o", str(workdir / "x.csv")])
         assert code == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "uniform-box", "lo": [-1e308, 0], "hi": [1e308, 1]},
+        {"kind": "gaussian-mixture", "means": [[0, 0]],
+         "cov_factors": [[[1e308, 0], [0, 1e308]]], "weights": [1]},
+    ], ids=["box", "gaussian"])
+    def test_overflowing_draws_exit_2_with_one_line(self, workdir, capsys, doc):
+        # the draws leave the float range: one error line and no numpy warning
+        (workdir / "huge.json").write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sample", "--spec", str(workdir / "huge.json"), "-n", "64",
+                         "--seed", "7", "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: cannot sample: points must be finite\n"
+        assert not (workdir / "x.csv").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, workdir, capsys, seed):

@@ -365,18 +365,19 @@ class TestComputeCenterPartition:
     def test_frozen_residual_fails_before_expanding(self, monkeypatch):
         # every point has x1 == alpha, so no axis moves either half
         cloud = WeightedPointCloud.from_points([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
-        projections = []
-        real = solver._project
+        slides = []
+        real = solver._slide
         monkeypatch.setattr(
-            solver, "_project",
-            lambda *args: projections.append(args[2]) or real(*args),
+            solver, "_slide",
+            # the axis is written in place, so record its value, not a view
+            lambda *args: slides.append(float(args[2][0])) or real(*args),
         )
         with pytest.raises(DegenerateInputError, match="yaoyao.measures.regularize") as info:
             compute_center_partition(cloud, SYS2, CFG)
         assert isinstance(info.value, BracketNotFoundError)
         assert info.value.coordinate == 2
         # only the start point t0 = 0 was evaluated, once per half
-        assert [axis[1] for axis in projections] == [0.0, 0.0]
+        assert slides == [0.0, 0.0]
 
     def test_2d_solve_splits_once(self, monkeypatch):
         # the leaves of the residual evaluations take the median without splitting
@@ -396,17 +397,18 @@ class TestComputeCenterPartition:
         # a node's subtrees are the child solves of the residual evaluation
         # that fixed its axis, not a second pair
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 48, seed=8)
-        seen, halves = set(), []
-        real = solver._child
+        seen, reaches = set(), []
+        real = solver._slide
 
-        def child(half, alpha, v, m, cfg):
-            halves.append(half)  # keeps every id unique while the solve runs
-            key = (id(half[0]), v[:m + 1].tobytes(), m)
+        def slide(tail, reach, axis_tail):
+            reaches.append(reach)  # keeps every id unique while the solve runs
+            m = tail.shape[1]  # the child solves the first m coordinates
+            key = (id(reach), axis_tail.tobytes(), m)  # bytes: the axis is written in place
             assert key not in seen
             seen.add(key)
-            return real(half, alpha, v, m, cfg)
+            return real(tail, reach, axis_tail)
 
-        monkeypatch.setattr(solver, "_child", child)
+        monkeypatch.setattr(solver, "_slide", slide)
         tree = compute_center_partition(cloud, SYS3, CFG)
         assert any(m == 2 for _, _, m in seen)
         monkeypatch.undo()
@@ -444,6 +446,9 @@ def _golden_clouds():
     yield "tied-weighted-2d", WeightedPointCloud.from_points(pts, rng.uniform(0.5, 2.0, 40))
     pts = sample(box([0, 0], [1, 1]), 50, 16).points
     yield "eighth-2d", WeightedPointCloud.from_points(pts, np.full(50, 0.125))
+    # a tree that is one leaf, and the deepest level-order walk of the table
+    yield "unit-1d", sample(box([0], [1]), 33, 17)
+    yield "unit-5d", sample(box([0] * 5, [1] * 5), 16, 17)
 
 
 # sha256 of the indented partition JSON, recorded before the solver ran on
@@ -455,6 +460,9 @@ GOLDEN = {
     "odd-3d": "0828790486c9431733b55b0077eecacb8d8ce101eba6d76717921d8a44476c85",
     "tied-weighted-2d": "2b73e0b57704a72d58e666768182a2161323db0dd05bd63c862abb2b39e12eac",
     "eighth-2d": "e50992d584d18b327c983673cad5a836bb7831c5bd6ae256c4219566134b4e9e",
+    # recorded before the solve returned its kept nodes in place of axis levels
+    "unit-1d": "ad2b09eb5edc9767890f1d1f0d48db5a158ef8d9b22a6cd433bceed3dc8cf79e",
+    "unit-5d": "65d852bd8f7d17e9e96f668aaf7372e6e630ad4746c6b4a7c99e90ca50a527e4",
 }
 
 
