@@ -10,7 +10,6 @@ from .geometry import (
     ConeRegion,
     CoordinateSystem,
     HalfSpace,
-    SignSequence,
     cone_coefficients,
     cone_contains,
     halfspace_contains_region,

@@ -1,7 +1,7 @@
 """Affine coordinate frames, half-spaces, and simplicial cone regions.
 
-A partition region is an apex plus the cone of signed *sub-diagonal*
-generators u^1..u^k, expressed in the coordinates of an owning
+A partition region is an apex plus the cone of n signed *sub-diagonal*
+generators u^1..u^n, expressed in the coordinates of an owning
 ``CoordinateSystem``, with
 
     u^i_j = 0 for j < i      and      u^i_i = 1   (both exact, by construction).
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "CoordinateSystem",
     "HalfSpace",
-    "SignSequence",
     "ConeRegion",
     "cone_coefficients",
     "cone_contains",
@@ -47,8 +46,18 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 
 def membership_tolerance(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Facet fuzz per row of an (m, n) batch: 1e-9 * (1 + |apex| + |p_i|)."""
-    return 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(points, axis=1))
+    """Facet fuzz per row of an (m, n) batch: 1e-9 * (1 + |apex| + |p_i|).
+
+    Rows where that overflows (squares past the float range, from coordinates
+    above about 1e154) take it again at the exact scale 2^-600, so every finite
+    point gets a finite fuzz; every other row keeps its plain bits."""
+    with np.errstate(over="ignore"):
+        tol = 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(points, axis=1))
+    big = np.isinf(tol)
+    if big.any():
+        a, r = np.linalg.norm(apex * 2.0**-600), np.linalg.norm(points[big] * 2.0**-600, axis=1)
+        tol[big] = 1e-9 * 2.0**600 * (2.0**-600 + a + r)
+    return tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,40 +157,27 @@ class HalfSpace:
         return np.asarray(points, dtype=float) @ self.normal - self.offset
 
 
-class SignSequence(tuple):
-    """A tuple of +-1 signs indexing regions and their prefixes."""
-
-    def __new__(cls, values=()):
-        vals = tuple(map(int, values))
-        if not set(vals) <= {-1, 1}:
-            raise ValueError(f"signs must be +-1, got {vals}")
-        return super().__new__(cls, vals)
-
-
 @dataclass(frozen=True, eq=False)
 class ConeRegion:
-    """apex + pos(sign_1 u^1, ..., sign_k u^k) + lin(e_{k+1}, ..., e_n).
+    """apex + pos(sign_1 u^1, ..., sign_n u^n): one full region.
 
-    The generators u^1..u^k are the rows of a (k, n) array in coordinate space,
-    unit sub-diagonal bit for bit: u^i_j = 0 for j < i and u^i_i = 1.  The
-    lineality directions are simply the last n-k standard basis vectors, so a
-    full region (k = n) has no free directions.  In a partition the apex is the
-    center and the generators are the node axes along one root-to-leaf path
-    (a prefix path for k < n).
+    The generators u^1..u^n are the rows of an (n, n) array in coordinate
+    space, unit sub-diagonal bit for bit: u^i_j = 0 for j < i and u^i_i = 1.
+    ``signs`` is the region's sign word, a tuple of n ints, each +-1.  In a
+    partition the apex is the center and the generators are the node axes
+    along one root-to-leaf path.
     """
 
     apex: np.ndarray
     generators: np.ndarray
-    signs: SignSequence
+    signs: tuple[int, ...]
 
     def __post_init__(self):
         g = _frozen(self.generators)
-        if g.ndim != 2:
-            raise ValueError("generators must be a k x n array")
-        k, n = g.shape
-        if k > n:
-            raise ValueError(f"more generators ({k}) than dimensions ({n})")
-        for i in range(k):
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError(f"generators must be an n x n array, got shape {g.shape}")
+        n = g.shape[0]
+        for i in range(n):
             if g[i, i] != 1.0:
                 raise ValueError(f"generator {i} must have unit entry at index {i}")
             if i > 0 and np.any(g[i, :i] != 0.0):
@@ -189,8 +185,10 @@ class ConeRegion:
         apex = _frozen(self.apex)
         if apex.shape != (n,):
             raise ValueError("apex dimension does not match generators")
-        signs = SignSequence(self.signs)
-        if len(signs) != k:
+        signs = tuple(map(int, self.signs))
+        if not set(signs) <= {-1, 1}:
+            raise ValueError(f"signs must be +-1, got {signs}")
+        if len(signs) != n:
             raise ValueError("one sign per generator required")
         object.__setattr__(self, "apex", apex)
         object.__setattr__(self, "generators", g)
@@ -198,10 +196,6 @@ class ConeRegion:
 
     @property
     def dimension(self) -> int:
-        return self.generators.shape[1]
-
-    @property
-    def size(self) -> int:
         return self.generators.shape[0]
 
     def signed_generators(self) -> np.ndarray:
@@ -220,24 +214,22 @@ def _as_batch(region: ConeRegion, p) -> tuple[np.ndarray, bool]:
 
 
 def _substitute(region: ConeRegion, offsets: np.ndarray) -> np.ndarray:
-    """Cone coefficients of the rows of an (m, n) batch of offsets from the apex.
+    """Cone coefficients of an (m, n) batch of offsets from the apex (overwritten).
 
     Takes the generators out one at a time with the elementwise steps of
     ``locate_points``' walk, so a point's coefficients along its located region
     are the walk's bit for bit.  The unit diagonal leaves coefficient i as the
-    i-th remaining coordinate times sign_i; returns shape (m, k).
+    i-th remaining coordinate times sign_i; returns shape (m, n).
     """
-    k = region.size
-    rest = offsets[:, :k].copy()
-    for i in range(k - 1):
-        rest[:, i + 1:] -= rest[:, i, None] * region.generators[i, i + 1:k]
-    return rest * np.asarray(region.signs, dtype=float)
+    for i in range(region.dimension - 1):
+        offsets[:, i + 1:] -= offsets[:, i, None] * region.generators[i, i + 1:]
+    return offsets * np.asarray(region.signs, dtype=float)
 
 
 def cone_coefficients(region: ConeRegion, p: np.ndarray) -> np.ndarray:
-    """Coefficients c with p - apex = sum_i c_i (sign_i u^i) + lineality part,
-    by one forward substitution.  Accepts a single point or an (m, n) batch of
-    finite points; returns shape (k,) or (m, k).
+    """Coefficients c with p - apex = sum_i c_i (sign_i u^i), by one forward
+    substitution.  Accepts a single point or an (m, n) batch of finite points;
+    returns shape (n,) or (m, n).
     """
     pts, single = _as_batch(region, p)
     coeffs = _substitute(region, pts - region.apex)
@@ -253,15 +245,13 @@ def cone_contains(region: ConeRegion, p: np.ndarray) -> bool | np.ndarray:
 
 
 def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
-    """Exact certificate that a full region lies in the closed half-space.
+    """Exact certificate that a region lies in the closed half-space.
 
     True iff the form is >= 0 at the apex and its linear part is >= 0 on every
     signed generator; then every point apex + sum c_i (sign_i u^i) with c >= 0
     satisfies the form.  No sampling: sign checks on one product, whose rows are
     those ``witness_region`` reads, so a witness passes it by construction.
     """
-    if region.size != region.dimension:
-        raise ValueError("half-space certificates require a full region (k = n)")
     if h.dimension != region.dimension:
         raise ValueError("half-space and region dimensions differ")
     if h.value(region.apex) < 0.0:
@@ -271,7 +261,7 @@ def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
 
 
 def region_halfspace_rep(region: ConeRegion) -> list[HalfSpace]:
-    """The k half-spaces whose intersection (with the lineality span) is the region.
+    """The n half-spaces whose intersection is the region.
 
     Coefficient i is linear in p - apex, so substituting the identity's rows
     gives its normal a_i as column i: supported on coordinates 1..i with

@@ -10,7 +10,7 @@ exactly 1 at index k), and the region for a sign word (e_1, ..., e_n) is
     x + pos(e_1 u^1, ..., e_n u^n),
 
 where u^k is the axis of the node reached by the prefix (e_1, ..., e_{k-1}).
-Prefixes of sign words give partial cones whose remaining directions are free.
+Sign words are plain tuples of n ints, each +-1.
 
 Witness search takes one product of the axis table with the half-space's
 normal and walks it, picking +1 wherever it is nonnegative; the certificate
@@ -36,7 +36,6 @@ import numpy as np
 from .geometry import (
     ConeRegion,
     HalfSpace,
-    SignSequence,
     CoordinateSystem,
     _frozen,
     membership_tolerance,
@@ -113,27 +112,23 @@ class PartitionTree:
         )
 
 
-def _region_for(tree: PartitionTree, signs: SignSequence) -> ConeRegion:
-    """Cone of a sign word of length k <= n; a prefix (k < n) is free in the
-    last n-k coordinate directions, and the empty word is the whole space."""
-    rows, i = [], 0
-    for s in signs:
-        rows.append(i)
-        i = 2 * i + 1 + (s > 0)
-    return ConeRegion(tree.center, tree.axes[rows], signs)
-
-
-def regions(tree: PartitionTree) -> dict[SignSequence, ConeRegion]:
-    """All 2^n full regions, keyed by their sign words.
+def regions(tree: PartitionTree) -> dict[tuple[int, ...], ConeRegion]:
+    """All 2^n regions keyed by sign word, in lexicographic order (-1 first).
 
     Generator k of region(e) is the axis of the node at prefix (e_1..e_{k-1});
     in particular generator 1 is the root axis for every region.
     """
-    words = map(SignSequence, product((-1, 1), repeat=tree.dimension))
-    return {signs: _region_for(tree, signs) for signs in words}
+    out = {}
+    for signs in product((-1, 1), repeat=tree.dimension):
+        rows, i = [], 0
+        for s in signs:
+            rows.append(i)
+            i = 2 * i + 1 + (s > 0)
+        out[signs] = ConeRegion(tree.center, tree.axes[rows], signs)
+    return out
 
 
-def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
+def witness_region(tree: PartitionTree, h: HalfSpace) -> tuple[int, ...]:
     """Sign word of a region inside the half-space (which must hold the
     center): the path through one product of the axis table with the normal,
     taking +1 at a node iff its product is >= 0; the certificate reads the
@@ -147,7 +142,7 @@ def witness_region(tree: PartitionTree, h: HalfSpace) -> SignSequence:
         plus = d[i] >= 0.0
         signs.append(1 if plus else -1)
         i = 2 * i + 1 + plus
-    return SignSequence(signs)
+    return tuple(signs)
 
 
 def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
@@ -183,14 +178,14 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     return labels
 
 
-def region_of_point(tree: PartitionTree, p) -> SignSequence:
+def region_of_point(tree: PartitionTree, p) -> tuple[int, ...]:
     """Sign word of the lexicographically first region containing the point
     (-1 before +1), so boundary points and the center itself resolve
     deterministically to all -1 choices.  Takes one n-vector; a batch goes
     to ``locate_points``."""
     if np.ndim(p) != 1:
         raise ValueError(f"region_of_point takes one point, got shape {np.shape(p)}")
-    return SignSequence(locate_points(tree, np.asarray(p, dtype=float)[None])[0])
+    return tuple(locate_points(tree, np.asarray(p, dtype=float)[None])[0].tolist())
 
 
 def _node_to_json(axes: np.ndarray, i: int):

@@ -358,8 +358,9 @@ def compute_center_partition(
     because the benchmark (bench/workloads.py) passes workers=1; it goes
     with the next change to the benchmark.
 
-    Raises BracketNotFoundError / NonConvergenceError for degenerate inputs,
-    DegenerateInputError (a BracketNotFoundError) when a residual cannot move.
+    Raises ValueError for a coordinate beyond ±2^1022, BracketNotFoundError /
+    NonConvergenceError for degenerate inputs, and DegenerateInputError (a
+    BracketNotFoundError) when a residual cannot move.
     """
     cfg = cfg or SolverConfig()
     if workers < 1:
@@ -371,6 +372,8 @@ def compute_center_partition(
             f"dimension {cloud.dimension} exceeds configured maximum "
             f"{cfg.max_dimension}"
         )
+    if max(cloud.points.max(), -cloud.points.min()) > 2.0**1022:  # keeps midpoints finite
+        raise ValueError("coordinates must lie within ±2^1022; rescale the points")
     n = cloud.dimension
     if n == 1:
         center, root = _solve(cloud.points, cloud.weights, 1, cfg)

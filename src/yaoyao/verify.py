@@ -51,6 +51,7 @@ __all__ = [
 
 # relative slack under mass / 2^n that check_depth allows a half-space
 _DEPTH_SLACK = 1e-6
+_RATE_CONSTANT = 0.5  # check_continuity's drift bound, per sqrt(eps) * data scale
 
 
 @dataclass(frozen=True)
@@ -258,15 +259,14 @@ def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear,
 
 def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
                      eps_list, cfg: SolverConfig | None = None, *,
-                     count: int = 256, seed: int = 0,
-                     rate_constant: float = 0.5) -> CheckReport:
+                     count: int = 256, seed: int = 0) -> CheckReport:
     """Centers of cloud + eps * background drift back as eps shrinks.
 
     Each eps mixes in ``regularize(cloud, background, 1 / eps, count, seed)``:
     the same background sample, carrying mass(cloud) / (1 / eps).  Distances
     to the unperturbed center must be non-increasing along decreasing eps (up
     to 10 * residual_tol) and below
-    rate_constant * sqrt(eps) * data scale.
+    0.5 * sqrt(eps) * data scale.
     """
     cfg = cfg or SolverConfig()
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
@@ -285,7 +285,7 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
         d_small <= d_big + slack for d_big, d_small in zip(distances, distances[1:])
     )
     bounded = all(
-        d <= rate_constant * np.sqrt(eps) * scale
+        d <= _RATE_CONSTANT * np.sqrt(eps) * scale
         for eps, d in zip(eps_list, distances)
     )
     return CheckReport(
@@ -293,7 +293,7 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
         monotone and bounded,
         stats={"eps": eps_list, "distances": distances, "data_scale": scale,
                "monotone": monotone, "bounded": bounded},
-        tolerances={"slack": slack, "rate_constant": rate_constant},
+        tolerances={"slack": slack, "rate_constant": _RATE_CONSTANT},
         seed=seed,
     )
 

@@ -156,8 +156,8 @@ def test_criterion_7_prefix_dependence():
 def test_criterion_8_continuity():
     cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 512, seed=81)
     gamma = MeasureSpec.gaussian([2.0, 2.0])
-    rep = check_continuity(cloud, gamma, [0.2, 0.1, 0.05], CFG,
-                           count=256, seed=82, rate_constant=0.5)
+    rep = check_continuity(cloud, gamma, [0.2, 0.1, 0.05], CFG, count=256, seed=82)
+    assert rep.tolerances["rate_constant"] == 0.5
     dists = ", ".join(f"{d:.4f}" for d in rep.stats["distances"])
     report(8, "continuity", rep.passed,
            f"distances [{dists}] for eps {rep.stats['eps']}, scale {rep.stats['data_scale']:.3f}")
@@ -174,7 +174,7 @@ def test_criterion_9_representations(seeded_trees):
     for tree in fixture_trees:
         for r in regions(tree).values():
             gens = r.generators
-            for i in range(r.size):
+            for i in range(r.dimension):
                 assert gens[i, i] == 1.0
                 assert np.all(gens[i, :i] == 0.0)
             halves = region_halfspace_rep(r)

@@ -212,6 +212,15 @@ class TestCenter:
         assert main(["center", str(pts), "--system", str(sysfile)]) == 2
         assert_one_error_line(capsys)
 
+    def test_coordinates_near_1e308_exit_2(self, workdir, capsys):
+        # the midpoint of two equal ends of 1e308 overflows, and a tree
+        # solved through it fails its own verify
+        pts = workdir / "huge.csv"
+        pts.write_text("x1,x2\n1e308,0\n-1e308,1\n1e308,2\n-1e308,3\n")
+        assert main(["center", str(pts), "-o", str(workdir / "part.json")]) == 2
+        assert_one_error_line(capsys)
+        assert not (workdir / "part.json").exists()
+
     def test_custom_system_changes_center(self, workdir, capsys):
         # a frame whose first form reads the second ambient coordinate
         sysfile = workdir / "sys.json"
@@ -250,6 +259,14 @@ class TestVerify:
         part = workdir / "part.json"
         assert main(["center", str(workdir / "asym.csv"), "-o", str(part)]) == 0
         return part
+
+    def test_huge_cloud_passes(self, workdir, capsys):
+        pts, part = workdir / "huge.csv", workdir / "part.json"
+        rows = np.random.default_rng(2).standard_normal((2048, 3)) * 1e200
+        pts.write_text("x1,x2,x3\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()))
+        assert main(["center", str(pts), "-o", str(part)]) == 0
+        assert main(["verify", str(part), str(pts), "-o", str(workdir / "report.json")]) == 0
+        assert json.loads((workdir / "report.json").read_text())["all_passed"]
 
     def test_all_checks_pass(self, workdir, capsys):
         part = self.make_partition(workdir)

@@ -1,6 +1,7 @@
 """Region enumeration, witnesses, point location, and the JSON round trip."""
 
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import yaoyao.verify as verify
 from yaoyao.geometry import (
     CoordinateSystem,
     HalfSpace,
-    SignSequence,
     cone_coefficients,
     cone_contains,
     halfspace_contains_region,
@@ -20,7 +20,6 @@ from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, seeded_gene
 from yaoyao.partition import (
     PartitionFormatError,
     PartitionTree,
-    _region_for,
     deserialize,
     locate_points,
     region_of_point,
@@ -80,8 +79,8 @@ def level_order_nodes(tree):
 
 
 def walked_generators(tree, signs):
-    """Reference generators of a region or prefix: the axes met on a walk from
-    the root through the document's nodes, one child per sign."""
+    """Reference generators of a region: the axes met on a walk from the root
+    through the document's nodes, one child per sign."""
     gens, node = np.empty((len(signs), tree.dimension)), serialize(tree)["root"]
     for k, s in enumerate(signs):
         gens[k] = node["axis"]
@@ -95,7 +94,7 @@ def facet_points(rng, tree, count):
     regs = regions(tree)
     out = np.empty((count, n))
     for j in range(count):
-        signs = SignSequence(rng.choice([-1, 1], size=n))
+        signs = tuple(rng.choice([-1, 1], size=n).tolist())
         coeffs = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5)
         out[j] = tree.center + coeffs @ regs[signs].signed_generators()
     return out
@@ -109,7 +108,7 @@ def fuzz_edge_points(rng, tree, count):
     regs = regions(tree)
     out = np.empty((count, n))
     for j in range(count):
-        r = regs[SignSequence(rng.choice([-1, 1], size=n))]
+        r = regs[tuple(rng.choice([-1, 1], size=n).tolist())]
         coeffs = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.5)
         i = rng.integers(n)
         coeffs[i] = 0.0
@@ -256,6 +255,14 @@ class TestRegions:
             assert r.signs == signs
             assert np.array_equal(r.apex, asym_tree.center)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_keys_are_int_tuples_in_lexicographic_order(self, n):
+        regs = regions(random_tree(np.random.default_rng(60 + n), n))
+        assert list(regs) == list(product((-1, 1), repeat=n))
+        for signs, r in regs.items():
+            assert type(signs) is tuple and all(type(s) is int for s in signs)
+            assert type(r.signs) is tuple and r.signs == signs
+
     def test_asymmetric_first_generator_value(self, asym_tree):
         r = regions(asym_tree)[(1, -1)]
         assert abs(r.generators[0][1] - 0.5) <= 1e-9
@@ -267,7 +274,7 @@ class TestRegions:
         # every located label really contains its point
         regs = regions(tree_3d)
         for i in range(0, 2000, 97):
-            r = regs[SignSequence(labels[i])]
+            r = regs[tuple(labels[i].tolist())]
             assert cone_contains(r, pts[i])
 
     def test_unique_region_off_boundaries(self, asym_tree):
@@ -284,33 +291,6 @@ class TestRegions:
         clear = margins > 1e-9 * (1 + np.max(np.abs(pts)))
         assert np.all(counts[clear] == 1)
         assert np.all(counts >= 1 - (margins <= 1e-9))  # near-facet points may miss by fuzz
-
-
-class TestPrefixRegion:
-    def test_empty_prefix_is_everything(self, square_tree):
-        r = _region_for(square_tree, SignSequence())
-        assert r.size == 0 and r.dimension == 2
-        assert cone_contains(r, (123.0, -456.0))
-
-    def test_depth_one_half_plane(self, square_tree):
-        r = _region_for(square_tree, SignSequence((1,)))
-        assert cone_contains(r, (0.5, 99.0))
-        assert cone_contains(r, (2.0, -99.0))
-        assert not cone_contains(r, (0.4, 0.0))
-
-    def test_prefix_union_of_children(self, asym_tree):
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(-2, 4, size=(500, 2))
-        parent = _region_for(asym_tree, SignSequence((1,)))
-        regs = regions(asym_tree)
-        inside_parent = np.array([bool(cone_contains(parent, p)) for p in pts])
-        in_children = np.array(
-            [
-                bool(cone_contains(regs[(1, 1)], p)) or bool(cone_contains(regs[(1, -1)], p))
-                for p in pts
-            ]
-        )
-        assert np.array_equal(inside_parent, in_children)
 
 
 class TestWitness:
@@ -331,6 +311,18 @@ class TestWitness:
     def test_center_outside_rejected(self, square_tree):
         with pytest.raises(ValueError):
             witness_region(square_tree, HalfSpace(np.array([1.0, 0.0]), 10.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_words_are_int_tuples_that_index_regions(self, n):
+        rng = np.random.default_rng(70 + n)
+        tree = random_tree(rng, n)
+        regs = regions(tree)
+        for _ in range(50):
+            a = rng.standard_normal(n)
+            h = HalfSpace(a, float(a @ tree.center) - abs(rng.standard_normal()))
+            word = witness_region(tree, h)
+            assert type(word) is tuple and all(type(s) is int for s in word)
+            assert word in regs and halfspace_contains_region(h, regs[word])
 
     def test_thousand_random_halfspaces_all_certify(self, tree_3d):
         from yaoyao.geometry import halfspace_contains_region
@@ -471,14 +463,11 @@ class TestBatchedCertificateAgreement:
 class TestLevelOrderTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_regions_and_prefixes_match_the_node_walk(self, n):
+        """Generator k of each region is the axis of the node at its k-1 prefix."""
         tree = random_tree(np.random.default_rng(40 + n), n)
         for signs, region in regions(tree).items():
             ref = walked_generators(tree, signs)
             assert region.generators.tobytes() == ref.tobytes()
-            for k in range(n):
-                prefix = _region_for(tree, SignSequence(signs[:k]))
-                assert prefix.generators.shape == (k, n)
-                assert prefix.generators.tobytes() == ref[:k].tobytes()
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_table_rows_are_the_nodes_in_level_order(self, n):
@@ -536,7 +525,18 @@ class TestPointLocation:
             labels = locate_points(tree, pts)
             for word in {tuple(w) for w in labels.tolist()}:
                 mask = np.all(labels == word, axis=1)
-                assert np.all(cone_contains(regs[SignSequence(word)], pts[mask]))
+                assert np.all(cone_contains(regs[word], pts[mask]))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_words_are_int_tuples_that_index_regions(self, n):
+        rng = np.random.default_rng(80 + n)
+        tree = random_tree(rng, n)
+        regs = regions(tree)
+        for p in tree.center + rng.standard_normal((50, n)):
+            word = region_of_point(tree, p)
+            assert type(word) is tuple and all(type(s) is int for s in word)
+            assert word in regs and cone_contains(regs[word], p)
+            assert word == tuple(locate_points(tree, p[None])[0].tolist())
 
     def test_region_of_point_takes_one_point(self, square_tree):
         with pytest.raises(ValueError, match="one point"):

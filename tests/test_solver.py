@@ -14,6 +14,7 @@ import yaoyao.solver as solver
 from yaoyao.geometry import CoordinateSystem
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, split_at_median
 from yaoyao.partition import serialize
+from yaoyao.verify import check_equipartition
 from yaoyao.solver import (
     BracketNotFoundError,
     DegenerateInputError,
@@ -310,6 +311,27 @@ class TestComputeCenterPartition:
         cloud = WeightedPointCloud.from_points(np.zeros((3, 9)))
         with pytest.raises(ValueError):
             compute_center_partition(cloud, CoordinateSystem.standard(9), CFG)
+
+    @pytest.mark.parametrize("pts", [
+        [(1e308, 0), (-1e308, 1), (1e308, 2), (-1e308, 3)],
+        np.random.default_rng(3).uniform(1.5e308, 1.6e308, (64, 2)),
+        [(0.0, 0.0), (1.0, -np.nextafter(2.0**1022, np.inf))],
+    ])
+    def test_coordinates_past_2_to_the_1022_rejected(self, pts):
+        # the midpoint of two equal ends of 1e308 overflows
+        cloud = WeightedPointCloud.from_points(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"within ±2\^1022; rescale the points"):
+                compute_center_partition(cloud, SYS2, CFG)
+
+    def test_coordinates_at_2_to_the_1022_solve(self):
+        big = 2.0**1022
+        cloud = WeightedPointCloud.from_points([(big, big), (-big, -big), (big, -big), (-big, big)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = compute_center_partition(cloud, SYS2, CFG)
+            assert check_equipartition(tree, cloud).passed
 
     def test_child_center_agreement(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 128, seed=17)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ class TestEquipartition:
         assert rep.passed
         assert rep.stats["max_relative_deviation"] <= 1e-6
         assert rep.stats["max_prefix_deviation"] <= 1e-6
+
+    @pytest.mark.parametrize("n, scale, offset", [
+        (2, 4e307, 0.0), (3, 1e307, 0.0), (2, 1e306, 3e307), (3, 1e250, 1e252), (3, 1e160, 0.0),
+    ])
+    def test_huge_coordinates_keep_their_regions(self, n, scale, offset):
+        # squares past the float range must leave the facet fuzz finite; an
+        # infinite one sends every point to the all-minus region
+        base = WeightedPointCloud.from_points(np.random.default_rng(2).standard_normal((1024, n)))
+        cloud = WeightedPointCloud.from_points(base.points * scale + offset)
+        system = CoordinateSystem.standard(n)
+        tree = compute_center_partition(base, system, CFG)
+        # the base partition, scaled; the 2-D 4e307 cloud is past what the solver takes
+        trees = [PartitionTree(system, tree.center * scale + offset, tree.axes, {})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.max(np.abs(cloud.points)) <= 2.0**1022:
+                trees.append(compute_center_partition(cloud, system, CFG))
+            for t in trees:
+                rep = check_equipartition(t, cloud)
+                assert rep.passed and rep.stats["max_relative_deviation"] == 0.0
+                assert check_depth(t, cloud, 1000, 5).passed
+                assert check_avoidance(t, 1000, 5, cloud).passed
 
     def test_empty_prefix_counts_fully(self):
         # standard axes about the origin; prefix (+, -) holds no point, while
