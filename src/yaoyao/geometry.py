@@ -185,9 +185,9 @@ class ConeRegion:
         apex = _frozen(self.apex)
         if apex.shape != (n,):
             raise ValueError("apex dimension does not match generators")
+        if any(isinstance(s, (bool, np.bool_)) or s not in (-1, 1) for s in self.signs):
+            raise ValueError(f"signs must be +-1, got {tuple(self.signs)}")
         signs = tuple(map(int, self.signs))
-        if not set(signs) <= {-1, 1}:
-            raise ValueError(f"signs must be +-1, got {signs}")
         if len(signs) != n:
             raise ValueError("one sign per generator required")
         object.__setattr__(self, "apex", apex)

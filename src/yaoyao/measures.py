@@ -360,23 +360,29 @@ def _equal_power_of_two(w: np.ndarray) -> bool:
     return math.frexp(w0)[0] == 0.5 and bool((w == w0).all())
 
 
-def _quantile(v: np.ndarray, w: np.ndarray, q: float):
-    """``weighted_quantile`` on checked arrays.  Selection reads the sorted
-    indices off t = q * total / w0, exact (w0 only shifts the exponent; a t
-    that underflows gives index 0 either way), and takes tied zeros, -0.0 and
-    0.0, in input order as the stable sort does."""
-    n, w0 = v.size, float(w[0])
-    total = n * w0
-    if _equal_power_of_two(w):
-        t = q * total / w0
-        ks = (min(max(math.ceil(t) - 1, 0), n - 1), min(math.floor(t), n - 1))
+def _picks(w: np.ndarray, q: float):
+    """Sorted positions of the two values the q-quantile selects when every
+    weight is one power of two w[0], else None; t = q * total / w0 is exact
+    (w0 only shifts the exponent; a t that underflows gives index 0 anyway)."""
+    if not _equal_power_of_two(w):
+        return None
+    n, w0 = w.size, float(w[0])
+    t = q * (n * w0) / w0
+    return min(max(math.ceil(t) - 1, 0), n - 1), min(math.floor(t), n - 1)
+
+
+def _quantile(v: np.ndarray, w: np.ndarray, q: float, ks=...):
+    """``weighted_quantile`` on checked arrays, given ks = _picks(w, q) or not.
+    Selection takes tied zeros, -0.0 and 0.0, in input order as sorting does."""
+    ks = _picks(w, q) if ks is ... else ks
+    if ks is not None:
         part = np.partition(v, ks)
         ends = [part[k] or v[v == 0.0][k - np.count_nonzero(v < 0.0)] for k in ks]
     else:
         order = np.argsort(v, kind="stable")
         cw = np.cumsum(w[order])
         target = q * cw[-1]
-        ends = [v[order[min(int(np.searchsorted(cw, target, side)), n - 1)]]
+        ends = [v[order[min(int(np.searchsorted(cw, target, side)), v.size - 1)]]
                 for side in ("left", "right")]
     return 0.5 * (ends[0] + ends[1])
 
@@ -400,11 +406,11 @@ def weighted_quantile(values, weights, q: float) -> float:
     return _quantile(v, w, q)
 
 
-def _split(points: np.ndarray, weights: np.ndarray):
-    """``split_at_median`` on checked arrays in id order; returns alpha and,
-    per half, (points, weights, mask of the input rows)."""
+def _split(points: np.ndarray, weights: np.ndarray, ks=...):
+    """``split_at_median`` on checked arrays in id order, ks as in _quantile;
+    returns alpha and, per half, (points, weights, mask of the input rows)."""
     coord = points[:, 0]
-    alpha = _quantile(coord, weights, 0.5)
+    alpha = _quantile(coord, weights, 0.5, ks)
     in_low, in_high = coord < alpha, coord > alpha
     need = 0.5 * float(np.sum(weights)) - float(np.sum(np.compress(in_low, weights)))
 

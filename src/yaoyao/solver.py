@@ -27,8 +27,13 @@ up to roundoff.
 Input is validated only at the public boundary (the clouds and the public
 functions).  Below it the recursion runs on plain (points, weights) arrays in
 id order through the measures kernels, which build no clouds and take
-unit-weight medians by selection.  A node takes each half's x_1 - alpha
-once, and each evaluation slides the half along v; an overflow still raises.
+unit-weight medians by selection, at positions taken once per half.  Each
+evaluation slides both halves in one step; an overflow still raises.
+Component 2's residual is nondecreasing in v_2 when both halves select: a
+low value x_2 - (x_1 - alpha) v_2 has x_1 - alpha <= 0, a high one >= 0,
+float products and differences round monotonically, and an order statistic
+is monotone in every value.  So its root step probes only the side that can
+hold the root.  (A sorting median sums weights in sorted order; it can fall.)
 
 Everything here is a pure function of (inputs, config) and runs in the
 caller's thread.
@@ -45,6 +50,7 @@ import numpy as np
 
 from .measures import (
     WeightedPointCloud,
+    _picks,
     _quantile,
     _slide,
     _split,
@@ -169,7 +175,8 @@ def _opposite(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
-def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
+def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
+                        rising: bool = False):
     """Root of g near t0; returns (root, bracket, expansions, iterations, residual).
 
     If |g(t0)| <= residual_tol, the root is t0.  Otherwise the bracket
@@ -181,7 +188,9 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
     several roots in the bracket, the step rule's limit is the canonical one.
 
     frozen declares that g cannot move (a constant), so a nonzero start value
-    raises DegenerateInputError without any expansion.
+    raises DegenerateInputError without any expansion.  rising declares g
+    nondecreasing, so the probes on the side of t0 that cannot hold a root
+    are skipped, with the same result.
     """
     f0 = g(t0)
     if abs(f0) <= cfg.residual_tol:
@@ -197,19 +206,17 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
     a = b = fa = fb = None
     expansions = 0
     for expansions in range(cfg.max_bracket_expansions + 1):
-        left = t0 - h
-        fleft = g(left)
-        if fleft == 0.0:
-            return left, (left, left), expansions, 0, 0.0
-        if _opposite(fleft, f0):
-            a, b, fa, fb = left, t0, fleft, f0
-            break
-        right = t0 + h
-        fright = g(right)
-        if fright == 0.0:
-            return right, (right, right), expansions, 0, 0.0
-        if _opposite(f0, fright):
-            a, b, fa, fb = t0, right, f0, fright
+        for side in (-1.0, 1.0):
+            if rising and side * f0 > 0.0:
+                continue  # g keeps the sign of f0 on this side
+            t = t0 + side * h
+            ft = g(t)
+            if ft == 0.0:
+                return t, (t, t), expansions, 0, 0.0
+            if _opposite(ft, f0):
+                a, b, fa, fb = (t, t0, ft, f0) if side < 0 else (t0, t, f0, ft)
+                break
+        if a is not None:
             break
         h *= cfg.bracket_growth
     else:
@@ -258,46 +265,53 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False):
     )
 
 
-def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig):
+def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig, ks=...):
     """First m center coordinates of (points, weights) and the node that fixed
     them; returns (center, node).  node is None at a leaf (m = 1), otherwise
     (v, records, neg, pos): the local axis v (length m, v[0] = 1), the
     coordinate solve records, and the child solves (center, node) of the low
-    (-) and high (+) halves.  Columns past m are never read."""
+    (-) and high (+) halves.  ks as in measures._quantile.  Columns past m are
+    never read."""
     if m == 1:
-        return np.array([_quantile(points[:, 0], weights, 0.5)]), None
-    alpha, (*low, _), (*high, _) = _split(points, weights)
+        return np.array([_quantile(points[:, 0], weights, 0.5, ks)]), None
+    alpha, (*low, _), (*high, _) = _split(points, weights, ks)
     return _solve_split(alpha, low, high, m, cfg)
 
 
 def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
     """_solve after the split at alpha into (points, weights) halves.
 
-    Each half is prepared once as (coordinates 2..m, x_1 - alpha, weights).
-    Axis components v_2..v_m are solved in turn; component k needs only child
-    prefix solves of length k-1.  The residual writes its argument into v and
-    keeps the two child solves of its latest evaluation; the root step's last
-    evaluation is its root, so after component m, v is this node's axis and
-    those solves are its subtrees.
+    Both halves' coordinates 1..m are stacked once as (coordinates 2..m,
+    x_1 - alpha), and each half's selection positions taken once (its children
+    share its weights).  Components v_2..v_m are solved in turn; component k
+    needs child prefix solves of length k-1.  The residual writes its argument
+    into v, slides the stack once and keeps the two child solves it makes; the
+    root step's last evaluation is its root, so after component m, v is this
+    node's axis and those solves are its subtrees.
     """
-    halves = [(pts[:, 1:m], pts[:, 0] - alpha, w) for pts, w in (low, high)]
+    stack = np.concatenate([low[0][:, :m], high[0][:, :m]])
+    tail, reach = stack[:, 1:], stack[:, 0] - alpha
+    cut = len(low[1])
+    halves = [(rows, w, _picks(w, 0.5))
+              for rows, (_, w) in ((slice(cut), low), (slice(cut, None), high))]
+    selected = all(ks is not None for *_, ks in halves)  # see the module docstring
     v = np.zeros(m)
     v[0] = 1.0
     # with every point on the cut plane, sliding ignores v and g is constant
-    frozen = not any(reach.any() for _, reach, _ in halves)
+    frozen = not reach.any()
     records = []
     neg = pos = None
     for k in range(2, m + 1):
         def g(t, _k=k):
             nonlocal neg, pos
             v[_k - 1] = t
-            neg, pos = (_solve(_slide(tail[:, :_k - 1], reach, v[1:_k]), w, _k - 1, cfg)
-                        for tail, reach, w in halves)
+            slid = _slide(tail[:, :_k - 1], reach, v[1:_k])
+            neg, pos = (_solve(slid[rows], w, _k - 1, cfg, ks) for rows, w, ks in halves)
             return float(neg[0][_k - 2] - pos[0][_k - 2])
 
         try:
             _, bracket, expansions, iterations, residual = _bracket_and_bisect(
-                g, 0.0, cfg, frozen)
+                g, 0.0, cfg, frozen, rising=k == 2 and selected)
         except (BracketNotFoundError, NonConvergenceError) as exc:
             exc.coordinate = k
             exc.records = tuple(records)

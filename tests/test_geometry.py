@@ -82,6 +82,16 @@ class TestSignSequence:
         with pytest.raises(ValueError, match=r"signs must be \+-1"):
             region((0, 0), [(1, 0), (0, 1)], (1, 0))
 
+    @pytest.mark.parametrize("signs", [(1.7, -1), (1, -1.2), (True, -1), (1, np.False_)])
+    def test_non_unit_and_bool_signs_rejected(self, signs):
+        # a sign is not truncated to an int, and a bool is not one
+        with pytest.raises(ValueError, match=r"signs must be \+-1"):
+            region((0, 0), [(1, 0), (0, 1)], signs)
+
+    def test_numpy_and_float_unit_signs_accepted(self):
+        r = region((0, 0), [(1, 0), (0, 1)], (np.int64(-1), 1.0))
+        assert r.signs == (-1, 1) and all(type(s) is int for s in r.signs)
+
     def test_length_bounded_by_basis(self):
         for signs in [(1,), (1, 1, 1)]:
             with pytest.raises(ValueError, match="one sign per generator"):

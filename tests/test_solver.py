@@ -208,6 +208,30 @@ class TestRootStepProperty:
         assert g(root) == 0.0 or g(root - tol) * g(root + tol) <= 0.0
 
 
+class TestRisingRootStep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        knots=st.lists(st.floats(-50, 50), min_size=2, max_size=8, unique=True),
+        steps=st.lists(st.floats(0, 10), min_size=8, max_size=8),
+        shift=st.floats(-30, 30),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]),
+        t0=st.floats(-50, 50),
+    )
+    def test_same_result_and_only_the_root_side_probed(self, knots, steps, shift,
+                                                       scale, t0):
+        knots = sorted(knots)
+        values = np.cumsum(steps[:len(knots)]) * scale - shift * scale
+        g = _piecewise_linear(knots, list(values))  # nondecreasing
+        calls = []
+        one_sided = solver._bracket_and_bisect(
+            lambda t: calls.append(t) or g(t), t0, CFG, rising=True)
+        assert one_sided == solver._bracket_and_bisect(g, t0, CFG)
+        if g(t0) < 0.0:
+            assert min(calls) >= t0
+        if g(t0) > 0.0:
+            assert max(calls) <= t0
+
+
 class TestAxisResidual:
     def residual_at(self, t):
         alpha, low, high = split_at_median(ASYMMETRIC)
@@ -230,6 +254,53 @@ class TestAxisResidual:
         alpha, low, high = split_at_median(ASYMMETRIC)
         with pytest.raises(ValueError):
             evaluate_axis_residual(low, high, alpha, np.array([2.0, 0.0]), CFG)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        sizes=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]),
+        weights=st.sampled_from(["unit", "eighth", "general"]),
+        grid=st.booleans(),
+        ts=st.lists(st.floats(-20, 20), min_size=2, max_size=30),
+    )
+    def test_component_2_is_nondecreasing(self, n, sizes, seed, scale, weights, grid, ts):
+        # low values x_2 - (x_1 - alpha) t rise with t and high ones fall, in
+        # float too; the solver's component-2 root step relies on it.  General
+        # weights here are multiples of 1/8, whose sums are exact
+        rng = np.random.default_rng(seed)
+        halves = []
+        for side, size in zip((-1.0, 1.0), sizes):
+            pts = rng.uniform(0.0, 1.0, (size, n))
+            pts[:, 0] *= side
+            if grid:  # ties in x_1 and x_2, and zeros of both signs
+                pts[:, :2] = np.round(4 * pts[:, :2])
+                pts[:, 1] = (pts[:, 1] - 2) * rng.choice([-1.0, 1.0], size)
+            w = {"unit": np.ones(size), "eighth": np.full(size, 0.125),
+                 "general": rng.integers(1, 25, size) / 8}[weights]
+            halves.append(WeightedPointCloud.from_points(scale * pts, w))
+        residuals = []
+        for t in sorted(ts):
+            v = np.zeros(n)
+            v[:2] = 1.0, t
+            try:
+                residuals.append(evaluate_axis_residual(*halves, 0.0, v, CFG)[0][0])
+            except BracketNotFoundError:
+                pass  # a deeper child cannot be solved at this t
+        assert all(a <= b for a, b in zip(residuals, residuals[1:]))
+
+    def test_component_2_steps_back_on_decimal_weights(self):
+        # the general quantile sums weights in sorted order, so the total's
+        # rounding moves with the order: 1.6 at t = -1/8 selects the midpoint
+        # of -0.125 and 1.875, 1.5999999999999999 at t = 0 selects 0; the
+        # solver probes one side only where both halves have one power of two
+        low = WeightedPointCloud.from_points([(-1, 0), (0, 2), (-1, 2), (-2, -1)],
+                                             [0.6, 0.6, 0.2, 0.2])
+        high = WeightedPointCloud.from_points([(1, 0)])
+        before, after = (evaluate_axis_residual(low, high, 0.0, [1.0, t], CFG)[0][0]
+                         for t in (-0.125, 0.0))
+        assert (before, after) == (0.75, 0.0)
 
     def test_overflowing_projection_raises(self):
         # 50 * 1e308 overflows: the projected halves are no longer finite
@@ -398,8 +469,29 @@ class TestComputeCenterPartition:
             compute_center_partition(cloud, SYS2, CFG)
         assert isinstance(info.value, BracketNotFoundError)
         assert info.value.coordinate == 2
-        # only the start point t0 = 0 was evaluated, once per half
-        assert slides == [0.0, 0.0]
+        # only the start point t0 = 0 was evaluated, both halves in one slide
+        assert slides == [0.0]
+
+    @pytest.mark.parametrize("weights, rising", [
+        (None, [True, False]),
+        (np.full(48, 0.125), [True, False]),
+        (np.tile([0.1, 0.2, 0.3], 16), [False, False]),
+    ], ids=["unit", "eighth", "decimal"])
+    def test_component_2_probes_one_side_where_halves_select(self, monkeypatch,
+                                                             weights, rising):
+        points = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 48, seed=8).points
+        cloud = WeightedPointCloud.from_points(points, weights)
+        flags = []
+        real = solver._bracket_and_bisect
+
+        def root_step(g, t0, cfg, frozen, rising):
+            flags.append(rising)
+            return real(g, t0, cfg, frozen, rising=rising)
+
+        monkeypatch.setattr(solver, "_bracket_and_bisect", root_step)
+        compute_center_partition(cloud, SYS3, CFG)
+        # the root node's components 2 and 3, then its children's component 2
+        assert flags[:2] == rising and set(flags[2:]) == {rising[0]}
 
     def test_2d_solve_splits_once(self, monkeypatch):
         # the leaves of the residual evaluations take the median without splitting
@@ -471,6 +563,14 @@ def _golden_clouds():
     # a tree that is one leaf, and the deepest level-order walk of the table
     yield "unit-1d", sample(box([0], [1]), 33, 17)
     yield "unit-5d", sample(box([0] * 5, [1] * 5), 16, 17)
+    # the deep-3d benchmark shape, and an integer grid tied at the root median
+    # whose slid x2 medians take the tied-zero branch (the center holds -0.0)
+    yield "deep-3d", sample(box([0, 0, 0], [1, 2, 3]), 1024, 16)
+    rng = np.random.default_rng(36)
+    pts = np.column_stack([rng.integers(0, 4, 48).astype(float),
+                           rng.choice([-1.0, -0.0, 0.0, 1.0], 48, p=[0.2, 0.3, 0.3, 0.2]),
+                           rng.integers(0, 5, 48).astype(float)])
+    yield "grid-zeros-3d", WeightedPointCloud.from_points(pts)
 
 
 # sha256 of the indented partition JSON, recorded before the solver ran on
@@ -485,6 +585,9 @@ GOLDEN = {
     # recorded before the solve returned its kept nodes in place of axis levels
     "unit-1d": "ad2b09eb5edc9767890f1d1f0d48db5a158ef8d9b22a6cd433bceed3dc8cf79e",
     "unit-5d": "65d852bd8f7d17e9e96f668aaf7372e6e630ad4746c6b4a7c99e90ca50a527e4",
+    # recorded before each evaluation slid both halves in one stack
+    "deep-3d": "151579417336c0b3b48f5c3a9b1f89e0f5ddc267a3870ef9a14dfd15b8c65661",
+    "grid-zeros-3d": "99a7c3e1fef4c7af5aee113b8cd28e907c0d634f0bfc7c88df0f9322cc49c058",
 }
 
 
@@ -500,7 +603,7 @@ def test_partition_bytes_are_golden(name, cloud, workers):
         # unequal weights and take the sorting median
         _, low, high = split_at_median(cloud)
         assert 0.5 in low.weights and 0.5 in high.weights
-    if name == "tied-weighted-2d":
+    if name in ("tied-weighted-2d", "grid-zeros-3d"):
         alpha, _, _ = split_at_median(cloud)
         assert np.count_nonzero(cloud.points[:, 0] == alpha) > 1
     tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), CFG,
