@@ -86,12 +86,9 @@ def cmd_center(args) -> int:
         if exc.coordinate is not None:
             print(f"  while solving axis coordinate {exc.coordinate}", file=sys.stderr)
         for r in exc.records:
-            print(
-                f"  coordinate {r.coordinate}: bracket {r.bracket}, "
-                f"{r.expansions} expansions, {r.iterations} iterations, "
-                f"residual {r.residual:.3e}",
-                file=sys.stderr,
-            )
+            print(f"  coordinate {r['coordinate']}: bracket {tuple(r['bracket'])}, "
+                  f"{r['expansions']} expansions, {r['iterations']} iterations, "
+                  f"residual {r['residual']:.3e}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
     if args.out:
         partition.save(tree, args.out)

@@ -45,6 +45,17 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is or holds true or false, which numpy reads as 1 or 0."""
+    todo = [value]
+    while todo:  # a loop, not recursion: a document may nest deeper than the stack
+        v = todo.pop()
+        if isinstance(v, bool):
+            return True
+        todo.extend(v.values() if isinstance(v, dict) else v if isinstance(v, (list, tuple)) else ())
+    return False
+
+
 def membership_tolerance(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Facet fuzz per row of an (m, n) batch: 1e-9 * (1 + |apex| + |p_i|).
 

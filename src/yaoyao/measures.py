@@ -5,9 +5,9 @@ A cloud is the empirical stand-in for a finite measure: rows of coordinates
 integer ids.  Storage order is ascending id, and every mass aggregation runs
 in that order, so results do not depend on any evaluation schedule.
 Building a cloud sorts its ids once, which both orders the rows and finds a
-repeated id; subsets are gathered with ``np.compress``, which keeps id order
-and so gives bit-identical sums to boolean indexing at a fraction of its
-cost on masks that are scattered in id order.
+repeated id; subsets are gathered in id order (``np.compress``, ``np.take``),
+which gives bit-identical sums to boolean indexing at a fraction of its cost
+on masks that are scattered in id order.
 
 The median convention is fixed once for the whole library: a quantile is the
 midpoint of the quantile interval, and the equal-mass split at the median of
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpace
+from .geometry import HalfSpace, _holds_bool
 
 __all__ = [
     "WeightedPointCloud",
@@ -167,10 +167,10 @@ class MeasureSpec:
       finite-atoms:     points (m, n), weights (m)
       mixture:          components (list of MeasureSpec dicts), weights (m)
 
-    The params must hold exactly their kind's keys, every number finite.
-    Weights follow the cloud rule (each > 0, finite total), with m >= 1; a
-    mixture's components share one dimension.  ``dimension`` (n >= 1) is fixed
-    when the spec is validated.
+    The params must hold exactly their kind's keys, every number finite and no
+    true or false.  Weights follow the cloud rule (each > 0, finite total),
+    with m >= 1; a mixture's components share one dimension.  ``dimension``
+    (n >= 1) is fixed when the spec is validated.
     """
 
     kind: str
@@ -187,10 +187,10 @@ class MeasureSpec:
                 f"{self.kind} spec takes keys {list(keys)}; "
                 f"missing {missing}, unknown {unknown}"
             )
-        for key in keys:
-            if key not in ("weights", "components") and not np.all(
-                np.isfinite(np.asarray(self.params[key], dtype=float))
-            ):
+        for key in (k for k in keys if k != "components"):
+            if _holds_bool(self.params[key]):
+                raise ValueError(f"{self.kind} spec key {key!r} must not hold true or false")
+            if key != "weights" and not np.all(np.isfinite(np.asarray(self.params[key], dtype=float))):
                 raise ValueError(f"{self.kind} spec key {key!r} must be finite")
         n = self._validate()
         if n < 1:
@@ -408,7 +408,8 @@ def weighted_quantile(values, weights, q: float) -> float:
 
 def _split(points: np.ndarray, weights: np.ndarray, ks=...):
     """``split_at_median`` on checked arrays in id order, ks as in _quantile;
-    returns alpha and, per half, (points, weights, mask of the input rows)."""
+    returns (alpha, rows, cut, w): the low half's cut input rows, then the high
+    half's, each in id order (a split point in both), and their weights w."""
     coord = points[:, 0]
     alpha = _quantile(coord, weights, 0.5, ks)
     in_low, in_high = coord < alpha, coord > alpha
@@ -428,10 +429,9 @@ def _split(points: np.ndarray, weights: np.ndarray, ks=...):
         else:
             in_high[i] = True
 
-    return float(alpha), *(
-        (np.compress(mask, points, axis=0), np.compress(mask, w), mask)
-        for mask, w in ((in_low, low_w), (in_high, high_w))
-    )
+    low, high = np.flatnonzero(in_low), np.flatnonzero(in_high)
+    w = np.concatenate([np.take(low_w, low), np.take(high_w, high)])
+    return float(alpha), np.concatenate([low, high]), low.size, w
 
 
 def split_at_median(
@@ -444,11 +444,10 @@ def split_at_median(
     side until it holds exactly half the total, splitting at most one point's
     weight; a split point appears in both halves with the same id.
     """
-    alpha, *halves = _split(cloud.points, cloud.weights)
-    return alpha, *(
-        WeightedPointCloud(pts, w, np.compress(mask, cloud.ids))
-        for pts, w, mask in halves
-    )
+    alpha, rows, cut, w = _split(cloud.points, cloud.weights)
+    return alpha, *(WeightedPointCloud(np.take(cloud.points, rows[s], axis=0), w[s],
+                                       np.take(cloud.ids, rows[s]))
+                    for s in (slice(cut), slice(cut, None)))
 
 
 def _slide(tail: np.ndarray, reach: np.ndarray, axis_tail: np.ndarray) -> np.ndarray:

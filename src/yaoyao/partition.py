@@ -38,6 +38,7 @@ from .geometry import (
     HalfSpace,
     CoordinateSystem,
     _frozen,
+    _holds_bool,
     membership_tolerance,
 )
 
@@ -250,6 +251,9 @@ def deserialize(doc: dict) -> PartitionTree:
     missing = {"dim", "system", "center", "root", "meta"} - set(doc)
     if missing:
         raise PartitionFormatError(f"document is missing keys {sorted(missing)}")
+    for key in ("dim", "system", "center", "root"):
+        if _holds_bool(doc[key]):
+            raise PartitionFormatError(f"{key!r} must not hold true or false")
     try:
         system = CoordinateSystem(doc["system"]["matrix"], doc["system"]["offset"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

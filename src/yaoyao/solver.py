@@ -7,10 +7,10 @@ cloud at alpha into equal-mass halves, slide each along a normalized axis v
 center coordinates of the projected halves, x_neg (low) and x_pos (high).
 The axis residual T(v) = x_neg(v) - x_pos(v) vanishes exactly when both
 halves agree on a common center, and then the center prefix is (alpha,
-common child prefix).  A solve also returns its node (axis v, solve
-records, two child solves); the full solve's (m = d) nodes form the partition
-tree.  Every residual evaluation is the same recursion with a shorter prefix,
-which reads only the first m coordinates.
+common child prefix).  A solve also returns its node (axis v, the record
+dicts of ``meta.root_trace``, two child solves on the split's stacked rows);
+the full solve's (m = d) nodes form the partition tree.  Every residual
+evaluation is the same recursion with a shorter prefix.
 
 T is triangular: component k-1 depends only on v_2..v_k and runs to -inf/+inf
 as v_k does.  So the components are solved one at a time as one-dimensional
@@ -61,7 +61,6 @@ from .geometry import CoordinateSystem
 
 __all__ = [
     "SolverConfig",
-    "CoordinateSolveRecord",
     "BracketNotFoundError",
     "DegenerateInputError",
     "NonConvergenceError",
@@ -76,7 +75,7 @@ class BracketNotFoundError(RuntimeError):
     Signals pathological input, typically a cloud whose first-coordinate mass
     is so degenerate that the residual never changes sign.  When raised from
     an axis solve, ``coordinate`` holds the failing component and ``records``
-    the per-coordinate diagnostics gathered so far."""
+    the root's dicts, keyed as in ``meta.root_trace``, solved so far."""
 
     coordinate: int | None = None
     records: tuple = ()
@@ -93,8 +92,8 @@ class DegenerateInputError(BracketNotFoundError):
 class NonConvergenceError(RuntimeError):
     """The root step failed to converge within the configured iteration budget.
 
-    Carries the same ``coordinate`` / ``records`` context as
-    BracketNotFoundError when raised from an axis solve."""
+    Carries the same ``coordinate`` / ``records`` (the root's dicts, keyed as
+    in ``meta.root_trace``) as BracketNotFoundError from an axis solve."""
 
     coordinate: int | None = None
     records: tuple = ()
@@ -128,15 +127,14 @@ class SolverConfig:
         for name, value in vars(self).items():  # a huge int raises OverflowError
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            budget = name.startswith("max_")  # the three budgets
+            if isinstance(value, bool) or budget and not isinstance(value, int):
+                raise ValueError(f"{name} must be " + ("an integer" if budget else "a number"))
         for name in ("root_tol", "residual_tol", "bracket_half_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.bracket_growth <= 1:
             raise ValueError("bracket_growth must be > 1")
-        for name in ("max_bracket_expansions", "max_bisections", "max_dimension"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
         if self.max_bracket_expansions < 0:
             raise ValueError("max_bracket_expansions must be >= 0")
         if self.max_bisections < 1:
@@ -158,17 +156,6 @@ class SolverConfig:
     def load(cls, path) -> "SolverConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-@dataclass(frozen=True)
-class CoordinateSolveRecord:
-    """Diagnostics for one solved axis coordinate."""
-
-    coordinate: int  # 1-based index k of the axis component solved
-    bracket: tuple
-    expansions: int
-    iterations: int
-    residual: float
 
 
 def _opposite(a: float, b: float) -> bool:
@@ -268,32 +255,30 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
 def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig, ks=...):
     """First m center coordinates of (points, weights) and the node that fixed
     them; returns (center, node).  node is None at a leaf (m = 1), otherwise
-    (v, records, neg, pos): the local axis v (length m, v[0] = 1), the
-    coordinate solve records, and the child solves (center, node) of the low
-    (-) and high (+) halves.  ks as in measures._quantile.  Columns past m are
-    never read."""
+    (v, records, neg, pos): the local axis v (length m, v[0] = 1), a dict per
+    solved component (keyed as in ``meta.root_trace``), and the child solves
+    (center, node) of the low (-) and high (+) halves, taken from one stack
+    of the split's rows.  ks as in measures._quantile."""
     if m == 1:
         return np.array([_quantile(points[:, 0], weights, 0.5, ks)]), None
-    alpha, (*low, _), (*high, _) = _split(points, weights, ks)
-    return _solve_split(alpha, low, high, m, cfg)
+    alpha, rows, cut, w = _split(points, weights, ks)
+    return _solve_split(alpha, np.take(points, rows, axis=0), cut, w, m, cfg)
 
 
-def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
-    """_solve after the split at alpha into (points, weights) halves.
+def _solve_split(alpha: float, stack: np.ndarray, cut: int, w, m: int, cfg: SolverConfig):
+    """_solve after the split at alpha; stack holds the low half's cut rows,
+    then the high half's, and w their weights.
 
-    Both halves' coordinates 1..m are stacked once as (coordinates 2..m,
-    x_1 - alpha), and each half's selection positions taken once (its children
-    share its weights).  Components v_2..v_m are solved in turn; component k
-    needs child prefix solves of length k-1.  The residual writes its argument
-    into v, slides the stack once and keeps the two child solves it makes; the
-    root step's last evaluation is its root, so after component m, v is this
-    node's axis and those solves are its subtrees.
+    Coordinates 2..m and x_1 - alpha are taken from the stack once, and each
+    half's selection positions once (its children share its weights).
+    Components v_2..v_m are solved in turn; component k needs child prefix
+    solves of length k-1.  The residual writes its argument into v, slides
+    the stack once and keeps the two child solves it makes; the root step's
+    last evaluation is its root, so after component m, v is this node's axis
+    and those solves are its subtrees.
     """
-    stack = np.concatenate([low[0][:, :m], high[0][:, :m]])
     tail, reach = stack[:, 1:], stack[:, 0] - alpha
-    cut = len(low[1])
-    halves = [(rows, w, _picks(w, 0.5))
-              for rows, (_, w) in ((slice(cut), low), (slice(cut, None), high))]
+    halves = [(rows, w[rows], _picks(w[rows], 0.5)) for rows in (slice(cut), slice(cut, None))]
     selected = all(ks is not None for *_, ks in halves)  # see the module docstring
     v = np.zeros(m)
     v[0] = 1.0
@@ -316,10 +301,9 @@ def _solve_split(alpha: float, low, high, m: int, cfg: SolverConfig):
             exc.coordinate = k
             exc.records = tuple(records)
             raise
-        records.append(
-            CoordinateSolveRecord(k, bracket, expansions, iterations, residual)
-        )
-    center = np.concatenate([[alpha], 0.5 * (neg[0] + pos[0])])
+        records.append({"coordinate": k, "bracket": list(bracket), "expansions": expansions,
+                        "iterations": iterations, "residual": residual})
+    center = np.array([alpha, *(0.5 * (neg[0] + pos[0]))])
     return center, (v, records, neg, pos)
 
 
@@ -394,8 +378,8 @@ def compute_center_partition(
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud)
-        center, root = _solve_split(
-            alpha, (low.points, low.weights), (high.points, high.weights), n, cfg)
+        center, root = _solve_split(alpha, np.concatenate([low.points, high.points]), low.size,
+                                    np.concatenate([low.weights, high.weights]), n, cfg)
     kept, level = [], [root]  # the internal nodes in level order, left (-) to right (+)
     for _ in range(n - 1):
         kept += level
@@ -408,11 +392,11 @@ def compute_center_partition(
     meta = {
         "config": cfg.to_json(),
         "input_digest": _cloud_digest(cloud),
-        "max_residual": max([0.0] + [r.residual for _, records, *_ in kept for r in records]),
+        "max_residual": max([0.0] + [r["residual"] for _, records, *_ in kept for r in records]),
         "max_center_gap": max([0.0] + gaps),
         "root_trace": None if root is None else {
             "center_gap": gaps[0],
-            "records": [dict(asdict(r), bracket=list(r.bracket)) for r in root[1]],
+            "records": root[1],
         },
     }
     return PartitionTree(system, center, axes, meta)

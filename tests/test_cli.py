@@ -110,6 +110,17 @@ class TestSample:
         assert capsys.readouterr().err == "error: cannot sample: points must be finite\n"
         assert not (workdir / "x.csv").exists()
 
+    def test_boolean_spec_value_exits_2(self, workdir, capsys):
+        # numpy would read the corners as [0, 0] and [1, 1]
+        (workdir / "spec.json").write_text(
+            '{"kind": "uniform-box", "lo": [false, 0], "hi": [true, 1]}')
+        code = main(["sample", "--spec", str(workdir / "spec.json"), "-n", "5",
+                     "-o", str(workdir / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad measure spec file: uniform-box spec key 'lo' must not hold true or false"]
+        assert not (workdir / "x.csv").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, workdir, capsys, seed):
         code = main(["sample", "--spec", str(workdir / "box.json"),
@@ -177,6 +188,18 @@ class TestCenter:
         code = main(["center", str(workdir / "asym.csv"), "--config", str(workdir / name)])
         assert code == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"root_tol": true}', "root_tol must be a number"),
+        ('{"bracket_growth": false}', "bracket_growth must be a number"),
+        ('{"max_bisections": true}', "max_bisections must be an integer"),
+    ])
+    def test_boolean_config_value_exits_2(self, workdir, capsys, text, message):
+        # true would pass as root_tol 1.0, 10^10 times the default
+        (workdir / "cfg.json").write_text(text)
+        code = main(["center", str(workdir / "asym.csv"), "--config", str(workdir / "cfg.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: bad solver config file: {message}"]
 
     def test_solver_failure_exits_3(self, workdir, capsys):
         degenerate = workdir / "flat.csv"
@@ -293,6 +316,21 @@ class TestVerify:
         part.write_text(json.dumps(doc))
         code = main(["verify", str(part), str(workdir / "asym.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("where, field", [
+        ("center", "'center'"), ("offset", "'system'"), ("axis", "'root'")])
+    def test_boolean_in_partition_exits_2(self, workdir, capsys, where, field):
+        part = self.make_partition(workdir)
+        doc = json.loads(part.read_text())
+        row = {"center": doc["center"], "offset": doc["system"]["offset"],
+               "axis": doc["root"]["axis"]}[where]
+        row[0] = where == "axis"  # the axis keeps its value 1, the others become 0
+        part.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["verify", str(part), str(workdir / "asym.csv"), "--checks", "avoidance"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bad partition file: {field}")
 
     def test_shallow_high_dimensional_tree_exits_2(self, workdir, capsys):
         # a 40-D document that ends at its root is rejected as a format

@@ -245,6 +245,13 @@ class TestGathersMatchBooleanMasks:
             assert side.points.tobytes() == pts.tobytes()
             assert side.weights.tobytes() == w.tobytes()
             assert side.ids.tobytes() == ids.tobytes()
+        # the kernel's stacked rows: low half first, then high, weights alike
+        k_alpha, rows, cut, k_w = measures._split(cloud.points, cloud.weights)
+        assert k_alpha == ref_alpha
+        for part, (pts, w, ids) in zip((slice(cut), slice(cut, None)), ref_halves):
+            assert cloud.points[rows[part]].tobytes() == pts.tobytes()
+            assert cloud.ids[rows[part]].tobytes() == ids.tobytes()
+            assert k_w[part].tobytes() == w.tobytes()
         rng = np.random.default_rng(seed + 1)
         for offset in (0.0, 0.25, float(rng.standard_normal())):
             h = HalfSpace(rng.standard_normal(n), offset)
@@ -585,6 +592,17 @@ REJECTED_SPECS = {
         "uniform-simplex spec key 'vertices' must be finite"),
     "atoms-nan-point": (atoms_doc([1.0, 1.0], points=[[float("nan"), 0.0], [1.0, 1.0]]),
                         "finite-atoms spec key 'points' must be finite"),
+    # JSON true and false are no numbers, though numpy reads them as 1 and 0
+    "box-bool-corners": ({"kind": "uniform-box", "lo": [False, 0], "hi": [True, 1]},
+                         "uniform-box spec key 'lo' must not hold true or false"),
+    "atoms-bool-point": (atoms_doc([1.0, 1.0], points=[[0.0, True], [1.0, 1.0]]),
+                         "finite-atoms spec key 'points' must not hold true or false"),
+    "atoms-bool-weight": (atoms_doc([1.0, True]),
+                          "finite-atoms spec key 'weights' must not hold true or false"),
+    "gaussian-bool-factor": (gaussian_doc([1.0], factors=[[[True, 0.0], [0.0, 1.0]]]),
+                             "gaussian-mixture spec key 'cov_factors' must not hold true"),
+    "mixture-bool-weight": (mixture_doc([1.0, True]),
+                            "mixture spec key 'weights' must not hold true or false"),
 }
 
 

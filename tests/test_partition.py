@@ -228,6 +228,42 @@ class TestNumbersOutOfRange:
         with pytest.raises(PartitionFormatError, match="offset must be finite"):
             deserialize(doc)
 
+    @pytest.mark.parametrize("where, message", [
+        ("dim", "'dim' must not hold true or false"),
+        ("center", "'center' must not hold true or false"),
+        ("matrix", "'system' must not hold true or false"),
+        ("offset", "'system' must not hold true or false"),
+        ("axis", "'root' must not hold true or false"),
+    ])
+    def test_boolean_rejected(self, where, message):
+        # a 1-D tree about the origin: true and false read as 1.0 and 0.0
+        # would give the same tree
+        doc = standard_doc(1)
+        doc["meta"]["synthetic"] = True  # meta is provenance, not numbers
+        if where == "dim":
+            doc["dim"] = True
+        else:
+            row = {"center": doc["center"], "axis": doc["root"]["axis"],
+                   "matrix": doc["system"]["matrix"][0], "offset": doc["system"]["offset"]}[where]
+            row[0] = bool(row[0])  # the same number, spelled true or false
+        with pytest.raises(PartitionFormatError, match=message):
+            deserialize(doc)
+
+    def test_boolean_check_survives_deep_nesting(self):
+        # the check walks the document without recursion, so a center nested
+        # past the interpreter's stack is still an input error
+        doc, deep = standard_doc(1), [True]
+        for _ in range(5000):
+            deep = [deep]
+        doc["center"] = deep
+        with pytest.raises(PartitionFormatError, match="'center' must not hold true or false"):
+            deserialize(doc)
+
+    def test_boolean_in_meta_accepted(self):
+        doc = standard_doc(1)
+        doc["meta"]["synthetic"] = True
+        assert deserialize(doc).meta == {"synthetic": True}
+
     @pytest.mark.parametrize("where", ["center", "axis", "matrix"])
     def test_integer_too_large_for_a_float_rejected(self, where):
         doc = standard_doc(2)

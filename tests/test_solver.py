@@ -75,6 +75,11 @@ class TestSolverConfig:
         ({"max_bracket_expansions": 2.5}, "max_bracket_expansions must be an integer"),
         ({"max_dimension": 3.0}, "max_dimension must be an integer"),
         ({"max_bisections": True}, "max_bisections must be an integer"),
+        ({"max_dimension": False}, "max_dimension must be an integer"),
+        ({"root_tol": True}, "root_tol must be a number"),
+        ({"residual_tol": True}, "residual_tol must be a number"),
+        ({"bracket_half_width": True}, "bracket_half_width must be a number"),
+        ({"bracket_growth": True}, "bracket_growth must be a number"),
         ({"max_bisections": 0}, "max_bisections must be >= 1"),
         ({"max_bisections": -1}, "max_bisections must be >= 1"),
         ({"max_bracket_expansions": -1}, "max_bracket_expansions must be >= 0"),
@@ -471,6 +476,17 @@ class TestComputeCenterPartition:
         assert info.value.coordinate == 2
         # only the start point t0 = 0 was evaluated, both halves in one slide
         assert slides == [0.0]
+
+    def test_failure_records_are_the_roots_trace_dicts(self):
+        # the flat cloud of the CLI failure test: coordinate 2 is solved at
+        # t = 0, and coordinate 3 cannot move
+        cloud = WeightedPointCloud.from_points(
+            [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 1, 0), (0, 0, 3), (0, 1, 3)])
+        with pytest.raises(DegenerateInputError) as info:
+            compute_center_partition(cloud, SYS3, CFG)
+        assert info.value.coordinate == 3
+        assert info.value.records == ({"coordinate": 2, "bracket": [0.0, 0.0], "expansions": 0,
+                                       "iterations": 0, "residual": 0.0},)
 
     @pytest.mark.parametrize("weights, rising", [
         (None, [True, False]),
