@@ -75,15 +75,15 @@ class TestSolverConfig:
         ({"max_bracket_expansions": 2.5}, "max_bracket_expansions must be an integer"),
         ({"max_dimension": 3.0}, "max_dimension must be an integer"),
         ({"max_bisections": True}, "max_bisections must be an integer"),
+        ({"max_bisections": 0}, "max_bisections must be >= 1"),
+        ({"max_bisections": -1}, "max_bisections must be >= 1"),
+        ({"max_bracket_expansions": -1}, "max_bracket_expansions must be >= 0"),
+        ({"max_dimension": 0}, "max_dimension must lie in 1..12"),
         ({"max_dimension": False}, "max_dimension must be an integer"),
         ({"root_tol": True}, "root_tol must be a number"),
         ({"residual_tol": True}, "residual_tol must be a number"),
         ({"bracket_half_width": True}, "bracket_half_width must be a number"),
         ({"bracket_growth": True}, "bracket_growth must be a number"),
-        ({"max_bisections": 0}, "max_bisections must be >= 1"),
-        ({"max_bisections": -1}, "max_bisections must be >= 1"),
-        ({"max_bracket_expansions": -1}, "max_bracket_expansions must be >= 0"),
-        ({"max_dimension": 0}, "max_dimension must lie in 1..12"),
     ])
     def test_budgets_checked_at_construction(self, doc, message):
         with pytest.raises(ValueError, match=message):
