@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import measures, partition, verify
-from .geometry import CoordinateSystem
+from .geometry import CoordinateSystem, _holds_bool
 from .solver import (
     BracketNotFoundError,
     NonConvergenceError,
@@ -36,6 +36,9 @@ class _InputError(Exception):
 def _system_file(path) -> CoordinateSystem:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    for key in ("matrix", "offset"):
+        if _holds_bool(doc[key]):
+            raise ValueError(f"{key!r} must not hold true or false")
     return CoordinateSystem(doc["matrix"], doc["offset"])
 
 

@@ -18,7 +18,8 @@ reads the same rows of a product, so the region passes it by construction,
 for every half-space holding the center.  Point location walks the same
 indices, picking -1 wherever the point's coefficient along the node's axis is
 within tolerance of <= 0; since that choice never leads to a dead end, it
-finds the lexicographically first region (-1 first), deterministically.
+finds the lexicographically first region (-1 first), deterministically; it
+steps all points at once, along one contiguous row of N values per coordinate.
 
 Documents use the ``yaoyao-partition/v1`` JSON schema, which nests the nodes
 as ``{"axis", "neg", "pos"}`` objects; the nesting exists only in the file.
@@ -148,8 +149,8 @@ def witness_region(tree: PartitionTree, h: HalfSpace) -> tuple[int, ...]:
 
 def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     """Sign words of the lexicographically first region (-1 first) containing
-    each point, as an (N, n) array of +-1, found by one walk down the tree,
-    all points one level at a time.
+    each point, as a C-contiguous (N, n) int64 array of +-1, found by one walk
+    down the tree, all points one level at a time.
 
     At a depth-k node a point's coefficient along the node's axis is the k-th
     coordinate of what remains of p - center after the ancestors' axes are
@@ -157,6 +158,10 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     is <= ``membership_tolerance``, and +1 does otherwise, so every feasible
     prefix extends to a full region and taking -1 wherever feasible yields the
     first region of the lexicographic order.  Costs O(N n^2) instead of a scan over 2^n regions.
+
+    The walk runs on the (n, N) transpose of p - center, one contiguous row per
+    coordinate: level k reads row k, then takes row k times each point's node
+    axis out of the later rows, in place.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != tree.dimension:
@@ -164,19 +169,19 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite (NaN or inf found)")
     tols = membership_tolerance(tree.center, pts)
-    labels = np.empty(pts.shape, dtype=np.int64)
-    rest = pts - tree.center
-    code = np.zeros(pts.shape[0], dtype=np.intp)  # each point's node within its level
-    for k in range(tree.dimension):
-        a = rest[:, k]
-        neg = a <= tols
-        labels[:, k] = np.where(neg, -1, 1)
-        if k == tree.dimension - 1:
-            break  # the last level's update would run on (N, 0) arrays
-        axes = tree.axes[2**k - 1:2**(k + 1) - 1, k + 1:]
-        rest[:, k + 1:] -= a[:, None] * np.take(axes, code, axis=0)
-        code = 2 * code + ~neg
-    return labels
+    count, n = pts.shape
+    rest = np.subtract(pts.T, tree.center[:, None], order="C")
+    neg = np.empty((n, count), dtype=bool)
+    code = np.zeros(count, dtype=np.intp)  # each point's node within its level
+    tmp = np.empty(count)
+    for k in range(n):
+        np.less_equal(rest[k], tols, out=neg[k])
+        level = tree.axes[2**k - 1:2**(k + 1) - 1]
+        for j in range(k + 1, n):
+            np.multiply(rest[k], np.take(level[:, j], code), out=tmp)
+            np.subtract(rest[j], tmp, out=rest[j])
+        code = 2 * code + ~neg[k]
+    return np.subtract(1, 2 * neg.T, out=np.empty((count, n), dtype=np.int64))
 
 
 def region_of_point(tree: PartitionTree, p) -> tuple[int, ...]:

@@ -166,6 +166,21 @@ class TestCenter:
         assert code == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"matrix": [[true, 0], [0, true]], "offset": [false, 0]}', "matrix"),
+        ('{"matrix": [[1, 0], [0, 1]], "offset": [false, 0]}', "offset"),
+    ])
+    def test_boolean_system_value_exits_2(self, workdir, capsys, text, key):
+        # numpy would read the first frame as the identity about the origin
+        (workdir / "sys.json").write_text(text)
+        out = workdir / "part.json"
+        code = main(["center", str(workdir / "asym.csv"), "--system", str(workdir / "sys.json"),
+                     "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad coordinate system file: '{key}' must not hold true or false"]
+        assert not out.exists()
+
     def test_dimension_above_config_maximum_exits_2(self, workdir, capsys):
         cfgfile = workdir / "cfg.json"
         cfgfile.write_text(json.dumps({"max_dimension": 1}))

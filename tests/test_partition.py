@@ -1,5 +1,6 @@
 """Region enumeration, witnesses, point location, and the JSON round trip."""
 
+import hashlib
 import json
 from itertools import product
 
@@ -65,6 +66,17 @@ def random_tree(rng, n):
             fill(2 * i + 2, k + 1)
 
     fill(0, 0)
+    return PartitionTree(CoordinateSystem.standard(n), center, axes, {})
+
+
+def synthetic_tree(rng, n):
+    """A tree shaped like the benchmark's synthetic one: center 0.1 * normal,
+    and below each node's 1 its axis holds 0.7 * normal, drawn level by level."""
+    center, axes = 0.1 * rng.standard_normal(n), np.zeros((2**n - 1, n))
+    for k in range(n):
+        level = axes[2**k - 1:2**(k + 1) - 1]
+        level[:, k] = 1.0
+        level[:, k + 1:] = 0.7 * rng.standard_normal((2**k, n - k - 1))
     return PartitionTree(CoordinateSystem.standard(n), center, axes, {})
 
 
@@ -523,6 +535,16 @@ class TestLevelOrderTable:
         assert not again.axes.flags.writeable
 
 
+# sha256 of locate_points' label bytes on 8192 gaussian points, the center and
+# 256 facet and 256 fuzz-edge points of a synthetic tree, recorded while the
+# walk still ran on the (N, n) table of points
+LOCATE_GOLDEN = {
+    1: "7fde0ea2892843c1100f86ce5b4465e784128f32122ba4d61a4b3d6d973d789b",
+    5: "66bfe03dd53b6ef2bacd33514420563e8f030d067b24361d1617a0f2be20ddb2",
+    8: "2c95c8451dcb954be43ade17254b2435bcf266cc66abb0c60bf4158a3309ee86",
+}
+
+
 class TestPointLocation:
     def test_interior_point(self, square_tree):
         assert region_of_point(square_tree, (2.0, 3.0)) == (1, 1)
@@ -539,9 +561,11 @@ class TestPointLocation:
         with pytest.raises(ValueError, match="finite"):
             locate_points(square_tree, pts)
 
-    @given(st.integers(1, 5), st.integers(0, 10_000))
+    @given(st.integers(1, 8), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_region_scan(self, n, seed):
+        # n = 8 is the default max_dimension, and the first n at which the row
+        # norm in membership_tolerance no longer sums squares left to right
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, n)
         pts = np.vstack([
@@ -550,6 +574,36 @@ class TestPointLocation:
         ])
         both = np.vstack([pts, facet_points(rng, tree, 40), fuzz_edge_points(rng, tree, 40)])
         assert np.array_equal(locate_points(tree, both), scan_labels(tree, both))
+
+    @pytest.mark.parametrize("n", sorted(LOCATE_GOLDEN))
+    def test_labels_match_the_golden_digest(self, n):
+        rng = np.random.default_rng([61, n])
+        tree = synthetic_tree(rng, n)
+        pts = np.vstack([rng.standard_normal((8192, n)), tree.center[None],
+                         facet_points(rng, tree, 256), fuzz_edge_points(rng, tree, 256)])
+        labels = locate_points(tree, pts)
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == LOCATE_GOLDEN[n]
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "int64", "lists", "empty"])
+    def test_every_input_layout_gives_the_labels_of_a_float_copy(self, layout):
+        rng = np.random.default_rng(71)
+        tree = synthetic_tree(rng, 4)
+        pts = np.round(3.0 * rng.standard_normal((64, 4)))
+        pts[::5] = facet_points(rng, tree, 13)
+        given_pts = {
+            "fortran": np.asfortranarray(pts),
+            "strided": pts[::2],
+            "int64": pts.astype(np.int64),
+            "lists": pts.tolist(),
+            "empty": pts[:0],
+        }[layout]
+        before = np.array(given_pts, copy=True)
+        labels = locate_points(tree, given_pts)
+        assert np.array_equal(np.asarray(given_pts), before)
+        expected = locate_points(tree, np.array(given_pts, dtype=float, order="C"))
+        assert labels.dtype == np.int64 and labels.flags.c_contiguous
+        assert labels.shape == before.shape == expected.shape
+        assert labels.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_located_points_lie_in_their_regions(self, n):
