@@ -56,17 +56,51 @@ def _holds_bool(value) -> bool:
     return False
 
 
+def _square_sums(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Per row of an (m, n) table, the sum of the squares of columns lo..hi-1,
+    added in the order ``membership_tolerance`` gives."""
+    count = hi - lo
+    if count > 128:
+        mid = lo + count // 2 - count // 2 % 8
+        return _square_sums(points, lo, mid) + _square_sums(points, mid, hi)
+    if count < 8:
+        total, tail = np.zeros(len(points)), lo
+    else:
+        r, tail = [np.square(points[:, lo + j]) for j in range(8)], hi - count % 8
+        for i in range(lo + 8, tail, 8):
+            for j, lane in enumerate(r):
+                lane += np.square(points[:, i + j])
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    square = np.empty(len(points))
+    for j in range(tail, hi):
+        total += np.square(points[:, j], out=square)
+    return total
+
+
 def membership_tolerance(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Facet fuzz per row of an (m, n) batch: 1e-9 * (1 + |apex| + |p_i|).
+
+    |p_i| sums the row's squares one column at a time, in the order numpy's
+    pairwise sum takes along a contiguous row: below 8 terms left to right;
+    from 8 to 128 terms in eight lanes (term i into lane i mod 8), combined
+    pairwise, then the leftover terms; above 128 terms the sums of two halves
+    split at a multiple of 8.  So the fuzz keeps the bits of
+    ``np.linalg.norm(points, axis=1)`` on a C-contiguous batch, without its
+    strided pass over each row, for every memory layout of the batch and
+    every split of it into chunks of rows, as point location takes it.
 
     Rows where that overflows (squares past the float range, from coordinates
     above about 1e154) take it again at the exact scale 2^-600, so every finite
     point gets a finite fuzz; every other row keeps its plain bits."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[1]
     with np.errstate(over="ignore"):
-        tol = 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(points, axis=1))
+        tol = np.sqrt(_square_sums(points, 0, n))
+        tol += 1.0 + np.linalg.norm(apex)
+        tol *= 1e-9
     big = np.isinf(tol)
     if big.any():
-        a, r = np.linalg.norm(apex * 2.0**-600), np.linalg.norm(points[big] * 2.0**-600, axis=1)
+        a, r = np.linalg.norm(apex * 2.0**-600), np.sqrt(_square_sums(points[big] * 2.0**-600, 0, n))
         tol[big] = 1e-9 * 2.0**600 * (2.0**-600 + a + r)
     return tol
 

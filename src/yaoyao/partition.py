@@ -18,8 +18,10 @@ reads the same rows of a product, so the region passes it by construction,
 for every half-space holding the center.  Point location walks the same
 indices, picking -1 wherever the point's coefficient along the node's axis is
 within tolerance of <= 0; since that choice never leads to a dead end, it
-finds the lexicographically first region (-1 first), deterministically; it
-steps all points at once, along one contiguous row of N values per coordinate.
+finds the lexicographically first region (-1 first), deterministically.  It
+steps a chunk of 2^13 points at a time, along one contiguous row per
+coordinate, so its scratch memory is O(n * chunk) whatever the batch size, and
+each point's label has the same bits whatever chunk it falls in.
 
 Documents use the ``yaoyao-partition/v1`` JSON schema, which nests the nodes
 as ``{"axis", "neg", "pos"}`` objects; the nesting exists only in the file.
@@ -57,6 +59,7 @@ __all__ = [
 ]
 
 SCHEMA = "yaoyao-partition/v1"
+_CHUNK = 2**13  # points per step of the location walk: its tables stay in cache
 
 
 class PartitionFormatError(ValueError):
@@ -150,7 +153,7 @@ def witness_region(tree: PartitionTree, h: HalfSpace) -> tuple[int, ...]:
 def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     """Sign words of the lexicographically first region (-1 first) containing
     each point, as a C-contiguous (N, n) int64 array of +-1, found by one walk
-    down the tree, all points one level at a time.
+    down the tree, a chunk of points one level at a time.
 
     At a depth-k node a point's coefficient along the node's axis is the k-th
     coordinate of what remains of p - center after the ancestors' axes are
@@ -159,29 +162,45 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     prefix extends to a full region and taking -1 wherever feasible yields the
     first region of the lexicographic order.  Costs O(N n^2) instead of a scan over 2^n regions.
 
-    The walk runs on the (n, N) transpose of p - center, one contiguous row per
-    coordinate: level k reads row k, then takes row k times each point's node
-    axis out of the later rows, in place.
+    The walk takes 2^13 points at a time, on the (n, chunk) transpose of their
+    p - center, one contiguous row per coordinate: level k reads row k, then
+    takes row k times each point's node axis out of the later rows, in place.
+    Its tables are reused for every chunk, so beside the result it holds
+    O(n * chunk) memory whatever N is, and each label has the bits of a walk
+    over the whole batch at once.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != tree.dimension:
         raise ValueError("point dimension mismatch")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite (NaN or inf found)")
-    tols = membership_tolerance(tree.center, pts)
     count, n = pts.shape
-    rest = np.subtract(pts.T, tree.center[:, None], order="C")
-    neg = np.empty((n, count), dtype=bool)
-    code = np.zeros(count, dtype=np.intp)  # each point's node within its level
-    tmp = np.empty(count)
-    for k in range(n):
-        np.less_equal(rest[k], tols, out=neg[k])
-        level = tree.axes[2**k - 1:2**(k + 1) - 1]
-        for j in range(k + 1, n):
-            np.multiply(rest[k], np.take(level[:, j], code), out=tmp)
-            np.subtract(rest[j], tmp, out=rest[j])
-        code = 2 * code + ~neg[k]
-    return np.subtract(1, 2 * neg.T, out=np.empty((count, n), dtype=np.int64))
+    labels = np.empty((count, n), dtype=np.int64)
+    width = min(count, _CHUNK)
+    columns = np.ascontiguousarray(tree.axes.T)  # row j: entry j of every node's axis
+    rest_buf, tmp_buf = np.empty(n * width), np.empty(n * width)
+    neg_buf, node_buf = np.empty(n * width, dtype=bool), np.empty(width, dtype=np.intp)
+    for lo in range(0, count, _CHUNK):
+        chunk = pts[lo:lo + _CHUNK]
+        if not np.all(np.isfinite(chunk)):
+            raise ValueError("points must be finite (NaN or inf found)")
+        m = len(chunk)
+        rest, neg = rest_buf[:n * m].reshape(n, m), neg_buf[:n * m].reshape(n, m)
+        node = node_buf[:m]
+        node[:] = 0
+        tols = membership_tolerance(tree.center, chunk)
+        np.subtract(chunk.T, tree.center[:, None], out=rest)
+        for k in range(n):
+            np.less_equal(rest[k], tols, out=neg[k])
+            if k + 1 < n:
+                tmp = tmp_buf[:(n - k - 1) * m].reshape(n - k - 1, m)
+                # every node index is in range; "clip" skips the buffered bounds check
+                np.take(columns[k + 1:], node, axis=1, out=tmp, mode="clip")
+                np.multiply(rest[k], tmp, out=tmp)
+                np.subtract(rest[k + 1:], tmp, out=rest[k + 1:])
+                node *= 2  # to child 2i + 1 (-) or 2i + 2 (+)
+                node += 2
+                node -= neg[k]
+        np.subtract(1, 2 * neg.T, out=labels[lo:lo + m])
+    return labels
 
 
 def region_of_point(tree: PartitionTree, p) -> tuple[int, ...]:

@@ -116,6 +116,26 @@ def _certify_halfspaces(tree: PartitionTree, normals: np.ndarray,
     return signs, certified
 
 
+def _prefix_masses(labels: np.ndarray, weights: np.ndarray) -> list[list[float]]:
+    """Mass of every sign prefix of an (N, n) label table, one list per depth
+    k = 1..n of 2^k masses indexed by prefix in lexicographic order (-1 first).
+
+    Each depth stable-sorts the prefix codes, held in the smallest unsigned
+    dtype that fits them so that numpy radix-sorts them, and sums each prefix's
+    contiguous slice of the sorted weights: the slice holds the prefix's
+    weights in id order, so ``np.sum`` adds them in the same pairwise blocks,
+    with the same bits, as it adds ``np.compress(code == c, weights)``."""
+    n = labels.shape[1]
+    code = np.zeros(len(weights), dtype=np.min_scalar_type(2**n - 1))
+    out = []
+    for k in range(n):
+        code = 2 * code + (labels[:, k] > 0)
+        grouped = weights[np.argsort(code, kind="stable")]
+        ends = np.cumsum(np.bincount(code, minlength=2**(k + 1))).tolist()
+        out.append([float(np.sum(grouped[lo:hi])) for lo, hi in zip([0] + ends, ends)])
+    return out
+
+
 def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
                         tol: float = 1e-6) -> CheckReport:
     """Region masses by independent point location, against mass / 2^n.
@@ -129,15 +149,11 @@ def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,
     n = tree.dimension
     labels = locate_points(tree, cloud.points)
     total = cloud.total_mass
-    # prefix index in lexicographic sign order (-1 first), one depth at a time
-    code = np.zeros(cloud.size, dtype=np.int64)
     masses = {}
     max_dev = prefix_dev = 0.0
-    for k in range(1, n + 1):
-        code = 2 * code + (labels[:, k - 1] > 0)
+    for k, level in enumerate(_prefix_masses(labels, cloud.weights), 1):
         want = total / 2**k
-        for c in range(2**k):
-            m = float(np.sum(np.compress(code == c, cloud.weights)))
+        for c, m in enumerate(level):
             dev = abs(m - want) / want
             if k < n:
                 prefix_dev = max(prefix_dev, dev)

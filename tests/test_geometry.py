@@ -199,6 +199,31 @@ class TestMembershipTolerance:
         assert got.shape == (50,)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
+    @pytest.mark.parametrize("n", [*range(1, 21), 130])
+    def test_bits_of_the_row_norm_formula(self, n):
+        # the column sums must add in numpy's order for a C-contiguous row norm:
+        # left to right below 8 terms, eight lanes up to 128, halves above
+        rng = np.random.default_rng([5, n])
+        apex = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7)
+        pts = rng.standard_normal((400, n)) * 10.0 ** rng.integers(-6, 7, size=(400, 1))
+        want = 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(pts, axis=1))
+        got = membership_tolerance(apex, pts)
+        assert got.tobytes() == want.tobytes()
+        # the same bits whatever the memory layout of the batch
+        for layout in (np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+            assert membership_tolerance(apex, layout).tobytes() == want.tobytes()
+
+    def test_bits_of_the_retaken_rows(self):
+        pts = np.array([[1.0, 2.0], [3e200, -4e200], [1e308, 1e308], [0.5, 2e154],
+                        [1.5e308, -1.5e308]])
+        for apex in [np.zeros(2), np.array([-3e300, 4e300])]:
+            with np.errstate(over="ignore"):
+                want = 1e-9 * (1.0 + np.linalg.norm(apex) + np.linalg.norm(pts, axis=1))
+            big = np.isinf(want)
+            a = np.linalg.norm(apex * 2.0**-600)
+            r = np.linalg.norm(pts[big] * 2.0**-600, axis=1)
+            want[big] = 1e-9 * 2.0**600 * (2.0**-600 + a + r)
+            assert membership_tolerance(apex, pts).tobytes() == want.tobytes()
 
     def test_overflowing_squares_keep_a_finite_fuzz(self):
         # squares of coordinates above about 1e154 overflow a plain norm, and

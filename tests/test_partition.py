@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -19,6 +20,7 @@ from yaoyao.geometry import (
 )
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, seeded_generator
 from yaoyao.partition import (
+    _CHUNK,
     PartitionFormatError,
     PartitionTree,
     deserialize,
@@ -537,11 +539,14 @@ class TestLevelOrderTable:
 
 # sha256 of locate_points' label bytes on 8192 gaussian points, the center and
 # 256 facet and 256 fuzz-edge points of a synthetic tree, recorded while the
-# walk still ran on the (N, n) table of points
+# walk still ran on the (N, n) table of points (n = 1, 5, 8) or on the whole
+# (n, N) table at once (n = 12, the largest max_dimension the solver takes,
+# whose fuzz sums eight lanes of squares and then 4 leftover terms)
 LOCATE_GOLDEN = {
     1: "7fde0ea2892843c1100f86ce5b4465e784128f32122ba4d61a4b3d6d973d789b",
     5: "66bfe03dd53b6ef2bacd33514420563e8f030d067b24361d1617a0f2be20ddb2",
     8: "2c95c8451dcb954be43ade17254b2435bcf266cc66abb0c60bf4158a3309ee86",
+    12: "cbbead228c09cbf9359ea8cddcec5d70380dca200b5ef03e24b98fc7919c1b5c",
 }
 
 
@@ -583,6 +588,37 @@ class TestPointLocation:
                          facet_points(rng, tree, 256), fuzz_edge_points(rng, tree, 256)])
         labels = locate_points(tree, pts)
         assert hashlib.sha256(labels.tobytes()).hexdigest() == LOCATE_GOLDEN[n]
+
+    def test_labels_do_not_depend_on_the_chunking(self):
+        # a batch of three chunks and 5 points, against slices that end before,
+        # on and after every chunk boundary; single points are sampled, every
+        # 61st and the two around each boundary, as each takes a whole call
+        rng = np.random.default_rng(91)
+        tree = synthetic_tree(rng, 5)
+        count = 3 * _CHUNK + 5
+        pts = np.vstack([rng.standard_normal((count - 512, 5)), facet_points(rng, tree, 256),
+                         fuzz_edge_points(rng, tree, 256)])
+        pts = pts[rng.permutation(count)]
+        whole = locate_points(tree, pts)
+        for step in [_CHUNK - 1, _CHUNK, _CHUNK + 1]:
+            parts = [locate_points(tree, pts[lo:lo + step]) for lo in range(0, count, step)]
+            assert np.vstack(parts).tobytes() == whole.tobytes()
+        edges = [c + d for c in range(_CHUNK, count, _CHUNK) for d in (-1, 0)]
+        for i in sorted({*range(0, count, 61), *edges}):
+            assert locate_points(tree, pts[i:i + 1]).tobytes() == whole[i].tobytes()
+
+    def test_scratch_memory_does_not_grow_with_the_batch(self):
+        # the walk before chunking held about 13.7 MiB beside the 5 MiB of labels
+        rng = np.random.default_rng(92)
+        tree = synthetic_tree(rng, 5)
+        pts = rng.standard_normal((2**17, 5))
+        tracemalloc.start()
+        try:
+            labels = locate_points(tree, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < labels.nbytes + 2 * 2**20
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "int64", "lists", "empty"])
     def test_every_input_layout_gives_the_labels_of_a_float_copy(self, layout):
