@@ -208,9 +208,10 @@ class ConeRegion:
 
     The generators u^1..u^n are the rows of an (n, n) array in coordinate
     space, unit sub-diagonal bit for bit: u^i_j = 0 for j < i and u^i_i = 1.
-    ``signs`` is the region's sign word, a tuple of n ints, each +-1.  In a
-    partition the apex is the center and the generators are the node axes
-    along one root-to-leaf path.
+    ``signs`` is the region's sign word, a tuple of n ints, each +-1.  The
+    apex and every generator entry must be finite.  In a partition the apex is
+    the center and the generators are the node axes along one root-to-leaf
+    path.
     """
 
     apex: np.ndarray
@@ -222,14 +223,17 @@ class ConeRegion:
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError(f"generators must be an n x n array, got shape {g.shape}")
         n = g.shape[0]
-        for i in range(n):
+        bad = np.flatnonzero((np.tril(g) != np.eye(n)).any(axis=1))
+        if bad.size:
+            i = bad[0]
             if g[i, i] != 1.0:
                 raise ValueError(f"generator {i} must have unit entry at index {i}")
-            if i > 0 and np.any(g[i, :i] != 0.0):
-                raise ValueError(f"generator {i} must vanish before index {i}")
+            raise ValueError(f"generator {i} must vanish before index {i}")
         apex = _frozen(self.apex)
         if apex.shape != (n,):
             raise ValueError("apex dimension does not match generators")
+        if not (np.isfinite(apex).all() and np.isfinite(g).all()):
+            raise ValueError("apex and generators must be finite")
         if any(isinstance(s, (bool, np.bool_)) or s not in (-1, 1) for s in self.signs):
             raise ValueError(f"signs must be +-1, got {tuple(self.signs)}")
         signs = tuple(map(int, self.signs))
@@ -289,20 +293,33 @@ def cone_contains(region: ConeRegion, p: np.ndarray) -> bool | np.ndarray:
     return bool(inside[0]) if single else inside
 
 
+def _value_at(h: HalfSpace, x: np.ndarray) -> float:
+    """``h.value(x)`` at one float point x: the same formula, one ddot less the
+    offset, as the 1-D ``@`` is, so the same bits, without ``value``'s
+    conversion and ufunc call.  Witness search and its certificate both gate
+    the center with it."""
+    return x.dot(h.normal) - h.offset
+
+
 def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
     """Exact certificate that a region lies in the closed half-space.
 
     True iff the form is >= 0 at the apex and its linear part is >= 0 on every
     signed generator; then every point apex + sum c_i (sign_i u^i) with c >= 0
-    satisfies the form.  No sampling: sign checks on one product, whose rows are
-    those ``witness_region`` reads, so a witness passes it by construction.
+    satisfies the form.  No sampling: the apex's gate is ``HalfSpace.value``'s
+    formula (``_value_at``), and the sign checks read one product, an
+    ``ndarray.dot`` gemv with the bits of ``@``, whose rows are those
+    ``witness_region`` reads; so a witness passes it by construction.  A
+    normal so large that the product overflows warns as ``@`` does, with
+    numpy's "overflow encountered in dot".
     """
-    if h.dimension != region.dimension:
+    normal, apex = h.normal, region.apex
+    if normal.shape != apex.shape:
         raise ValueError("half-space and region dimensions differ")
-    if h.value(region.apex) < 0.0:
+    if _value_at(h, apex) < 0.0:
         return False
-    d = (region.generators @ h.normal).tolist()
-    return all(x >= 0.0 if s > 0 else x <= 0.0 for x, s in zip(d, region.signs))
+    d = region.generators.dot(normal).tolist()
+    return all([x >= 0.0 if s > 0 else x <= 0.0 for x, s in zip(d, region.signs)])
 
 
 def region_halfspace_rep(region: ConeRegion) -> list[HalfSpace]:

@@ -12,16 +12,18 @@ exactly 1 at index k), and the region for a sign word (e_1, ..., e_n) is
 where u^k is the axis of the node reached by the prefix (e_1, ..., e_{k-1}).
 Sign words are plain tuples of n ints, each +-1.
 
-Witness search takes one product of the axis table with the half-space's
-normal and walks it, picking +1 wherever it is nonnegative; the certificate
-reads the same rows of a product, so the region passes it by construction,
-for every half-space holding the center.  Point location walks the same
-indices, picking -1 wherever the point's coefficient along the node's axis is
-within tolerance of <= 0; since that choice never leads to a dead end, it
-finds the lexicographically first region (-1 first), deterministically.  It
-steps a chunk of 2^13 points at a time, along one contiguous row per
-coordinate, so its scratch memory is O(n * chunk) whatever the batch size, and
-each point's label has the same bits whatever chunk it falls in.
+Witness search gates the center with ``HalfSpace.value``'s formula, then
+takes one product of the axis table with the half-space's normal (one
+``ndarray.dot`` gemv, with the bits of ``@``) and walks it, picking +1 wherever
+it is nonnegative; the certificate reads the same gate and the same rows of a
+product, so the region passes it by construction, for every half-space holding
+the center.  Point location walks the same indices, picking -1 wherever the
+point's coefficient along the node's axis is within tolerance of <= 0; since
+that choice never leads to a dead end, it finds the lexicographically first
+region (-1 first), deterministically.  It steps a chunk of 2^13 points at a
+time, along one contiguous row per coordinate, so its scratch memory is
+O(n * chunk) whatever the batch size, and each point's label has the same bits
+whatever chunk it falls in.
 
 Documents use the ``yaoyao-partition/v1`` JSON schema, which nests the nodes
 as ``{"axis", "neg", "pos"}`` objects; the nesting exists only in the file.
@@ -41,6 +43,7 @@ from .geometry import (
     HalfSpace,
     CoordinateSystem,
     _frozen,
+    _value_at,
     _holds_bool,
     membership_tolerance,
 )
@@ -136,14 +139,21 @@ def regions(tree: PartitionTree) -> dict[tuple[int, ...], ConeRegion]:
 def witness_region(tree: PartitionTree, h: HalfSpace) -> tuple[int, ...]:
     """Sign word of a region inside the half-space (which must hold the
     center): the path through one product of the axis table with the normal,
-    taking +1 at a node iff its product is >= 0; the certificate reads the
-    same products, so it holds by construction."""
-    if h.dimension != tree.dimension:
+    taking +1 at a node iff its product is >= 0.
+
+    The product is one ``ndarray.dot`` gemv, with the bits of ``@``, and the
+    center's gate is ``HalfSpace.value``'s formula (``geometry._value_at``);
+    ``halfspace_contains_region`` reads the same products and gate the same
+    way, so the witness passes its certificate by construction.  A normal so
+    large that the product overflows warns as ``@`` does, with numpy's
+    "overflow encountered in dot"."""
+    normal, center = h.normal, tree.center
+    if normal.shape != center.shape:
         raise ValueError("half-space dimension mismatch")
-    if h.value(tree.center) < 0.0:
+    if _value_at(h, center) < 0.0:
         raise ValueError("half-space does not contain the center")
-    d, signs, i = (tree.axes @ h.normal).tolist(), [], 0
-    for _ in range(tree.dimension):
+    d, signs, i = tree.axes.dot(normal).tolist(), [], 0
+    for _ in range(len(center)):
         plus = d[i] >= 0.0
         signs.append(1 if plus else -1)
         i = 2 * i + 1 + plus

@@ -134,6 +134,16 @@ class TestSubDiagonalBasis:
         with pytest.raises(ValueError, match="apex dimension"):
             region((0, 0, 0), [(1.0, 0.0), (0.0, 1.0)], (1, 1))
 
+    @pytest.mark.parametrize("apex, gens, message", [
+        ((0.0, np.nan), [(1.0, 0.0), (0.0, 1.0)], "apex and generators must be finite"),
+        ((0.0, 0.0), [(1.0, np.inf), (0.0, 1.0)], "apex and generators must be finite"),
+        ((0.0, 0.0), [(1.0, 0.5), (np.nan, 1.0)], "generator 1 must vanish before index 1"),
+    ])
+    def test_non_finite_numbers_rejected(self, apex, gens, message):
+        # a region holding NaN or inf gives its certificate NaN products to compare
+        with pytest.raises(ValueError, match=message):
+            region(apex, gens, (1, 1))
+
 
 class TestConeCoefficients:
     def test_identity_basis(self):
@@ -258,6 +268,10 @@ class TestHalfspaceCertificate:
     def test_boundary_apex_closed(self):
         h = HalfSpace(np.array([1.0, 0.0]), 0.0)  # x >= 0, apex on boundary
         assert halfspace_contains_region(h, IDENTITY_2D)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="half-space and region dimensions differ"):
+            halfspace_contains_region(HalfSpace(np.ones(3), 0.0), IDENTITY_2D)
 
     @pytest.mark.parametrize("normal, offset, part", [
         ([0.0, np.nan], 0.0, "normal"), ([np.inf, 1.0], 0.0, "normal"),

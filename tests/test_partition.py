@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import yaoyao.verify as verify
 from yaoyao.geometry import (
+    ConeRegion,
     CoordinateSystem,
     HalfSpace,
     cone_coefficients,
@@ -362,6 +364,10 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_region(square_tree, HalfSpace(np.array([1.0, 0.0]), 10.0))
 
+    def test_dimension_mismatch_rejected(self, square_tree):
+        with pytest.raises(ValueError, match="half-space dimension mismatch"):
+            witness_region(square_tree, HalfSpace(np.ones(3), -10.0))
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_words_are_int_tuples_that_index_regions(self, n):
         rng = np.random.default_rng(70 + n)
@@ -508,6 +514,117 @@ class TestBatchedCertificateAgreement:
         offsets = tree_3d.center + np.array([1.0, 0.0, -1.0])
         certified = verify._certify_halfspaces(tree_3d, normals, offsets)[1]
         assert certified.tolist() == [False, True, True]
+
+
+def reference_witness(tree, h):
+    """Witness search read with ``HalfSpace.value`` and the ``@`` product."""
+    if h.value(tree.center) < 0.0:
+        raise ValueError("half-space does not contain the center")
+    return reference_walk(tree, h.normal)
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the text of the ValueError it raises, and the
+    warnings it gives on the way, ``matmul`` read as ``dot``: numpy names the
+    operator's product and the method's after themselves."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = f(*args)
+        except ValueError as e:
+            result = str(e)
+    return result, [(w.category, str(w.message).replace("matmul", "dot")) for w in caught]
+
+
+def reference_walk(tree, a):
+    """The witness walk over the ``@`` product of the axis table with ``a``."""
+    d, signs, i = (tree.axes @ a).tolist(), [], 0
+    for _ in range(tree.dimension):
+        plus = d[i] >= 0.0
+        signs.append(1 if plus else -1)
+        i = 2 * i + 1 + plus
+    return tuple(signs)
+
+
+def reference_certificate(h, region):
+    """The certificate read with ``HalfSpace.value`` and the ``@`` product."""
+    if h.value(region.apex) < 0.0:
+        return False
+    d = (region.generators @ h.normal).tolist()
+    return all(x >= 0.0 if s > 0 else x <= 0.0 for x, s in zip(d, region.signs))
+
+
+def path_region(tree, signs):
+    """The region of a sign word, built from its path's rows of the axis table
+    (``regions`` would build all 2^n of them)."""
+    rows, i = [], 0
+    for s in signs:
+        rows.append(i)
+        i = 2 * i + 1 + (s > 0)
+    return ConeRegion(tree.center, tree.axes[rows], signs)
+
+
+class TestWitnessReferenceBits:
+    """Witness search and its certificate read their products with
+    ``ndarray.dot`` and gate the center with ``HalfSpace.value``'s formula
+    written out; both must keep, bit for bit, the answers of the ``@`` product
+    and of ``HalfSpace.value`` itself.  A numpy or BLAS release whose ``dot``
+    and ``@`` round differently fails here."""
+
+    KINDS = ("generic", "orthogonal", "boundary", "outside", "huge")
+
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_words_and_certificates_keep_the_reference_bits(self, n, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, n)
+        for kind in self.KINDS * 4:
+            a = rng.standard_normal(n)
+            if kind == "orthogonal":  # one product at the rounding level of zero
+                u = tree.axes[rng.integers(len(tree.axes))]
+                a -= (a @ u) / (u @ u) * u
+            elif kind == "huge":  # products and the center's value overflow to inf or NaN
+                a = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(307.0, 308.2, n)
+            if not a.any():
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = float(HalfSpace(a, 0.0).value(tree.center))
+                product_bytes = (tree.axes @ a).tobytes(), tree.axes.dot(a).tobytes()
+            assert product_bytes[0] == product_bytes[1]
+            offset = {"boundary": value, "outside": value + 1.0,
+                      "huge": float(rng.choice([-1e300, 0.0, 1e300]))}.get(
+                kind, value - abs(rng.standard_normal()))
+            h = HalfSpace(a, offset)
+            if kind == "boundary":
+                assert h.value(tree.center) == 0.0
+            word, caught = outcome(witness_region, tree, h)
+            assert (word, caught) == outcome(reference_witness, tree, h)
+            if kind != "huge":
+                assert not caught
+            if isinstance(word, str):
+                assert word == "half-space does not contain the center"
+                continue
+            other = list(word)
+            other[rng.integers(n)] *= -1
+            for signs in (word, tuple(other)):
+                r = path_region(tree, signs)
+                assert outcome(halfspace_contains_region, h, r) == outcome(reference_certificate, h, r)
+            if kind != "huge":
+                assert halfspace_contains_region(h, path_region(tree, word))
+
+    def test_an_overflowing_product_warns_as_the_reference_does(self):
+        tree = PartitionTree(SYS2, np.zeros(2), np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]), {})
+        h = HalfSpace(np.array([1.5e308, 1.5e308]), 0.0)  # the root's product is inf
+        overflow = [(RuntimeWarning, "overflow encountered in dot")]
+        assert outcome(witness_region, tree, h) == outcome(reference_witness, tree, h) == ((1, 1), overflow)
+        r = path_region(tree, (1, 1))
+        assert outcome(halfspace_contains_region, h, r) == outcome(reference_certificate, h, r) == (True, overflow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                witness_region(tree, h)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                halfspace_contains_region(h, r)
 
 
 class TestLevelOrderTable:
