@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition", help="partition JSON")
     p.add_argument("points", help="input CSV")
     p.add_argument("--checks", default=",".join(_CHECKS))
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=int, default=1000, help="half-spaces the depth check draws")
+    p.add_argument("--seed", type=int, default=0, help="seed of the depth check's half-spaces")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("-o", "--out", help="report JSON path (default stdout)")
     p.set_defaults(func=cmd_verify)

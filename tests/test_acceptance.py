@@ -13,13 +13,16 @@ import pytest
 from yaoyao.cli import main as cli_main
 from yaoyao.geometry import (
     CoordinateSystem,
+    HalfSpace,
     cone_coefficients,
+    halfspace_contains_region,
     region_halfspace_rep,
 )
-from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, symmetrize
-from yaoyao.partition import regions, serialize
+from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, seeded_generator, symmetrize
+from yaoyao.partition import regions, serialize, witness_region
 from yaoyao.solver import SolverConfig, compute_center_partition
 from yaoyao.verify import (
+    _halfspace_draws,
     check_avoidance,
     check_continuity,
     check_depth,
@@ -98,12 +101,19 @@ def test_criterion_3_equipartition(seeded_trees):
 
 
 def test_criterion_4_avoidance(seeded_trees):
-    total = hits = 0
+    # the check proves the sign-walk lemma; the certificates witness it on
+    # 1000 half-spaces per tree, each through a data point and holding the center
+    total = hits = lemmas = 0
     for n, count, cloud, tree in seeded_trees:
         rep = check_avoidance(tree, 1000, seed=400 + n, cloud=cloud)
-        hits += rep.stats["successes"]
-        total += rep.stats["count"]
-    report(4, "hyperplane avoidance", hits == total, f"{hits}/{total} certificates")
+        lemmas += rep.passed and rep.stats == {"regions": 2**n} and rep.seed is None
+        regs = regions(tree)
+        for a, c in zip(*_halfspace_draws(seeded_generator(400 + n), tree, cloud, 1000)):
+            h = HalfSpace(a, c)
+            hits += halfspace_contains_region(h, regs[witness_region(tree, h)])
+            total += 1
+    report(4, "hyperplane avoidance", lemmas == len(seeded_trees) and hits == total,
+           f"lemma on {lemmas}/{len(seeded_trees)} trees, {hits}/{total} certificates")
 
 
 def test_criterion_5_depth(seeded_trees):

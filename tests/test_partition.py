@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import yaoyao.verify as verify
 from yaoyao.geometry import (
     ConeRegion,
     CoordinateSystem,
@@ -20,7 +19,7 @@ from yaoyao.geometry import (
     halfspace_contains_region,
     membership_tolerance,
 )
-from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, seeded_generator
+from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample
 from yaoyao.partition import (
     _CHUNK,
     PartitionFormatError,
@@ -421,12 +420,18 @@ class TestWitnessCertificateAgreement:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_axis_orthogonal_normals_certify(self, n):
         tree, normals, offsets = axis_orthogonal_halfspaces(n)
+        # and normals +-e_j through the center: every product below depth j + 1
+        # is an exact +-0.0 under any BLAS kernel, a tie the rule breaks to +1
+        ties = np.concatenate([np.eye(n), -np.eye(n)])
         regs = regions(tree)
-        failures = 0
-        for a, c in zip(normals, offsets):
+        failures, words = 0, []
+        for a, c in zip([*normals, *ties], [*offsets, *(ties @ tree.center)]):
             h = HalfSpace(a, c)
-            failures += not halfspace_contains_region(h, regs[witness_region(tree, h)])
+            words.append(witness_region(tree, h))
+            failures += not halfspace_contains_region(h, regs[words[-1]])
         assert failures == 0
+        for j, word in enumerate(words[len(normals):]):
+            assert word[j % n + 1:] == (1,) * (n - 1 - j % n)
 
     @given(st.integers(1, 8), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -451,69 +456,6 @@ class TestWitnessCertificateAgreement:
                 i = 2 * i + 1 + (s > 0)
             assert (tree.axes @ a)[rows].tobytes() == product.tobytes()
             assert list(signs) == [1 if d >= 0.0 else -1 for d in product]
-
-
-class TestBatchedCertificateAgreement:
-    """The avoidance check's kernel, which walks every row of a block product
-    of half-space normals with the axis table, against one ``witness_region``
-    and one ``halfspace_contains_region`` call per half-space."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_words_are_the_witnesses_on_the_checks_draws(self, n):
-        rng = np.random.default_rng(70 + n)
-        tree = random_tree(rng, n)
-        regs = regions(tree)
-        cloud = WeightedPointCloud.from_points(rng.standard_normal((64, n)))
-        inputs = [verify._halfspace_draws(seeded_generator(seed), tree, source, 300)
-                  for seed, source in enumerate((cloud, None))]
-        # normals +-e_j through the center: every product below depth j + 1 is
-        # an exact +-0.0 under any BLAS kernel, a tie the rule breaks to +1
-        ties = np.concatenate([np.eye(n), -np.eye(n)])
-        inputs.append((ties, ties @ tree.center))
-        for normals, offsets in inputs:
-            signs, certified = verify._certify_halfspaces(tree, normals, offsets)
-            assert signs.shape == (len(normals), n) and certified.all()
-            for a, c, word in zip(normals, offsets, signs.tolist()):
-                h = HalfSpace(a, c)
-                witness = witness_region(tree, h)
-                assert word == list(witness)
-                assert halfspace_contains_region(h, regs[witness])
-        below = np.arange(n) > np.arange(2 * n)[:, None] % n  # the ties' depths past j + 1
-        assert (signs[below] == 1).all()
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_axis_orthogonal_normals_certify(self, n):
-        tree, normals, offsets = axis_orthogonal_halfspaces(n)
-        certified = verify._certify_halfspaces(tree, normals, offsets)[1]
-        assert np.count_nonzero(certified) == len(offsets)
-
-    @pytest.mark.parametrize("entries", [1, 7, 50])
-    def test_every_block_size_certifies(self, monkeypatch, entries):
-        # a product's last bits, and so a sign read at the rounding level of
-        # zero, may depend on the block's row count; the certificate may not
-        tree, normals, offsets = axis_orthogonal_halfspaces(3)
-        generic, generic_offsets = verify._halfspace_draws(seeded_generator(5), tree, None, 200)
-        words = verify._certify_halfspaces(tree, generic, generic_offsets)[0]
-        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", entries)
-        assert verify._certify_halfspaces(tree, normals, offsets)[1].all()
-        blocked = verify._certify_halfspaces(tree, generic, generic_offsets)
-        assert blocked[1].all() and blocked[0].tobytes() == words.tobytes()
-
-    def test_nan_product_fails_the_certificate(self):
-        # inf * 0 makes the root's product NaN, which no sign certifies,
-        # while the value at the center is +inf and passes
-        axes = np.array([[1.0, 0.0, 0.0]] + [[0.0, 1.0, 0.0]] * 2 + [[0.0, 0.0, 1.0]] * 4)
-        tree = PartitionTree(CoordinateSystem.standard(3), [0.0, 1.0, 0.0], axes, {})
-        with np.errstate(invalid="ignore"):
-            certified = verify._certify_halfspaces(tree, np.array([[0.0, np.inf, 0.0]]),
-                                                   np.array([0.0]))[1]
-        assert certified.tolist() == [False]
-
-    def test_center_outside_fails_its_certificate(self, tree_3d):
-        normals = np.eye(3)
-        offsets = tree_3d.center + np.array([1.0, 0.0, -1.0])
-        certified = verify._certify_halfspaces(tree_3d, normals, offsets)[1]
-        assert certified.tolist() == [False, True, True]
 
 
 def reference_witness(tree, h):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import yaoyao.verify as verify
-from yaoyao.geometry import CoordinateSystem, HalfSpace
+from yaoyao.geometry import CoordinateSystem, HalfSpace, halfspace_contains_region
 from yaoyao.measures import (
     MeasureSpec,
     WeightedPointCloud,
@@ -23,7 +23,7 @@ from yaoyao.measures import (
     symmetrize,
     weighted_quantile,
 )
-from yaoyao.partition import PartitionTree, locate_points
+from yaoyao.partition import PartitionTree, locate_points, regions, witness_region
 from yaoyao.solver import SolverConfig, compute_center_partition
 from yaoyao.verify import (
     check_avoidance,
@@ -179,7 +179,8 @@ class TestEquipartitionGathers:
 class TestAvoidance:
     def test_square_thousand(self, square_tree):
         rep = check_avoidance(square_tree, 1000, seed=3, cloud=SQUARE)
-        assert rep.passed and rep.stats["successes"] == 1000
+        assert rep.passed and rep.stats == {"regions": 4}
+        assert rep.tolerances == {} and rep.seed is None
 
     def test_without_cloud(self, asym_tree):
         rep = check_avoidance(asym_tree, 200, seed=4)
@@ -189,26 +190,32 @@ class TestAvoidance:
         with pytest.raises(ValueError, match="count"):
             check_avoidance(square_tree, 0, seed=1)
 
-    def test_memory_stays_within_one_block(self):
-        # 20000 half-spaces by the 255 axes of an 8-D tree would take 40 MB as
-        # one product; the draws hold at most three (20000, 8) arrays of 1.2 MiB,
-        # then one block of 2^18 products (2 MiB) is alive at a time beside the
-        # normals and offsets: the peak measured 3.73 MiB (two blocks: 5.4 MiB)
-        n, rng = 8, np.random.default_rng(16)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_lemma_holds_on_trees_that_were_never_solved(self, n, seed):
+        # a random center and random sub-diagonal axes scaled by 10^-3..10^3:
+        # no equipartition, yet every half-space holding the center contains
+        # the region its witness walk reaches, so the check passes unseen
+        rng = np.random.default_rng(seed)
         axes = np.zeros((2**n - 1, n))
         for k in range(n):
             level = slice(2**k - 1, 2**(k + 1) - 1)
             axes[level, k] = 1.0
-            axes[level, k + 1:] = rng.standard_normal((2**k, n - k - 1))
-        tree = PartitionTree(CoordinateSystem.standard(n), rng.standard_normal(n), axes, {})
-        tracemalloc.start()
-        try:
-            rep = check_avoidance(tree, 20000, seed=17)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.passed
-        assert peak <= 5 * 2**20
+            axes[level, k + 1:] = (rng.standard_normal((2**k, n - k - 1))
+                                   * 10.0 ** rng.uniform(-3.0, 3.0, (2**k, 1)))
+        center = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        tree = PartitionTree(CoordinateSystem.standard(n), center, axes, {})
+        cloud = WeightedPointCloud.from_points(rng.standard_normal((16, n)))
+        reports = [check_avoidance(tree, count, s, c).to_json()
+                   for count, s, c in ((1, 0, None), (1000, seed, cloud), (7, 2**64 - 1, cloud))]
+        assert reports[0]["passed"] and reports[0]["stats"] == {"regions": 2**n}
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        regs = regions(tree)
+        for _ in range(50):
+            a = rng.standard_normal(n)
+            gap = abs(rng.standard_normal()) if rng.random() < 0.8 else 0.0
+            h = HalfSpace(a, float(HalfSpace(a, 0.0).value(center)) - gap)
+            assert halfspace_contains_region(h, regs[witness_region(tree, h)])
 
     def test_report_is_json_ready(self, square_tree):
         import json
@@ -292,14 +299,11 @@ class TestDepth:
 
 # sha256 of the (normals, offsets) bytes of 400 draws, recorded when the draws
 # became blocks: one (400, n) normal block of directions, then one integers
-# block of anchor rows (or, with no cloud, one (400, n) normal block of offsets
-# from the center), then any redraw of a direction of norm <= 1e-12; any drift
-# in the half-space stream that check_depth and check_avoidance share fails here
+# block of anchor rows, then any redraw of a direction of norm <= 1e-12; any
+# drift in check_depth's half-space stream fails here
 DRAWS_GOLDEN = {
     (2, "cloud"): "449f8dfe36ebf9e5a8167e04c37b94f151392f83b3e6a251dc6b6841bcc49f44",
-    (2, "no-cloud"): "32b0765bbda8183c920ff085976f4af3d3f17d40bae7cc057578289b88901432",
     (3, "cloud"): "319f78be96436195ad82ba74b3a77154e613ac5e0bb310ade5292472a664e81f",
-    (3, "no-cloud"): "ca00df8b3b0292deed07cb84966e6b0f82e913325e14c5ef98f5b809643c8f08",
 }
 
 
@@ -307,8 +311,7 @@ DRAWS_GOLDEN = {
 def test_halfspace_draws_match_the_golden_stream(n, kind):
     cloud = sample(MeasureSpec.uniform_box([0.0] * n, [1.0 + k for k in range(n)]), 300, seed=31)
     tree = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
-    source = cloud if kind == "cloud" else None
-    normals, offsets = verify._halfspace_draws(seeded_generator(32), tree, source, 400)
+    normals, offsets = verify._halfspace_draws(seeded_generator(32), tree, cloud, 400)
     digest = hashlib.sha256(normals.tobytes() + offsets.tobytes()).hexdigest()
     assert digest == DRAWS_GOLDEN[n, kind]
 
@@ -338,14 +341,15 @@ class TestHalfspaceDraws:
         cloud = sample(MeasureSpec.gaussian([0.0, 0.0, 0.0]), 500, seed=33)
         return compute_center_partition(cloud, CoordinateSystem.standard(3), CFG), cloud
 
-    @pytest.mark.parametrize("with_cloud", [True, False], ids=["cloud", "no-cloud"])
-    def test_unit_normals_holding_the_center(self, fitted, with_cloud):
+    @pytest.mark.parametrize("shift", [0.0, 5.0], ids=["cloud", "center-outside"])
+    def test_unit_normals_holding_the_center(self, fitted, shift):
+        # the solved center, and one outside the cloud's hull, far from every boundary
         tree, cloud = fitted
-        source = cloud if with_cloud else None
-        normals, offsets = verify._halfspace_draws(seeded_generator(34), tree, source, 2000)
+        tree = PartitionTree(tree.system, tree.center + shift, tree.axes, tree.meta)
+        normals, offsets = verify._halfspace_draws(seeded_generator(34), tree, cloud, 2000)
         eps = np.finfo(float).eps
         assert np.all(np.abs(np.sqrt(np.sum(normals**2, axis=1)) - 1.0) <= 4 * eps)
-        # the expression check_avoidance certifies the center with
+        # the expression the draws orient the center's side with
         assert np.all(normals @ tree.center - offsets >= 0.0)
 
     def test_each_boundary_passes_through_a_cloud_point(self, fitted):
