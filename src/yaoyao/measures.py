@@ -22,7 +22,9 @@ order, which the solver and the verifier call directly.  A quantile is taken
 by selection (``np.partition``, O(N)) when every weight is one power of two
 w0, unit weights included: the cumulative weights (i + 1) * w0 are then
 exact, so the order statistics are bit for bit those of the stable sort and
-cumulative sum other weights take.
+cumulative sum other weights take.  For the same reason both verifier kernels
+(the half-space masses here, ``verify._prefix_masses``) take the masses of
+such weights as point counts times w0, exactly.
 
 Randomness is counter-based and fully documented: every generator is a
 numpy Philox stream keyed by the caller's 64-bit seed, and each spec kind
@@ -400,6 +402,8 @@ def weighted_quantile(values, weights, q: float) -> float:
         raise ValueError("empty input")
     if v.shape != w.shape:
         raise ValueError("values and weights must have equal length")
+    if not np.isfinite(v).all():
+        raise ValueError("values must be finite")
     _check_weights(w)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
@@ -488,8 +492,17 @@ def project_measure(
 _BLOCK_ENTRIES = 1 << 18
 #: Entries of one column chunk of a block's product (256 KiB, which stays in cache).
 _CHUNK_ENTRIES = 1 << 15
-#: Points from which equal power-of-two weights are counted one row at a time.
-_ROW_COUNT_MIN = 1 << 11
+
+
+def _row_counts(sides: np.ndarray) -> np.ndarray:
+    """True entries of each row of a C-contiguous (rows, 8k) bool table, exactly.
+
+    The table is read as uint64 words of eight 0/1 bytes.  Each row's words are
+    summed in runs of at most 255, so no byte lane of a run's sum can carry;
+    then the eight lanes of every run are added."""
+    words = sides.view(np.uint64)
+    runs = np.add.reduceat(words, np.arange(0, words.shape[1], 255), axis=1)
+    return runs.view(np.uint8).sum(axis=1)
 
 
 def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
@@ -504,9 +517,10 @@ def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
     chunk takes the rest.  So each product rounds as in one product per block,
     except that BLAS rounds a row's last few products (its last partial kernel
     tile, within the last N mod 64 points) otherwise in the whole row than in a
-    chunk.  On equal power-of-two weights a mass is the count inside times w0,
-    which is the id-order sum bit for bit; other weights are summed in id
-    order, one row at a time.
+    chunk.  The bool block is padded to a width of whole uint64 words, its pad
+    columns False.  On equal power-of-two weights a mass is the count inside
+    (``_row_counts``, for every block shape) times w0, which is the id-order
+    sum bit for bit; other weights are summed in id order, one row at a time.
     """
     size, count = points.shape[0], normals.shape[0]
     step = max(1, _BLOCK_ENTRIES // size)
@@ -516,7 +530,7 @@ def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
     table = np.ascontiguousarray(points.T) if rows > 1 else None  # gemm's layout
     counted = _equal_power_of_two(weights)
     product = np.empty(rows * (size - edges[-2]))
-    inside, masses = np.empty((rows, size), dtype=bool), np.empty(count)
+    inside, masses = np.zeros((rows, -(-size // 8) * 8), dtype=bool), np.empty(count)
     for lo in range(0, count, step):
         block, sides = normals[lo:lo + step], inside[:min(step, count - lo)]
         for a, b in zip(edges, edges[1:]):
@@ -525,12 +539,8 @@ def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
             out = product[:len(block) * (b - a)].reshape(len(block), b - a)
             np.greater_equal(np.matmul(block, chunk, out=out),
                              offsets[lo:lo + step, None], out=sides[:, a:b])
-        if not counted:
-            masses[lo:lo + step] = [np.sum(np.compress(row, weights)) for row in sides]
-        elif size < _ROW_COUNT_MIN:  # short rows: one reduction beats a call per row
-            masses[lo:lo + step] = np.count_nonzero(sides, axis=1)
-        else:  # long rows: a flat count is fast, where a reduction over axis 1 is not
-            masses[lo:lo + step] = [np.count_nonzero(row) for row in sides]
+        masses[lo:lo + step] = _row_counts(sides) if counted else [
+            np.sum(np.compress(row, weights)) for row in sides[:, :size]]
     return masses * weights[0] if counted else masses
 
 

@@ -104,6 +104,10 @@ class TestWeightedQuantile:
             weighted_quantile([1.0], [-1.0], 0.5)
         with pytest.raises(ValueError, match="finite total"):
             weighted_quantile([0, 1, 2, 3], [2.0**1022] * 4, 0.5)
+        with pytest.raises(ValueError, match="values must be finite"):
+            weighted_quantile([np.nan, 1, 2], [1, 1, 1], 0.5)  # NaN ranks above 2
+        with pytest.raises(ValueError, match="values must be finite"):
+            weighted_quantile([-np.inf, np.inf], [1, 1], 0.5)  # -inf + inf is NaN
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=40),
@@ -414,6 +418,7 @@ class TestHalfspaceMasses:
         (2, 1632, 500, "general", 2**12),     # 160-row blocks, 64 chunks of 25, then 32
         (3, 1040, 300, "general", None),      # 252-row blocks, then 48; chunks of 130
         (3, 9, 20000, "general", None),       # 20000 rows: chunks of 2, 2, 2 and 3 columns
+        (3, 1001, 1000, "unit", None),        # counted through 7 pad columns per row
         (2, 2**17 + 80, 12, "unit", None),    # one-row blocks (N > 2^17): gemv per chunk
         (3, 2**17 + 5, 12, "general", None),  # the same, with a partial last tile
     ])
@@ -447,6 +452,22 @@ class TestHalfspaceMasses:
         assert np.all(anchor >= size - size % 64)
         np.testing.assert_allclose(np.abs(masses[moved] - ref[moved]),
                                    cloud.weights[anchor], rtol=1e-12)
+
+
+class TestRowCounts:
+    """``_row_counts`` sums uint64 words in runs of at most 255, so that no byte
+    lane carries: 2040 columns are one full run, 2048 a run and a one-word tail
+    (all True, a run of 256 words would carry out of every lane)."""
+
+    @pytest.mark.parametrize("width", [8, 2040, 2048, 2**15 + 8])
+    @pytest.mark.parametrize("rows", [1, 256])
+    def test_counts_match_count_nonzero(self, rows, width):
+        rng = np.random.default_rng(rows * width)
+        for table in (np.ones((rows, width), dtype=bool),
+                      rng.random((rows, width)) < rng.random((rows, 1))):
+            counts = measures._row_counts(table)
+            assert counts.shape == (rows,)
+            assert counts.tolist() == [np.count_nonzero(row) for row in table]
 
 
 class TestSampling:
