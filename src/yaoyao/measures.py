@@ -16,15 +16,15 @@ id, splitting at most one point's weight.  So every split is reproducible and
 exactly mass-halving, which pins down a canonical center for atomic inputs
 (clouds put mass on hyperplanes: their center is a convention, not a theorem).
 
-Only clouds and public functions validate; the quantile, split, projection
-and half-space masses then run as private kernels on plain arrays in id
+Only clouds and public functions validate; the quantile, split, projection,
+half-space and prefix masses then run as private kernels on plain arrays in id
 order, which the solver and the verifier call directly.  A quantile is taken
 by selection (``np.partition``, O(N)) when every weight is one power of two
 w0, unit weights included: the cumulative weights (i + 1) * w0 are then
 exact, so the order statistics are bit for bit those of the stable sort and
-cumulative sum other weights take.  For the same reason both verifier kernels
-(the half-space masses here, ``verify._prefix_masses``) take the masses of
-such weights as point counts times w0, exactly.
+cumulative sum other weights take.  For the same reason both verifier kernels,
+``_halfspace_masses`` and ``_prefix_masses``, take the masses of such weights
+as point counts times w0, exactly.
 
 Randomness is counter-based and fully documented: every generator is a
 numpy Philox stream keyed by the caller's 64-bit seed, and each spec kind
@@ -542,6 +542,33 @@ def _halfspace_masses(points: np.ndarray, weights: np.ndarray,
         masses[lo:lo + step] = _row_counts(sides) if counted else [
             np.sum(np.compress(row, weights)) for row in sides[:, :size]]
     return masses * weights[0] if counted else masses
+
+
+def _prefix_masses(labels: np.ndarray, weights: np.ndarray) -> list[list[float]]:
+    """Mass of every sign prefix of an (N, n) label table, one list per depth
+    k = 1..n of 2^k masses indexed by prefix in lexicographic order (-1 first).
+
+    When every weight is one power of two w0, a prefix's mass is its point
+    count times w0, which is exact, so it has the bits of any sum of its
+    weights.  Otherwise each depth stable-sorts the prefix codes, held in the
+    smallest unsigned dtype that fits them so that numpy radix-sorts them, and
+    sums each prefix's contiguous slice of the sorted weights: the slice holds
+    the prefix's weights in id order, so ``np.sum`` adds them in the same
+    pairwise blocks, with the same bits, as it adds
+    ``np.compress(code == c, weights)``."""
+    n = labels.shape[1]
+    code = np.zeros(len(weights), dtype=np.min_scalar_type(2**n - 1))
+    counted, out = _equal_power_of_two(weights), []
+    for k in range(n):
+        code = 2 * code + (labels[:, k] > 0)
+        sizes = np.bincount(code, minlength=2**(k + 1))
+        if counted:
+            out.append((sizes * weights[0]).tolist())
+        else:
+            grouped = weights[np.argsort(code, kind="stable")]
+            ends = np.cumsum(sizes).tolist()
+            out.append([float(np.sum(grouped[lo:hi])) for lo, hi in zip([0] + ends, ends)])
+    return out
 
 
 def halfspace_mass(cloud: WeightedPointCloud, h: HalfSpace) -> float:

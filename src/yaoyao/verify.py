@@ -26,8 +26,8 @@ from .geometry import CoordinateSystem
 from .measures import (
     MeasureSpec,
     WeightedPointCloud,
-    _equal_power_of_two,
     _halfspace_masses,
+    _prefix_masses,
     project_measure,
     regularize,
     seeded_generator,
@@ -91,33 +91,6 @@ def _halfspace_draws(rng, tree: PartitionTree, cloud: WeightedPointCloud,
     sign = np.where(g @ tree.center - offsets < 0.0, -1.0, 1.0)
     g *= sign[:, None]
     return g, offsets * sign
-
-
-def _prefix_masses(labels: np.ndarray, weights: np.ndarray) -> list[list[float]]:
-    """Mass of every sign prefix of an (N, n) label table, one list per depth
-    k = 1..n of 2^k masses indexed by prefix in lexicographic order (-1 first).
-
-    When every weight is one power of two w0, a prefix's mass is its point
-    count times w0, which is exact, so it has the bits of any sum of its
-    weights.  Otherwise each depth stable-sorts the prefix codes, held in the
-    smallest unsigned dtype that fits them so that numpy radix-sorts them, and
-    sums each prefix's contiguous slice of the sorted weights: the slice holds
-    the prefix's weights in id order, so ``np.sum`` adds them in the same
-    pairwise blocks, with the same bits, as it adds
-    ``np.compress(code == c, weights)``."""
-    n = labels.shape[1]
-    code = np.zeros(len(weights), dtype=np.min_scalar_type(2**n - 1))
-    counted, out = _equal_power_of_two(weights), []
-    for k in range(n):
-        code = 2 * code + (labels[:, k] > 0)
-        sizes = np.bincount(code, minlength=2**(k + 1))
-        if counted:
-            out.append((sizes * weights[0]).tolist())
-        else:
-            grouped = weights[np.argsort(code, kind="stable")]
-            ends = np.cumsum(sizes).tolist()
-            out.append([float(np.sum(grouped[lo:hi])) for lo, hi in zip([0] + ends, ends)])
-    return out
 
 
 def check_equipartition(tree: PartitionTree, cloud: WeightedPointCloud,

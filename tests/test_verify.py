@@ -155,23 +155,41 @@ class TestEquipartitionGathers:
         devs = [abs(m - w) / w for m, w in zip(prefix, want)]
         assert rep.stats["max_prefix_deviation"] == max(devs, default=0.0)
 
-    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3000),
-           st.sampled_from([None, 0.3, 1.0, 0.25, 2.0**40, 2.0**-1074]))
-    @settings(max_examples=60, deadline=None)
-    def test_sorted_group_sums_keep_the_bits_of_a_scan(self, seed, n, size, w0):
-        # decimal weights, and equal weights of 0.3, round differently in every
-        # order of addition, and groups past 8 and 128 points reach numpy's
-        # lanes and halving; equal powers of two are counted.  The labels come
-        # from a random subset of the regions, so some are empty
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3000))
+    @settings(max_examples=40, deadline=None)
+    def test_sorted_group_sums_keep_the_bits_of_a_scan(self, seed, n, size):
+        # decimal weights round differently in every order of addition, and
+        # groups past 8 and 128 points reach numpy's lanes and halving; the
+        # labels come from a random subset of the regions, so some are empty
         rng = np.random.default_rng(seed)
         used = rng.choice(2**n, size=rng.integers(1, 2**n + 1), replace=False)
         region = rng.choice(used, size=size)
         bits = (region[:, None] >> np.arange(n - 1, -1, -1)) & 1
         labels = np.where(bits == 1, 1, -1).astype(np.int64)
-        weights = rng.integers(1, 1000, size) / 100.0 if w0 is None else np.full(size, w0)
+        weights = rng.integers(1, 1000, size) / 100.0
         got = verify._prefix_masses(labels, weights)
         code = np.zeros(size, dtype=np.int64)
         for k in range(1, n + 1):  # the per-code scan the sorted groups replaced
+            code = 2 * code + (labels[:, k - 1] > 0)
+            want = [float(np.sum(np.compress(code == c, weights))) for c in range(2**k)]
+            assert [m.hex() for m in got[k - 1]] == [m.hex() for m in want]
+        assert len(got) == n
+
+    @pytest.mark.parametrize("w0", [0.3, 1.0, 0.25, 2.0**40, 2.0**-1074])
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 3000))
+    @settings(max_examples=20, deadline=None)
+    def test_equal_weights_keep_the_bits_of_a_scan(self, w0, seed, n, size):
+        # equal powers of two are counted, and count * w0 is exact; 0.3 is not
+        # a power of two, and count * 0.3 need not round as the sum of count
+        # 0.3s does, so equal weights of 0.3 must not be counted
+        rng = np.random.default_rng(seed)
+        used = rng.choice(2**n, size=rng.integers(1, 2**n + 1), replace=False)
+        region = rng.choice(used, size=size)
+        labels = np.where((region[:, None] >> np.arange(n - 1, -1, -1)) & 1, 1, -1)
+        weights = np.full(size, w0)
+        got = verify._prefix_masses(labels, weights)
+        code = np.zeros(size, dtype=np.int64)
+        for k in range(1, n + 1):
             code = 2 * code + (labels[:, k - 1] > 0)
             want = [float(np.sum(np.compress(code == c, weights))) for c in range(2**k)]
             assert [m.hex() for m in got[k - 1]] == [m.hex() for m in want]
