@@ -9,8 +9,9 @@ generators u^1..u^n, expressed in the coordinates of an owning
 Stacking the signed generators column-wise therefore gives a unit lower
 triangular matrix (up to the +-1 signs on the diagonal), so cone coefficients,
 membership and the half-space representation all come from one forward
-substitution, in the elementwise steps of the partition's point-location walk.
-No inversion, no pivoting, no least squares, no sampling.
+substitution, whose one kernel ``_take_out`` also steps the partition's point
+location, so the two agree bit for bit.  No inversion, no pivoting, no least
+squares, no sampling.
 
 All types are immutable values (arrays are frozen); every operation is a pure
 function, safe for unrestricted concurrent use.
@@ -78,7 +79,7 @@ def _square_sums(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def membership_tolerance(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Facet fuzz per row of an (m, n) batch: 1e-9 * (1 + |apex| + |p_i|).
+    """Facet fuzz per row of an (m, n) batch about an (n,) apex: 1e-9 * (1 + |apex| + |p_i|).
 
     |p_i| sums the row's squares one column at a time, in the order numpy's
     pairwise sum takes along a contiguous row: below 8 terms left to right;
@@ -93,6 +94,8 @@ def membership_tolerance(apex: np.ndarray, points: np.ndarray) -> np.ndarray:
     above about 1e154) take it again at the exact scale 2^-600, so every finite
     point gets a finite fuzz; every other row keeps its plain bits."""
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or np.shape(apex) != points.shape[1:]:
+        raise ValueError(f"expected (m, n) points, (n,) apex; got {points.shape}, {np.shape(apex)}")
     n = points.shape[1]
     with np.errstate(over="ignore"):
         tol = np.sqrt(_square_sums(points, 0, n))
@@ -262,26 +265,30 @@ def _as_batch(region: ConeRegion, p) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(p), p.ndim == 1
 
 
-def _substitute(region: ConeRegion, offsets: np.ndarray) -> np.ndarray:
-    """Cone coefficients of an (m, n) batch of offsets from the apex (overwritten).
+def _take_out(rest: np.ndarray, k: int, entries: np.ndarray, out=None) -> None:
+    """Take level k's axis out of an (n, m) table of offsets, one column per
+    point, in place: row j > k becomes rest[j] - rest[k] * entry.  ``entries``
+    is (n-k-1, m), one axis per point, or (n-k-1, 1), one axis for all; the
+    products go to ``out`` (which may be ``entries``) or a new table."""
+    np.subtract(rest[k + 1:], np.multiply(rest[k], entries, out=out), out=rest[k + 1:])
 
-    Takes the generators out one at a time with the elementwise steps of
-    ``locate_points``' walk, so a point's coefficients along its located region
-    are the walk's bit for bit.  The unit diagonal leaves coefficient i as the
-    i-th remaining coordinate times sign_i; returns shape (m, n).
-    """
-    for i in range(region.dimension - 1):
-        offsets[:, i + 1:] -= offsets[:, i, None] * region.generators[i, i + 1:]
-    return offsets * np.asarray(region.signs, dtype=float)
+
+def _substitute(region: ConeRegion, rest: np.ndarray) -> np.ndarray:
+    """Cone coefficients of an (n, m) table of offsets from the apex, one column
+    per point (overwritten): the generators taken out with ``_take_out``, the
+    kernel of ``locate_points``' walk, then coefficient i is row i times sign_i."""
+    for k in range(region.dimension - 1):
+        _take_out(rest, k, region.generators[k, k + 1:, None])
+    return rest * np.asarray(region.signs, dtype=float)[:, None]
 
 
 def cone_coefficients(region: ConeRegion, p: np.ndarray) -> np.ndarray:
     """Coefficients c with p - apex = sum_i c_i (sign_i u^i), by one forward
     substitution.  Accepts a single point or an (m, n) batch of finite points;
-    returns shape (n,) or (m, n).
+    returns shape (n,) or a C-contiguous (m, n).
     """
     pts, single = _as_batch(region, p)
-    coeffs = _substitute(region, pts - region.apex)
+    coeffs = np.ascontiguousarray(_substitute(region, pts.T - region.apex[:, None]).T)
     return coeffs[0] if single else coeffs
 
 
@@ -289,7 +296,7 @@ def cone_contains(region: ConeRegion, p: np.ndarray) -> bool | np.ndarray:
     """Membership test: every cone coefficient >= -``membership_tolerance``."""
     pts, single = _as_batch(region, p)
     tols = membership_tolerance(region.apex, pts)
-    inside = np.all(_substitute(region, pts - region.apex) >= -tols[:, None], axis=1)
+    inside = np.all(_substitute(region, pts.T - region.apex[:, None]) >= -tols, axis=0)
     return bool(inside[0]) if single else inside
 
 
@@ -325,11 +332,12 @@ def halfspace_contains_region(h: HalfSpace, region: ConeRegion) -> bool:
 def region_halfspace_rep(region: ConeRegion) -> list[HalfSpace]:
     """The n half-spaces whose intersection is the region.
 
-    Coefficient i is linear in p - apex, so substituting the identity's rows
-    gives its normal a_i as column i: supported on coordinates 1..i with
-    a_i[i] = sign_i and zeros of sign +.  The offset is a_i . apex.  A point
-    lies in all returned half-spaces exactly when its cone coefficients are all
-    nonnegative.
+    Coefficient i is linear in p - apex, so substituting the identity's columns
+    gives its normal a_i as row i: supported on coordinates 1..i with
+    a_i[i] = sign_i and zeros of sign +.  The offset is a_i . apex, taken as a
+    strided row of an F-ordered table, which numpy's ``@`` rounds otherwise
+    than a contiguous row.  A point lies in all returned half-spaces exactly
+    when its cone coefficients are all nonnegative.
     """
-    normals = _substitute(region, np.eye(region.dimension)).T + 0.0  # sign flips leave -0.0
+    normals = np.asfortranarray(_substitute(region, np.eye(region.dimension))) + 0.0  # no -0.0
     return [HalfSpace(a, float(a @ region.apex)) for a in normals]

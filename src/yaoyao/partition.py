@@ -43,6 +43,7 @@ from .geometry import (
     HalfSpace,
     CoordinateSystem,
     _frozen,
+    _take_out,
     _value_at,
     _holds_bool,
     membership_tolerance,
@@ -174,7 +175,8 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
 
     The walk takes 2^13 points at a time, on the (n, chunk) transpose of their
     p - center, one contiguous row per coordinate: level k reads row k, then
-    takes row k times each point's node axis out of the later rows, in place.
+    gathers each point's node axis and takes it out of the later rows, in
+    place, with ``geometry._take_out``, the kernel the region functions use.
     Its tables are reused for every chunk, so beside the result it holds
     O(n * chunk) memory whatever N is, and each label has the bits of a walk
     over the whole batch at once.
@@ -204,8 +206,7 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
                 tmp = tmp_buf[:(n - k - 1) * m].reshape(n - k - 1, m)
                 # every node index is in range; "clip" skips the buffered bounds check
                 np.take(columns[k + 1:], node, axis=1, out=tmp, mode="clip")
-                np.multiply(rest[k], tmp, out=tmp)
-                np.subtract(rest[k + 1:], tmp, out=rest[k + 1:])
+                _take_out(rest, k, tmp, out=tmp)
                 node *= 2  # to child 2i + 1 (-) or 2i + 2 (+)
                 node += 2
                 node -= neg[k]

@@ -22,6 +22,20 @@ def region(apex, gens, signs):
     return ConeRegion(np.asarray(apex, float), np.asarray(gens, float), signs)
 
 
+def column_walk(r, offsets):
+    """Reference cone coefficients of an (m, n) table of offsets from the apex
+    (overwritten): the generators taken out column by column, the formula the
+    region functions used before they shared point location's kernel."""
+    g = r.generators
+    for i in range(r.dimension - 1):
+        offsets[:, i + 1:] -= offsets[:, i, None] * g[i, i + 1:]
+    return offsets * np.asarray(r.signs, dtype=float)
+
+
+def hexes(a):
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
 IDENTITY_2D = region((0, 0), [(1, 0), (0, 1)], (1, 1))
 SHEARED = region((1.5, 1.5), [(1, 0.5), (0, 1)], (1, 1))
 
@@ -186,6 +200,31 @@ class TestConeCoefficients:
         got = cone_coefficients(r, p)
         assert np.max(np.abs(got - c)) <= 1e-12 * (1 + np.max(np.abs(c)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_region_functions_keep_the_bits_of_the_column_walk(self, n):
+        # the region functions and point location share one kernel, so this is
+        # the one check of their arithmetic against an independent formula; the
+        # offsets a . apex take a strided row of the normals, which numpy's @
+        # rounds otherwise than a contiguous one
+        rng = np.random.default_rng([29, n])
+        for _ in range(40):
+            gens = np.triu(rng.standard_normal((n, n)), 1) + np.eye(n)
+            apex_scale, point_scale = 10.0 ** rng.choice([-5, 0, 5], size=2)
+            r = region(rng.standard_normal(n) * apex_scale, gens, rng.choice([-1, 1], size=n))
+            pts = r.apex + rng.standard_normal((9, n)) * point_scale
+            for x in (pts, np.asfortranarray(pts), pts[::2], pts[4]):
+                batch = np.atleast_2d(x)
+                want = column_walk(r, batch - r.apex)
+                inside = np.all(want >= -membership_tolerance(r.apex, batch)[:, None], axis=1)
+                if x.ndim == 1:
+                    want, inside = want[0], inside[0]
+                assert hexes(cone_coefficients(r, x)) == hexes(want)
+                assert np.array_equal(cone_contains(r, x), inside)
+            normals = column_walk(r, np.eye(n)).T + 0.0
+            for h, a in zip(region_halfspace_rep(r), normals, strict=True):
+                assert hexes(h.normal) == hexes(a)
+                assert h.offset.hex() == float(a @ r.apex).hex()
+
 
 class TestConeContains:
     def test_trivial_cases(self):
@@ -234,6 +273,12 @@ class TestMembershipTolerance:
             r = np.linalg.norm(pts[big] * 2.0**-600, axis=1)
             want[big] = 1e-9 * 2.0**600 * (2.0**-600 + a + r)
             assert membership_tolerance(apex, pts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("apex, points", [(np.zeros(3), np.ones((2, 2))),
+                                              (np.zeros(2), np.zeros(2))])
+    def test_an_apex_and_a_batch_of_other_shapes_rejected(self, apex, points):
+        with pytest.raises(ValueError, match=r"expected \(m, n\) points, \(n,\) apex"):
+            membership_tolerance(apex, points)
 
     def test_overflowing_squares_keep_a_finite_fuzz(self):
         # squares of coordinates above about 1e154 overflow a plain norm, and

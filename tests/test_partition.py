@@ -4,6 +4,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -54,6 +55,28 @@ def scan_labels(tree, pts):
         remaining[hit] = False
     assert not np.any(remaining), "scan left a point in no region"
     return labels
+
+
+def exact_walk(tree, p):
+    """Reference location of one point in exact rational arithmetic (every
+    float is a dyadic rational): the level-order walk of ``locate_points``,
+    a_k = r[k], then r[k+1:] -= a_k * axis[k+1:], with -1 iff a_k <= tol, where
+    r starts as the exact p - center and tol is the point's float fuzz, taken
+    exactly.  Returns the label, the exact a_k met at each level, tol, and
+    whether some a_k is exactly 0 (the point lies on a facet of its region)."""
+    n = tree.dimension
+    tol = Fraction(float(membership_tolerance(tree.center, p[None])[0]))
+    r = [Fraction(x) - Fraction(c) for x, c in zip(p.tolist(), tree.center.tolist())]
+    label, coeffs, node = [], [], 0
+    for k in range(n):
+        a = r[k]
+        axis = tree.axes[node].tolist()
+        for j in range(k + 1, n):
+            r[j] -= a * Fraction(axis[j])
+        coeffs.append(a)
+        label.append(-1 if a <= tol else 1)
+        node = 2 * node + 1 + (label[-1] > 0)
+    return tuple(label), coeffs, tol, 0 in coeffs
 
 
 def random_tree(rng, n):
@@ -730,6 +753,53 @@ class TestPointLocation:
     def test_batch_must_be_a_table(self, square_tree):
         with pytest.raises(ValueError, match="dimension mismatch"):
             locate_points(square_tree, np.zeros((2, 2, 2)))
+
+
+class TestExactWalk:
+    """The float walk against ``exact_walk``: labels part only where rounding
+    moves a coefficient across the fuzz."""
+
+    # center 0, root axis (1, 0.7); both children's axes are (0, 1)
+    TREE = PartitionTree(SYS2, np.zeros(2), np.array([[1.0, 0.7], [0.0, 1.0], [0.0, 1.0]]), {})
+
+    def test_a_point_on_a_facet_has_an_exact_zero(self):
+        # 2.0 * 0.7 is exact, so the level-1 coefficient is exactly 0
+        p = np.array([2.0, 2.0 * 0.7])
+        label, coeffs, _, zero = exact_walk(self.TREE, p)
+        assert coeffs == [2, 0] and zero
+        assert label == (1, -1) == region_of_point(self.TREE, p)
+
+    def test_a_rounded_zero_is_exactly_a_tiny_negative(self):
+        # 0.1 * 0.7 rounds: the float walk takes it out to 0.0, the exact one
+        # leaves 0.1 * 0.7 - (0.1 * 0.7 exactly), about -6.66e-18
+        p = np.array([0.1, 0.1 * 0.7])
+        label, coeffs, _, zero = exact_walk(self.TREE, p)
+        assert not zero and float(coeffs[1]) == pytest.approx(-6.661338147750939e-18)
+        assert cone_coefficients(regions(self.TREE)[(1, 1)], p)[1] == 0.0
+        assert label == (1, -1) == region_of_point(self.TREE, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_labels_part_only_within_rounding_of_the_fuzz(self, n):
+        rng = np.random.default_rng([17, n])
+        tree = synthetic_tree(rng, n)
+        scales = 10.0 ** rng.integers(-3, 4, size=(400, 1))
+        generic = tree.center + rng.standard_normal((400, n)) * scales
+        edge = fuzz_edge_points(rng, tree, 400)
+        parted = 0
+        for pts, may_part in [(generic, False), (edge, True)]:
+            for p, got in zip(pts, locate_points(tree, pts).tolist()):
+                label, coeffs, tol, _ = exact_walk(tree, p)
+                if tuple(got) == label:
+                    continue
+                assert may_part, f"generic point {p.tolist()} parts"
+                k = next(k for k in range(n) if got[k] != label[k])
+                bound = 1e-15 * (1.0 + np.linalg.norm(tree.center) + np.linalg.norm(p))
+                assert abs(float(coeffs[k] - tol)) <= bound
+                parted += 1
+        # at n = 1 the one rounding is p - center's, which is monotone, so it
+        # can carry a coefficient onto a float fuzz but never past it; from
+        # n = 2 the fuzz-edge points reach the parting case
+        assert parted > 0 or n == 1
 
 
 class TestSerialization:
