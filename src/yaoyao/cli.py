@@ -93,6 +93,11 @@ def cmd_center(args) -> int:
                   f"{r['expansions']} expansions, {r['iterations']} iterations, "
                   f"residual {r['residual']:.3e}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
+    report = verify.check_equipartition(tree, coords)
+    if not report.passed:
+        print(f"solver failed: the partition fails its equipartition check (max deviation "
+              f"{report.stats['max_relative_deviation']:.3e})", file=sys.stderr)
+        return EXIT_SOLVER_ERROR
     if args.out:
         partition.save(tree, args.out)
     ambient = system.to_ambient(tree.center)

@@ -21,9 +21,10 @@ the center.  Point location walks the same indices, picking -1 wherever the
 point's coefficient along the node's axis is within tolerance of <= 0; since
 that choice never leads to a dead end, it finds the lexicographically first
 region (-1 first), deterministically.  It steps a chunk of 2^13 points at a
-time, along one contiguous row per coordinate, so its scratch memory is
-O(n * chunk) whatever the batch size, and each point's label has the same bits
-whatever chunk it falls in.
+time, along one contiguous row per coordinate, the root's axis broadcast and
+the leaf reached indexing the sign words; its scratch (two (n, chunk) float
+tables, a bool row, an index row) is O(n * chunk) whatever the batch size,
+and each point's label has the same bits whatever chunk it falls in.
 
 Documents use the ``yaoyao-partition/v1`` JSON schema, which nests the nodes
 as ``{"axis", "neg", "pos"}`` objects; the nesting exists only in the file.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -161,6 +163,12 @@ def witness_region(tree: PartitionTree, h: HalfSpace) -> tuple[int, ...]:
     return tuple(signs)
 
 
+@lru_cache(maxsize=None)
+def _leaf_words(n: int) -> np.ndarray:
+    """The 2^n leaves' sign words, read-only: row i's sign k is +1 iff bit n-1-k of i is set."""
+    return _frozen(2 * (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1) - 1, np.int64)
+
+
 def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     """Sign words of the lexicographically first region (-1 first) containing
     each point, as a C-contiguous (N, n) int64 array of +-1, found by one walk
@@ -174,12 +182,14 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     first region of the lexicographic order.  Costs O(N n^2) instead of a scan over 2^n regions.
 
     The walk takes 2^13 points at a time, on the (n, chunk) transpose of their
-    p - center, one contiguous row per coordinate: level k reads row k, then
-    gathers each point's node axis and takes it out of the later rows, in
-    place, with ``geometry._take_out``, the kernel the region functions use.
-    Its tables are reused for every chunk, so beside the result it holds
-    O(n * chunk) memory whatever N is, and each label has the bits of a walk
-    over the whole batch at once.
+    p - center, one contiguous row per coordinate: level k reads row k into a
+    bool row, then takes the node axis out of the later rows, in place, with
+    ``geometry._take_out``, the kernel the region functions use: the root's
+    broadcast to all points (a gather's products, so its bits), a deeper one
+    gathered per point.  The leaf reached, node - (2^n - 1), is the label's row
+    in the table of sign words.  Its tables and rows are reused for every
+    chunk, so beside the result it holds O(n * chunk) memory whatever N is,
+    and each label has the bits of a walk over the whole batch at once.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != tree.dimension:
@@ -188,29 +198,29 @@ def locate_points(tree: PartitionTree, points: np.ndarray) -> np.ndarray:
     labels = np.empty((count, n), dtype=np.int64)
     width = min(count, _CHUNK)
     columns = np.ascontiguousarray(tree.axes.T)  # row j: entry j of every node's axis
-    rest_buf, tmp_buf = np.empty(n * width), np.empty(n * width)
-    neg_buf, node_buf = np.empty(n * width, dtype=bool), np.empty(width, dtype=np.intp)
+    rest_buf, tmp_buf = np.empty(n * width), np.empty((n - 1) * width)
+    neg_buf, node_buf = np.empty(width, dtype=bool), np.empty(width, dtype=np.intp)
     for lo in range(0, count, _CHUNK):
         chunk = pts[lo:lo + _CHUNK]
         if not np.all(np.isfinite(chunk)):
             raise ValueError("points must be finite (NaN or inf found)")
         m = len(chunk)
-        rest, neg = rest_buf[:n * m].reshape(n, m), neg_buf[:n * m].reshape(n, m)
-        node = node_buf[:m]
+        rest, neg, node = rest_buf[:n * m].reshape(n, m), neg_buf[:m], node_buf[:m]
         node[:] = 0
         tols = membership_tolerance(tree.center, chunk)
         np.subtract(chunk.T, tree.center[:, None], out=rest)
         for k in range(n):
-            np.less_equal(rest[k], tols, out=neg[k])
+            np.less_equal(rest[k], tols, out=neg)
             if k + 1 < n:
                 tmp = tmp_buf[:(n - k - 1) * m].reshape(n - k - 1, m)
-                # every node index is in range; "clip" skips the buffered bounds check
-                np.take(columns[k + 1:], node, axis=1, out=tmp, mode="clip")
-                _take_out(rest, k, tmp, out=tmp)
-                node *= 2  # to child 2i + 1 (-) or 2i + 2 (+)
-                node += 2
-                node -= neg[k]
-        np.subtract(1, 2 * neg.T, out=labels[lo:lo + m])
+                if k:  # every node index is in range; "clip" skips the buffered bounds check
+                    np.take(columns[k + 1:], node, axis=1, out=tmp, mode="clip")
+                _take_out(rest, k, tmp if k else columns[1:, :1], out=tmp)  # the root's axis, one for all
+            node *= 2  # to child 2i + 1 (-) or 2i + 2 (+)
+            node += 2
+            node -= neg
+        node -= 2**n - 1  # the leaf's place in the lexicographic order
+        np.take(_leaf_words(n), node, axis=0, out=labels[lo:lo + m], mode="clip")
     return labels
 
 

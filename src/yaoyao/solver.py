@@ -349,7 +349,8 @@ def compute_center_partition(
     The cloud's rows must already be coordinates of ``system``.  Returns the
     tree of per-node axes sharing one global center; the two child centers at
     every internal node agree within residual_tol and the recorded center is
-    their midpoint.
+    their midpoint.  The tree is not checked: ``verify.check_equipartition``
+    judges it, as the CLI's ``center`` does before it writes a tree.
 
     workers must be >= 1 and has no effect: the solve runs in the caller's
     thread, and the tree is the same bytes for every value.  It stays only

@@ -241,6 +241,24 @@ class TestCenter:
             "residual 0.000e+00",
         ]
 
+    @pytest.mark.parametrize("rows, deviation", [
+        # ROADMAP item 1a (a scale-equivariant membership bound) turns this row to exit 0
+        (np.random.default_rng(1).random((1024, 2)) * 2.0**-20, "1.172e-02"),
+        # ROADMAP item 3 (a check that understands split atoms) turns this row to exit 0
+        (np.tile([0.25, -1.5, 3.0], (50, 1)), "7.000e+00"),
+    ], ids=["uniform-2d-scale-2^-20", "50-identical-3d"])
+    def test_partition_failing_its_own_check_exits_3(self, workdir, capsys, rows, deviation):
+        pts, out = workdir / "defect.csv", workdir / "defect.json"
+        header = ",".join(f"x{i + 1}" for i in range(rows.shape[1]))
+        pts.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        assert main(["center", str(pts), "-o", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "solver failed: the partition fails its equipartition check "
+            f"(max deviation {deviation})"
+        ]
+
     def test_system_overflowing_the_points_exits_2(self, workdir, capsys):
         pts, sysfile = workdir / "pts.csv", workdir / "overflow-system.json"
         sysfile.write_text(json.dumps(OVERFLOW_SYSTEM))

@@ -671,6 +671,21 @@ class TestPointLocation:
         labels = locate_points(tree, pts)
         assert hashlib.sha256(labels.tobytes()).hexdigest() == LOCATE_GOLDEN[n]
 
+    @pytest.mark.parametrize("make", [random_tree, synthetic_tree])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+    def test_each_leaf_gives_its_lexicographic_word(self, n, make):
+        # one point deep inside each region, center + sum_i sign_i u^i, in
+        # regions' order: the leaves reached are 0 .. 2^n - 1 in turn, so the
+        # labels are the whole table of sign words; n = 1 takes no axis out,
+        # n = 2 only the broadcast root's.  Single points are every word up
+        # to n = 8 and every 16th at n = 12, as each takes a whole call
+        tree = make(np.random.default_rng([17, n]), n)
+        regs = regions(tree)
+        pts = np.array([tree.center + r.signed_generators().sum(axis=0) for r in regs.values()])
+        assert locate_points(tree, pts).tolist() == [list(w) for w in regs]
+        step = max(1, len(pts) // 256)
+        assert [region_of_point(tree, p) for p in pts[::step]] == list(regs)[::step]
+
     def test_labels_do_not_depend_on_the_chunking(self):
         # a batch of three chunks and 5 points, against slices that end before,
         # on and after every chunk boundary; single points are sampled, every
