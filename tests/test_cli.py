@@ -14,6 +14,9 @@ ASYM_CSV = "x1,x2\n0,0\n1,2\n2,1\n3,3\n"
 SQUARE_CSV = "x1,x2\n0,0\n1,0\n0,1\n1,1\n"
 # 1e308 * x1 + 1e308 leaves the float range for x1 > 0.8
 OVERFLOW_SYSTEM = {"matrix": [[1e308, 0], [0, 1e308]], "offset": [1e308, 0]}
+# the weighted cloud of CI's console-script step: x1, x2 and then w columns
+_r = np.random.default_rng(5)
+WEIGHTED_ROWS = np.column_stack([_r.standard_normal((512, 2)), _r.uniform(0.1, 3.0, 512)])
 
 
 @pytest.fixture
@@ -57,7 +60,8 @@ class TestSample:
         bad.write_text('{"kind": "uniform-box", "lo": [0, 0], "hi": [1, 1], "hii": [2, 2]}')
         code = main(["sample", "--spec", str(bad), "-n", "5", "-o", str(workdir / "x.csv")])
         assert code == 2
-        assert "unknown ['hii']" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown ['hii']" in err[0]
 
     @pytest.mark.parametrize("name, text", [
         ("missing.json", None),
@@ -241,15 +245,16 @@ class TestCenter:
             "residual 0.000e+00",
         ]
 
-    @pytest.mark.parametrize("rows, deviation", [
+    @pytest.mark.parametrize("header, rows, deviation", [
         # ROADMAP item 1a (a scale-equivariant membership bound) turns this row to exit 0
-        (np.random.default_rng(1).random((1024, 2)) * 2.0**-20, "1.172e-02"),
-        # ROADMAP item 3 (a check that understands split atoms) turns this row to exit 0
-        (np.tile([0.25, -1.5, 3.0], (50, 1)), "7.000e+00"),
-    ], ids=["uniform-2d-scale-2^-20", "50-identical-3d"])
-    def test_partition_failing_its_own_check_exits_3(self, workdir, capsys, rows, deviation):
+        ("x1,x2", np.random.default_rng(1).random((1024, 2)) * 2.0**-20, "1.172e-02"),
+        # ROADMAP item 3 (a check that understands split atoms) turns these rows to exit 0
+        ("x1,x2,x3", np.tile([0.25, -1.5, 3.0], (50, 1)), "7.000e+00"),
+        ("x1,x2,w", WEIGHTED_ROWS, "1.021e-02"),
+    ], ids=["uniform-2d-scale-2^-20", "50-identical-3d", "512-weighted-2d"])
+    def test_partition_failing_its_own_check_exits_3(self, workdir, capsys, header, rows,
+                                                     deviation):
         pts, out = workdir / "defect.csv", workdir / "defect.json"
-        header = ",".join(f"x{i + 1}" for i in range(rows.shape[1]))
         pts.write_text(header + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
         assert main(["center", str(pts), "-o", str(out)]) == 3
         captured = capsys.readouterr()
