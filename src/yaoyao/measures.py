@@ -378,7 +378,8 @@ def _quantile(v: np.ndarray, w: np.ndarray, q: float, ks=...):
     Selection takes tied zeros, -0.0 and 0.0, in input order as sorting does."""
     ks = _picks(w, q) if ks is ... else ks
     if ks is not None:
-        part = np.partition(v, ks)
+        part = v.copy()  # np.partition without its wrapper
+        part.partition(ks)
         ends = [part[k] or v[v == 0.0][k - np.count_nonzero(v < 0.0)] for k in ks]
     else:
         order = np.argsort(v, kind="stable")

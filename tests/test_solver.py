@@ -523,6 +523,24 @@ class TestComputeCenterPartition:
         compute_center_partition(SHIFTED, SYS2, CFG)
         assert splits == [SHIFTED.size]
 
+    @pytest.mark.parametrize("n, count, expected", [(3, 1024, 3), (4, 256, 41), (5, 128, 643)])
+    def test_each_half_splits_once_per_component(self, monkeypatch, n, count, expected):
+        # column 0 of a node's slid stack is fixed once v_2 is solved, so each
+        # half is split once per component k >= 3, not once per evaluation:
+        # an n = 3 solve splits the root, then each half once
+        cloud = sample(MeasureSpec.uniform_box([0] * n, [1] * n), count, 7)
+        splits, sizes = [], []
+        real, real_solve_split = measures._split, solver._solve_split
+        for module in (measures, solver):
+            monkeypatch.setattr(module, "_split",
+                                lambda points, *rest: splits.append(len(points)) or real(points, *rest))
+        monkeypatch.setattr(solver, "_solve_split",
+                            lambda *args: sizes.append(args[3]) or real_solve_split(*args))
+        compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
+        assert len(splits) == expected == 1 + 2 * sum(max(m - 2, 0) for m in sizes)
+        if n == 3:
+            assert splits == [count, count // 2, count // 2]
+
     def test_each_child_solve_runs_once(self, monkeypatch):
         # a node's subtrees are the child solves of the residual evaluation
         # that fixed its axis, not a second pair
@@ -587,6 +605,9 @@ def _golden_clouds():
                            rng.choice([-1.0, -0.0, 0.0, 1.0], 48, p=[0.2, 0.3, 0.3, 0.2]),
                            rng.integers(0, 5, 48).astype(float)])
     yield "grid-zeros-3d", WeightedPointCloud.from_points(pts)
+    # as odd-3d one level deeper: the root split divides one point's weight,
+    # so every split of a half below it takes the sorting median
+    yield "odd-4d", sample(box([0] * 4, [1] * 4), 33, 18)
 
 
 # sha256 of the indented partition JSON, recorded before the solver ran on
@@ -604,6 +625,8 @@ GOLDEN = {
     # recorded before each evaluation slid both halves in one stack
     "deep-3d": "151579417336c0b3b48f5c3a9b1f89e0f5ddc267a3870ef9a14dfd15b8c65661",
     "grid-zeros-3d": "99a7c3e1fef4c7af5aee113b8cd28e907c0d634f0bfc7c88df0f9322cc49c058",
+    # recorded before each half was split once per component, not per evaluation
+    "odd-4d": "0656f593b3f677ac8e258f344c05adda2cbfff44445f31f054cf46cb8b7270a7",
 }
 
 
@@ -614,7 +637,7 @@ GOLDEN = {
     for workers in (1, 2) for i, (name, cloud) in enumerate(_golden_clouds())
 ])
 def test_partition_bytes_are_golden(name, cloud, workers):
-    if name == "odd-3d":
+    if name in ("odd-3d", "odd-4d"):
         # the root split divides one point's weight, so both subtrees carry
         # unequal weights and take the sorting median
         _, low, high = split_at_median(cloud)
