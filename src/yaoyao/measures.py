@@ -593,8 +593,8 @@ def regularize(
     samples of equal weight totalling mass(cloud) / p, so total mass becomes
     (1 + 1/p) times the original.  Fresh ids continue past the current maximum.
     """
-    if p <= 0:
-        raise ValueError("p must be > 0")
+    if not 0.0 < p < math.inf:  # NaN fails both comparisons
+        raise ValueError("p must be finite and > 0")
     if background.dimension != cloud.dimension:
         raise ValueError("background dimension mismatch")
     extra = sample(background, count, seed)

@@ -27,9 +27,9 @@ up to roundoff.
 Input is validated only at the public boundary (the clouds and the public
 functions).  Below it the recursion runs on plain (points, weights) arrays in
 id order through the measures kernels, which build no clouds and take
-unit-weight medians by selection.  Work no residual evaluation changes (each
-half's selection positions, and from component 3 on its median split) runs
-once per node or component, outside the residual (see ``_solve_split``).
+unit-weight medians by selection.  Work no residual evaluation changes runs
+once per node, outside the residual: each split's solve node (``_node``), and
+for m >= 3 each half's split once v_2 is solved (see ``_solve_split``).
 Each evaluation slides both halves in one step; an overflow still raises.
 Component 2's residual is nondecreasing in v_2 when both halves select: a
 low value x_2 - (x_1 - alpha) v_2 has x_1 - alpha <= 0, a high one >= 0,
@@ -264,41 +264,41 @@ def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig, k
     if m == 1:
         return np.array([_quantile(points[:, 0], weights, 0.5, ks)]), None
     alpha, rows, cut, w = _split(points, weights, ks)
-    return _solve_split(alpha, np.take(points, rows, axis=0), _halves(cut, w), m, cfg)
+    stack = np.take(points, rows, axis=0)
+    return _solve_split(_node(alpha, stack[:, 0], cut, w), stack[:, 1:], m, cfg)
 
 
-def _halves(cut: int, w: np.ndarray):
-    """(rows, weights, ks = _picks of the weights) of a split stack's halves."""
-    return [(rows, w[rows], _picks(w[rows], 0.5)) for rows in (slice(cut), slice(cut, None))]
+def _node(alpha: float, first: np.ndarray, cut: int, w: np.ndarray):
+    """Solve node (alpha, reach, halves, frozen, selected) of a split at alpha
+    of a stack (low half's cut rows first) with first coordinates first and
+    weights w: reach = first - alpha, a half is (rows, weights, _picks), frozen
+    = no point off the cut plane (g constant), selected = both halves select."""
+    reach = first - alpha
+    halves = [(rows, w[rows], _picks(w[rows], 0.5)) for rows in (slice(cut), slice(cut, None))]
+    return alpha, reach, halves, not reach.any(), all(ks is not None for *_, ks in halves)
 
 
-def _solve_split(alpha: float, stack: np.ndarray, halves, m: int, cfg: SolverConfig):
-    """_solve after the split at alpha; stack holds the low half's cut rows,
-    then the high half's, and halves is _halves of the cut and their weights.
+def _solve_split(node, tail: np.ndarray, m: int, cfg: SolverConfig):
+    """_solve after a split, given its _node and tail, the stack's coordinates 2..m.
 
     Components v_2..v_m are solved in turn; component k needs child prefix
-    solves of length k-1.  Once per node, coordinates 2..m and x_1 - alpha are
-    taken from the stack.  Once per component k >= 3, each half is split and
-    its halves' selection positions are taken: the split reads column 0 of the
-    slid stack, x_2 - (x_1 - alpha) v_2, fixed since v_2 was solved, from the
-    last (root) evaluation of component k-1.  Once per evaluation, the residual
-    writes its argument into v, slides the stack, gathers each half's split
-    rows and keeps the two child solves it makes; the root step's last
-    evaluation is its root, so after component m, v is this node's axis and
-    those solves are its subtrees.
-    """
-    tail, reach = stack[:, 1:], stack[:, 0] - alpha
-    selected = all(ks is not None for *_, ks in halves)  # see the module docstring
+    solves of length k-1.  Once per node, right after component 2's root step,
+    each half is split into a child node: the split reads column 0 of the slid
+    stack, x_2 - (x_1 - alpha) v_2, fixed from then on, from that step's last
+    (root) evaluation, and the child's reach keeps it.  Once per evaluation,
+    the residual writes its argument into v, slides the stack, gathers only
+    the child nodes' tail columns and keeps the two child solves it makes; the
+    root step's last evaluation is its root, so after component m, v is this
+    node's axis and those solves are its subtrees."""
+    alpha, reach, halves, frozen, selected = node
     v = np.zeros(m)
     v[0] = 1.0
-    # with every point on the cut plane, sliding ignores v and g is constant
-    frozen = not reach.any()
-    records = []
-    neg = pos = slid = None
+    records, neg, pos, slid = [], None, None, None
     for k in range(2, m + 1):
-        if k > 2:
-            splits = [(rows, a, kept, _halves(cut, cw)) for rows, w, ks in halves
-                      for a, kept, cut, cw in [_split(slid[rows], w, ks)]]
+        if k == 3:  # each half's column 0 is fixed from here on
+            children = [(rows, kept, _node(a, np.take(slid[rows, 0], kept), cut, cw))
+                        for rows, w, ks in halves
+                        for a, kept, cut, cw in [_split(slid[rows], w, ks)]]
 
         def g(t, _k=k):
             nonlocal neg, pos, slid
@@ -307,8 +307,8 @@ def _solve_split(alpha: float, stack: np.ndarray, halves, m: int, cfg: SolverCon
             if _k == 2:  # the children are leaves: medians, no split
                 neg, pos = (_solve(slid[rows], w, 1, cfg, ks) for rows, w, ks in halves)
             else:
-                neg, pos = (_solve_split(a, np.take(slid[rows], kept, axis=0), h, _k - 1, cfg)
-                            for rows, a, kept, h in splits)
+                neg, pos = (_solve_split(child, np.take(slid[rows, 1:], kept, axis=0), _k - 1, cfg)
+                            for rows, kept, child in children)
             return float(neg[0][_k - 2] - pos[0][_k - 2])
 
         try:
@@ -396,9 +396,9 @@ def compute_center_partition(
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud)
-        w = np.concatenate([low.weights, high.weights])
-        center, root = _solve_split(alpha, np.concatenate([low.points, high.points]),
-                                    _halves(low.size, w), n, cfg)
+        stack = np.concatenate([low.points, high.points])
+        node = _node(alpha, stack[:, 0], low.size, np.concatenate([low.weights, high.weights]))
+        center, root = _solve_split(node, stack[:, 1:], n, cfg)
     kept, level = [], [root]  # the internal nodes in level order, left (-) to right (+)
     for _ in range(n - 1):
         kept += level

@@ -244,9 +244,10 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
     0.5 * sqrt(eps) * data scale.
     """
     cfg = cfg or SolverConfig()
-    eps_list = sorted((float(e) for e in eps_list), reverse=True)
-    if not eps_list or eps_list[-1] <= 0:
-        raise ValueError("eps values must be positive")
+    eps_list = [float(e) for e in eps_list]
+    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):  # NaN fails both
+        raise ValueError("eps values must be finite and > 0")
+    eps_list.sort(reverse=True)
     system = CoordinateSystem.standard(cloud.dimension)
     base_center = compute_center_partition(cloud, system, cfg).center
     scale = float(np.max(np.ptp(cloud.points, axis=0)))

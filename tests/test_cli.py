@@ -170,6 +170,17 @@ class TestCenter:
         assert code == 2
         assert_one_error_line(capsys)
 
+    def test_system_of_another_dimension_exits_2(self, workdir, capsys):
+        (workdir / "sys.json").write_text(json.dumps({"matrix": np.eye(3).tolist(),
+                                                      "offset": [0.0] * 3}))
+        out = workdir / "part.json"
+        code = main(["center", str(workdir / "asym.csv"), "--system", str(workdir / "sys.json"),
+                     "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: coordinate system is 3-dimensional, points are 2-dimensional"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, key", [
         ('{"matrix": [[true, 0], [0, true]], "offset": [false, 0]}', "matrix"),
         ('{"matrix": [[1, 0], [0, 1]], "offset": [false, 0]}', "offset"),
@@ -386,6 +397,13 @@ class TestVerify:
         }))
         assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
         assert "missing node at depth 2" in capsys.readouterr().err
+
+    def test_partition_not_json_exits_2(self, workdir, capsys):
+        part = workdir / "part.json"
+        part.write_text("{not json")
+        assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad partition file: invalid JSON: ")
 
     @pytest.mark.parametrize("command", ["verify", "plot"])
     def test_partition_not_utf8_exits_2(self, workdir, capsys, command):

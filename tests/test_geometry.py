@@ -72,6 +72,15 @@ class TestCoordinateSystem:
         with pytest.raises(ValueError, match="offset must be finite"):
             CoordinateSystem(np.eye(2), np.array([0.0, bad]))
 
+    @pytest.mark.parametrize("matrix, offset, message", [
+        (np.ones((2, 3)), np.zeros(2), r"coordinate matrix must be square, got \(2, 3\)"),
+        (np.ones(2), np.zeros(2), r"coordinate matrix must be square, got \(2,\)"),
+        (np.eye(2), np.zeros(3), "offset length must match matrix dimension"),
+    ])
+    def test_shapes_rejected(self, matrix, offset, message):
+        with pytest.raises(ValueError, match=message):
+            CoordinateSystem(matrix, offset)
+
     @given(st.integers(2, 5), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random(self, n, seed):
@@ -331,6 +340,11 @@ class TestHalfspaceCertificate:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             HalfSpace(np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("normal", [np.ones((2, 2)), np.float64(1.0)])
+    def test_normal_must_be_a_vector(self, normal):
+        with pytest.raises(ValueError, match="half-space normal must be a vector"):
+            HalfSpace(normal, 0.0)
 
     @given(st.integers(2, 5), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

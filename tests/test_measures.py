@@ -56,6 +56,16 @@ class TestCloud:
         with pytest.raises(ValueError, match="finite total"):
             WeightedPointCloud.from_points([[0.0], [1.0]], [1.0, np.nan])
 
+    @pytest.mark.parametrize("points, weights, ids, message", [
+        ([0.0, 1.0], [1.0, 1.0], [0, 1], r"points must be an \(N, n\) array"),
+        (np.zeros((2, 1, 1)), [1.0, 1.0], [0, 1], r"points must be an \(N, n\) array"),
+        ([[0.0], [1.0]], [1.0], [0, 1], "points, weights and ids must have matching length"),
+        ([[0.0], [1.0]], [1.0, 1.0], [0], "points, weights and ids must have matching length"),
+    ])
+    def test_shapes_rejected(self, points, weights, ids, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedPointCloud(points, weights, ids)
+
     def test_unsorted_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="ids must be unique"):
             WeightedPointCloud([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0], [3, 1, 3])
@@ -108,6 +118,8 @@ class TestWeightedQuantile:
             weighted_quantile([np.nan, 1, 2], [1, 1, 1], 0.5)  # NaN ranks above 2
         with pytest.raises(ValueError, match="values must be finite"):
             weighted_quantile([-np.inf, np.inf], [1, 1], 0.5)  # -inf + inf is NaN
+        with pytest.raises(ValueError, match="values and weights must have equal length"):
+            weighted_quantile([1.0, 2.0], [1.0], 0.5)
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=40),
@@ -291,6 +303,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_measure(cloud_1d([1.0]), 0.0, np.array([1.0]))
 
+    def test_axis_dimension_checked(self):
+        c = WeightedPointCloud.from_points([[0.0, 0.0]])
+        with pytest.raises(ValueError, match="axis dimension mismatch"):
+            project_measure(c, 0.0, np.array([1.0, 0.5, 0.0]))
+
     def test_overflow_raises_with_warnings_as_errors(self):
         # 50 * 1e308 overflows: the projected points are no longer finite
         c = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
@@ -331,6 +348,11 @@ class TestHalfspaceMass:
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), 0.5)) == 2.0
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), -99.0)) == 4.0
         assert halfspace_mass(corners, HalfSpace(np.array([1.0, 0.0]), 99.0)) == 0.0
+
+    def test_dimension_checked(self):
+        corners = WeightedPointCloud.from_points([[0, 0], [1, 1]])
+        with pytest.raises(ValueError, match="half-space dimension mismatch"):
+            halfspace_mass(corners, HalfSpace(np.ones(3), 0.0))
 
 
 def block_product_masses(points, weights, normals, offsets):
@@ -696,6 +718,13 @@ class TestRegularize:
         with pytest.raises(ValueError, match="background dimension mismatch"):
             regularize(c, MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 1.0, 4, 1)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, 0.0])
+    def test_p_checked_before_drawing(self, monkeypatch, p):
+        c = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 4, seed=0)
+        monkeypatch.setattr(measures, "sample", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match="p must be finite and > 0"):
+            regularize(c, MeasureSpec.uniform_box([0, 0], [1, 1]), p, 4, 1)
+
 
 class TestSymmetrize:
     def test_single_point(self):
@@ -716,6 +745,11 @@ class TestSymmetrize:
         out = symmetrize(c, z)
         reflected = np.sort(2 * z - out.points, axis=0)
         assert np.allclose(np.sort(out.points, axis=0), reflected, atol=1e-12)
+
+    def test_center_dimension_checked(self):
+        c = WeightedPointCloud.from_points([[0.0, 0.0]])
+        with pytest.raises(ValueError, match="symmetry center dimension mismatch"):
+            symmetrize(c, (1.0, 1.0, 1.0))
 
 
 class TestMonotoneLiftRaw:

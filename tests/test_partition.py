@@ -196,6 +196,30 @@ class TestTreeInvariants:
         with pytest.raises(PartitionFormatError, match="shape"):
             PartitionTree(SYS2, np.zeros(2), axes, {})
 
+    def test_center_length_checked(self):
+        axes = [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+        with pytest.raises(PartitionFormatError, match="center length must equal the dimension"):
+            PartitionTree(SYS2, np.zeros(3), axes, {})
+
+    @pytest.mark.parametrize("where, message", [
+        ("document", "partition document must be a JSON object"),
+        ("keys", r"node is missing keys \['pos'\]"),
+        ("axis", "node axis must be a list of numbers"),
+        ("dim", "'dim' does not match the coordinate system"),
+    ])
+    def test_malformed_document_rejected(self, where, message):
+        doc = standard_doc(2)
+        if where == "document":
+            doc = [doc]
+        elif where == "keys":
+            del doc["root"]["neg"]["pos"]
+        elif where == "axis":
+            doc["root"]["pos"]["axis"] = ["0", 1.0]
+        else:
+            doc["dim"] = 3
+        with pytest.raises(PartitionFormatError, match=message):
+            deserialize(doc)
+
     def test_paths_must_reach_the_dimension(self):
         doc = standard_doc(2)
         doc["root"]["neg"] = doc["root"]["pos"] = None

@@ -84,6 +84,8 @@ class TestSolverConfig:
         ({"residual_tol": True}, "residual_tol must be a number"),
         ({"bracket_half_width": True}, "bracket_half_width must be a number"),
         ({"bracket_growth": True}, "bracket_growth must be a number"),
+        ({"bracket_growth": 1.0}, "bracket_growth must be > 1"),
+        ({"bracket_growth": 0.5}, "bracket_growth must be > 1"),
     ])
     def test_budgets_checked_at_construction(self, doc, message):
         with pytest.raises(ValueError, match=message):
@@ -260,6 +262,14 @@ class TestAxisResidual:
         with pytest.raises(ValueError):
             evaluate_axis_residual(low, high, alpha, np.array([2.0, 0.0]), CFG)
 
+    def test_dimensions_checked(self):
+        alpha, low, high = split_at_median(ASYMMETRIC)
+        flat = WeightedPointCloud.from_points([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="halves have different dimensions"):
+            evaluate_axis_residual(low, flat, alpha, np.array([1.0, 0.0]), CFG)
+        with pytest.raises(ValueError, match="axis solve needs dimension >= 2"):
+            evaluate_axis_residual(flat, flat, 0.5, np.array([1.0]), CFG)
+
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(2, 4),
@@ -382,6 +392,10 @@ class TestComputeCenterPartition:
         tree = compute_center_partition(ASYMMETRIC, SYS2, CFG)
         assert np.max(np.abs(tree.center - [1.5, 1.5])) <= 1e-9
         assert abs(tree.axes[0][1] - 0.5) <= 1e-9
+
+    def test_system_dimension_checked(self):
+        with pytest.raises(ValueError, match="cloud and coordinate system dimensions differ"):
+            compute_center_partition(SQUARE, SYS3, CFG)
 
     def test_dimension_cap(self):
         cloud = WeightedPointCloud.from_points(np.zeros((3, 9)))
@@ -523,11 +537,11 @@ class TestComputeCenterPartition:
         compute_center_partition(SHIFTED, SYS2, CFG)
         assert splits == [SHIFTED.size]
 
-    @pytest.mark.parametrize("n, count, expected", [(3, 1024, 3), (4, 256, 41), (5, 128, 643)])
-    def test_each_half_splits_once_per_component(self, monkeypatch, n, count, expected):
+    @pytest.mark.parametrize("n, count, expected", [(3, 1024, 3), (4, 256, 39), (5, 128, 603)])
+    def test_each_half_splits_once_per_node(self, monkeypatch, n, count, expected):
         # column 0 of a node's slid stack is fixed once v_2 is solved, so each
-        # half is split once per component k >= 3, not once per evaluation:
-        # an n = 3 solve splits the root, then each half once
+        # half is split once per node solve with m >= 3, not once per component
+        # or evaluation: an n = 3 solve splits the root, then each half once
         cloud = sample(MeasureSpec.uniform_box([0] * n, [1] * n), count, 7)
         splits, sizes = [], []
         real, real_solve_split = measures._split, solver._solve_split
@@ -535,23 +549,25 @@ class TestComputeCenterPartition:
             monkeypatch.setattr(module, "_split",
                                 lambda points, *rest: splits.append(len(points)) or real(points, *rest))
         monkeypatch.setattr(solver, "_solve_split",
-                            lambda *args: sizes.append(args[3]) or real_solve_split(*args))
+                            lambda *args: sizes.append(args[2]) or real_solve_split(*args))
         compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
-        assert len(splits) == expected == 1 + 2 * sum(max(m - 2, 0) for m in sizes)
+        assert len(splits) == expected == 1 + 2 * sum(m >= 3 for m in sizes)
         if n == 3:
             assert splits == [count, count // 2, count // 2]
 
     def test_each_child_solve_runs_once(self, monkeypatch):
         # a node's subtrees are the child solves of the residual evaluation
-        # that fixed its axis, not a second pair
+        # that fixed its axis, not a second pair: no stack is slid twice at
+        # one axis.  A child node's reach is shared by all its solves, so the
+        # key is the stack the slide reads (tail is a view of it)
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 48, seed=8)
-        seen, reaches = set(), []
+        seen, stacks = set(), []
         real = solver._slide
 
         def slide(tail, reach, axis_tail):
-            reaches.append(reach)  # keeps every id unique while the solve runs
+            stacks.append(tail.base)  # keeps every id unique while the solve runs
             m = tail.shape[1]  # the child solves the first m coordinates
-            key = (id(reach), axis_tail.tobytes(), m)  # bytes: the axis is written in place
+            key = (id(tail.base), axis_tail.tobytes(), m)  # bytes: the axis is written in place
             assert key not in seen
             seen.add(key)
             return real(tail, reach, axis_tail)

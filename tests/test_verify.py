@@ -454,6 +454,11 @@ class TestPrefixDependence:
         with pytest.raises(ValueError):
             check_prefix_dependence(cloud, 1, bad, CFG)
 
+    def test_shear_changing_the_shape_rejected(self):
+        cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=24)
+        with pytest.raises(ValueError, match="shear must preserve the array shape"):
+            check_prefix_dependence(cloud, 1, lambda p: p[:, :1], CFG)
+
 
 class TestContinuity:
     def test_qualitative_decay(self):
@@ -471,6 +476,13 @@ class TestContinuity:
                                              "weights": [1.0, 1.0]})
         rep = check_continuity(cloud, gamma, [0.1], CFG, count=2, seed=3)
         assert rep.stats["distances"][0] <= 100 * CFG.residual_tol
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_eps_checked_before_any_solve(self, monkeypatch, bad):
+        cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=1)
+        monkeypatch.setattr(verify, "compute_center_partition", None)  # a solve would raise
+        with pytest.raises(ValueError, match="eps values must be finite and > 0"):
+            check_continuity(cloud, MeasureSpec.gaussian([0.5, 0.5]), [0.2, bad], CFG)
 
 
 def scanned_center_2d(cloud):
