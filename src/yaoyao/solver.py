@@ -106,19 +106,16 @@ class SolverConfig:
     """Tolerances and budgets for the center solve.
 
     root_tol is the target width of the final sign-change bracket (axis
-    coordinate units): a root step ends when g hits 0 exactly or the bracket is
-    at most root_tol wide (or no float lies strictly inside it).  residual_tol
-    is the child-center disagreement accepted at the starting point: if
-    |g(t0)| <= residual_tol no bracket is built.  Brackets expand from
-    +-bracket_half_width around the start by factor bracket_growth, at most
-    max_bracket_expansions times.
+    coordinate units): a root step ends when g hits 0 exactly, at the start
+    point too, or the bracket is at most root_tol wide (or no float lies
+    strictly inside it).  Brackets expand from +-bracket_half_width around
+    the start by factor bracket_growth, at most max_bracket_expansions times.
     max_bisections caps the root steps (interpolation or midpoint) per
     coordinate; midpoints take over before it runs out, so it never fails
     where bisection alone would finish.  The three budgets are integers.
     """
 
     root_tol: float = 1e-10
-    residual_tol: float = 1e-9
     bracket_half_width: float = 1.0
     bracket_growth: float = 2.0
     max_bracket_expansions: int = 60
@@ -132,7 +129,7 @@ class SolverConfig:
             budget = name.startswith("max_")  # the three budgets
             if isinstance(value, bool) or budget and not isinstance(value, int):
                 raise ValueError(f"{name} must be " + ("an integer" if budget else "a number"))
-        for name in ("root_tol", "residual_tol", "bracket_half_width"):
+        for name in ("root_tol", "bracket_half_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.bracket_growth <= 1:
@@ -168,7 +165,7 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
                         rising: bool = False):
     """Root of g near t0; returns (root, bracket, expansions, iterations, residual).
 
-    If |g(t0)| <= residual_tol, the root is t0.  Otherwise the bracket
+    If g(t0) == 0, the root is t0.  Otherwise the bracket
     [t0 - h, t0 + h] grows geometrically until a sign change appears (left
     endpoint probed first), then safeguarded Illinois regula-falsi steps
     (interpolated points kept root_tol/2 inside, every 4th step a midpoint,
@@ -182,8 +179,8 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
     are skipped, with the same result.
     """
     f0 = g(t0)
-    if abs(f0) <= cfg.residual_tol:
-        return t0, (t0, t0), 0, 0, abs(f0)
+    if f0 == 0.0:
+        return t0, (t0, t0), 0, 0, 0.0
     if frozen:
         raise DegenerateInputError(
             f"residual {f0:.3g} cannot move: every point of both halves lies on "
@@ -365,9 +362,10 @@ def compute_center_partition(
 
     The cloud's rows must already be coordinates of ``system``.  Returns the
     tree of per-node axes sharing one global center; the two child centers at
-    every internal node agree within residual_tol and the recorded center is
-    their midpoint.  The tree is not checked: ``verify.check_equipartition``
-    judges it, as the CLI's ``center`` does before it writes a tree.
+    every internal node agree as closely as its root steps ended (meta's
+    max_center_gap), and the recorded center is their midpoint.  The tree is
+    not checked: ``verify.check_equipartition`` judges it, as the CLI's
+    ``center`` does before it writes a tree.
 
     workers must be >= 1 and has no effect: the solve runs in the caller's
     thread, and the tree is the same bytes for every value.  It stays only

@@ -9,7 +9,7 @@ the two halves it separates, without touching the solver.
 Avoidance holds for every tree of this shape, so its check proves a lemma and
 draws nothing; depth holds for every valid tree, so a failed depth draw is an
 implementation bug, never sampling noise.  Mass checks carry explicit
-tolerances; the symmetry check of a symmetrized cloud allows 50 * residual_tol.
+tolerances; the solve checks scale one absolute center tolerance, 1e-9.
 
 Every check is a pure function of its inputs (and seed, where it draws).
 """
@@ -52,6 +52,7 @@ __all__ = [
 # relative slack under mass / 2^n that check_depth allows a half-space
 _DEPTH_SLACK = 1e-6
 _RATE_CONSTANT = 0.5  # check_continuity's drift bound, per sqrt(eps) * data scale
+_CENTER_TOL = 1e-9  # absolute center agreement the symmetry, prefix and continuity checks scale
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,12 @@ def check_symmetry(cloud: WeightedPointCloud, z,
     """The center of a centrally symmetric cloud sits at its symmetry point.
 
     The cloud is symmetrized about z first, and the center must lie within
-    50 * residual_tol of z in every coordinate.  Nothing is drawn, so the
+    50 * 1e-9 of z in every coordinate.  Nothing is drawn, so the
     report carries no seed.
     """
     cfg = cfg or SolverConfig()
     z = np.asarray(z, dtype=float)
-    tol = 50.0 * cfg.residual_tol
+    tol = 50.0 * _CENTER_TOL
     system = CoordinateSystem.standard(cloud.dimension)
     tree = compute_center_partition(symmetrize(cloud, z), system, cfg)
     dev = float(np.max(np.abs(tree.center - z)))
@@ -221,7 +222,7 @@ def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear,
     before = compute_center_partition(cloud, system, cfg).center
     after = compute_center_partition(sheared, system, cfg).center
     dev = float(np.max(np.abs(before[:k] - after[:k])))
-    tol = 10.0 * max(cfg.root_tol, cfg.residual_tol)
+    tol = 10.0 * max(cfg.root_tol, _CENTER_TOL)
     return CheckReport(
         "prefix-dependence",
         dev <= tol,
@@ -240,13 +241,14 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
     Each eps mixes in ``regularize(cloud, background, 1 / eps, count, seed)``:
     the same background sample, carrying mass(cloud) / (1 / eps).  Distances
     to the unperturbed center must be non-increasing along decreasing eps (up
-    to 10 * residual_tol) and below
-    0.5 * sqrt(eps) * data scale.
+    to 10 * 1e-9) and below 0.5 * sqrt(eps) * data scale.  Every 1 / eps must
+    be finite.
     """
     cfg = cfg or SolverConfig()
     eps_list = [float(e) for e in eps_list]
-    if not eps_list or not all(0.0 < e < math.inf for e in eps_list):  # NaN fails both
-        raise ValueError("eps values must be finite and > 0")
+    # NaN fails both; below about 5.6e-309, 1 / eps overflows
+    if not eps_list or not all(0.0 < e < math.inf and 1.0 / e < math.inf for e in eps_list):
+        raise ValueError("eps values must be finite and > 0, with 1 / eps finite")
     eps_list.sort(reverse=True)
     system = CoordinateSystem.standard(cloud.dimension)
     base_center = compute_center_partition(cloud, system, cfg).center
@@ -256,7 +258,7 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
         mixed = regularize(cloud, background, 1.0 / eps, count, seed)
         center = compute_center_partition(mixed, system, cfg).center
         distances.append(float(np.linalg.norm(center - base_center)))
-    slack = 10.0 * cfg.residual_tol
+    slack = 10.0 * _CENTER_TOL
     monotone = all(
         d_small <= d_big + slack for d_big, d_small in zip(distances, distances[1:])
     )

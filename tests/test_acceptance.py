@@ -34,7 +34,7 @@ from yaoyao.verify import (
 
 CFG = SolverConfig()
 DELTA_V = CFG.root_tol
-DELTA_T = CFG.residual_tol
+DELTA_T = 1e-9
 
 ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
 SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])

@@ -584,7 +584,7 @@ class TestNumbersOutOfRange:
     @pytest.mark.parametrize("text, message", [
         ('{"root_tol": NaN}', "root_tol must be finite"),
         ('{"root_tol": Infinity}', "root_tol must be finite"),
-        ('{"residual_tol": NaN}', "residual_tol must be finite"),
+        ('{"residual_tol": 1e-9}', "unknown solver config keys: ['residual_tol']"),
         ('{"bracket_growth": Infinity}', "bracket_growth must be finite"),
         ('{"root_tol": BIG}', "too large"),
         ('{"max_bisections": BIG}', "too large"),

@@ -27,6 +27,8 @@ UNIFORM = np.random.default_rng(1).random((1024, 2))
 GAUSS = np.random.default_rng(3).standard_normal((2048, 3))
 _r = np.random.default_rng(5)
 WEIGHTED = _r.standard_normal((4096, 2)), _r.uniform(0.1, 3.0, 4096)
+_r = np.random.default_rng(5)
+WEIGHTED_4D = _r.standard_normal((256, 4)), _r.uniform(0.1, 3.0, 256)
 COPLANAR = np.column_stack([np.random.default_rng(0).standard_normal((20, 2)), np.zeros(20)])
 
 ROWS = [
@@ -35,9 +37,10 @@ ROWS = [
     defect("items 1a and 1b", UNIFORM * 2.0**-40, name="uniform-2d-scale-2^-40"),  # 3
     defect("item 1a", UNIFORM + 1e6, name="uniform-2d-offset-1e6"),  # 2.73e-2
     defect("item 1a", UNIFORM + 1e8, name="uniform-2d-offset-1e8"),  # 1.43
-    defect("items 1a and 1b", GAUSS * [1, 1e-9, 1e9], name="gauss-3d-scales-1-1e-9-1e9"),  # 2.05
+    defect("items 1a and 1b", GAUSS * [1, 1e-9, 1e9], name="gauss-3d-scales-1-1e-9-1e9"),  # 2.07
     defect("items 1a and 1b", GAUSS * 1e-7, name="gauss-3d-scale-1e-7"),  # 3.12e-2
     defect("item 3", *WEIGHTED, name="weighted-gauss-2d"),  # 2.32e-3
+    defect("item 3", *WEIGHTED_4D, name="weighted-gauss-4d"),  # 0.154
     defect("item 3", np.array([[0.3, 0.7]]), name="one-point-2d"),  # 3
     defect("item 3", np.tile([0.25, -1.5, 3.0], (50, 1)), name="50-identical-3d"),  # 7
     defect("item 3", COPLANAR, name="20-coplanar-3d"),  # 1

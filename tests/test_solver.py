@@ -25,6 +25,7 @@ from yaoyao.solver import (
 )
 
 CFG = SolverConfig()
+CENTER_TOL = 1e-9  # absolute child-center agreement the solves below reach
 SYS2 = CoordinateSystem.standard(2)
 SYS3 = CoordinateSystem.standard(3)
 
@@ -44,7 +45,6 @@ def root_solve(cloud, cfg=CFG):
 class TestSolverConfig:
     def test_defaults(self):
         assert CFG.root_tol == 1e-10
-        assert CFG.residual_tol == 1e-9
         assert CFG.max_dimension == 8
 
     def test_json_round_trip(self):
@@ -63,7 +63,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig.from_json({"bogus": 1})
 
-    @pytest.mark.parametrize("field", ["root_tol", "residual_tol", "bracket_half_width",
+    @pytest.mark.parametrize("field", ["root_tol", "bracket_half_width",
                                        "bracket_growth", "max_bisections"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_rejected(self, field, value):
@@ -81,7 +81,7 @@ class TestSolverConfig:
         ({"max_dimension": 0}, "max_dimension must lie in 1..12"),
         ({"max_dimension": False}, "max_dimension must be an integer"),
         ({"root_tol": True}, "root_tol must be a number"),
-        ({"residual_tol": True}, "residual_tol must be a number"),
+        ({"bracket_half_width": 0.0}, "bracket_half_width must be > 0"),
         ({"bracket_half_width": True}, "bracket_half_width must be a number"),
         ({"bracket_growth": True}, "bracket_growth must be a number"),
         ({"bracket_growth": 1.0}, "bracket_growth must be > 1"),
@@ -209,7 +209,7 @@ class TestRootStepProperty:
             values = -values
         g = _piecewise_linear(knots, list(values))
         root, *_ = solver._bracket_and_bisect(g, t0, CFG)
-        if root == t0 and abs(g(t0)) <= CFG.residual_tol:
+        if root == t0 and g(t0) == 0.0:
             return
         tol = CFG.root_tol
         assert g(root) == 0.0 or g(root - tol) * g(root + tol) <= 0.0
@@ -357,8 +357,7 @@ class TestTriangularAxisSolve:
         assert record["iterations"] <= 10
 
     def test_asymmetric_root(self):
-        cfg = SolverConfig(residual_tol=1e-10)
-        v, trace = root_solve(ASYMMETRIC, cfg)
+        v, trace = root_solve(ASYMMETRIC)
         assert v[0] == 1.0
         assert v[1] == pytest.approx(0.5, abs=1e-9)
         assert max(r["residual"] for r in trace["records"]) <= 1e-10
@@ -426,8 +425,8 @@ class TestComputeCenterPartition:
     def test_child_center_agreement(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 128, seed=17)
         tree = compute_center_partition(cloud, SYS3, CFG)
-        assert tree.meta["max_center_gap"] <= CFG.residual_tol
-        assert tree.meta["max_residual"] <= CFG.residual_tol
+        assert tree.meta["max_center_gap"] <= CENTER_TOL
+        assert tree.meta["max_residual"] <= CENTER_TOL
 
     def test_prefix_stability_after_solve(self):
         # re-evaluating the residual at the solved axis leaves every component small
@@ -435,14 +434,14 @@ class TestComputeCenterPartition:
         v, _ = root_solve(cloud)
         alpha, low, high = split_at_median(cloud)
         res, _, _ = evaluate_axis_residual(low, high, alpha, v, CFG)
-        assert np.max(np.abs(res)) <= CFG.residual_tol + 1e-12
+        assert np.max(np.abs(res)) <= CENTER_TOL + 1e-12
 
     def test_bracket_parameters_do_not_move_the_center(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 200, seed=23)
         a = compute_center_partition(cloud, SYS2, CFG)
         wide = SolverConfig(bracket_half_width=7.0, bracket_growth=3.0)
         b = compute_center_partition(cloud, SYS2, wide)
-        tol = 10 * max(CFG.root_tol, CFG.residual_tol)
+        tol = 10 * max(CFG.root_tol, CENTER_TOL)
         assert np.max(np.abs(a.center - b.center)) <= tol
 
     def test_deterministic_and_thread_invariant(self):
@@ -465,14 +464,17 @@ class TestComputeCenterPartition:
         relabeled = WeightedPointCloud(cloud.points, cloud.weights, perm)
         a = compute_center_partition(cloud, SYS2, CFG)
         b = compute_center_partition(relabeled, SYS2, CFG)
-        assert np.max(np.abs(a.center - b.center)) <= 10 * max(CFG.root_tol, CFG.residual_tol)
+        assert np.max(np.abs(a.center - b.center)) <= 10 * max(CFG.root_tol, CENTER_TOL)
 
     def test_degenerate_first_coordinate_raises(self):
-        # all mass on one hyperplane: the residual never changes sign
-        cloud = WeightedPointCloud.from_points([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+        # all mass on one hyperplane: the residual never changes sign, and
+        # however small it is, no power-of-two scale of it gets a tree
         cfg = SolverConfig(max_bracket_expansions=6)
-        with pytest.raises(BracketNotFoundError):
-            compute_center_partition(cloud, SYS2, cfg)
+        for pts in ([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 1e-12]]):
+            for scale in (1.0, 2.0**40):
+                cloud = WeightedPointCloud.from_points(np.array(pts) * scale)
+                with pytest.raises(DegenerateInputError):
+                    compute_center_partition(cloud, SYS2, cfg)
 
     def test_frozen_residual_fails_before_expanding(self, monkeypatch):
         # every point has x1 == alpha, so no axis moves either half
@@ -627,22 +629,24 @@ def _golden_clouds():
 
 
 # sha256 of the indented partition JSON, recorded before the solver ran on
-# plain arrays with medians by selection; any byte drift fails here
+# plain arrays with medians by selection; any byte drift fails here.  All
+# eleven were re-recorded when residual_tol left SolverConfig: each document
+# lost only its meta.config line "residual_tol": 1e-09, and no tree moved
 GOLDEN = {
-    "unit-2d": "40cdfc447acfa6ed1f7f9a625358e8f5c53da32e438426e89c0c90aa4a636900",
-    "unit-3d": "972220b48dfa137877badda18150d2ae1c8ee7fe3432e9fd75a2fa6c3ebf9391",
-    "unit-4d": "e6de7dd1c63c324b669516f44e98fa72c5cec6418e22b5cb7a3386386d425aa9",
-    "odd-3d": "0828790486c9431733b55b0077eecacb8d8ce101eba6d76717921d8a44476c85",
-    "tied-weighted-2d": "2b73e0b57704a72d58e666768182a2161323db0dd05bd63c862abb2b39e12eac",
-    "eighth-2d": "e50992d584d18b327c983673cad5a836bb7831c5bd6ae256c4219566134b4e9e",
+    "unit-2d": "13815e16c4fe1e634153258b548b303b71bd2c382a7d969c09af04366a45f222",
+    "unit-3d": "cfc5a5dba158ba4f6f128b6b6494ccf9e0b1ded705a41210f66b0513c14b12a9",
+    "unit-4d": "b7f778ce15d8cf270a3ccac4e3f41e2d964c0a815b4ed9e05cfa15e43b6d486c",
+    "odd-3d": "8ab5615d90caa84c164777bd870086e82707d0ab7e8961120edb855ff1568a35",
+    "tied-weighted-2d": "4a23e1a436e66e0ef481f1bdf44178f051c0741e238e326b3a8b783223eca4a0",
+    "eighth-2d": "8312a1cd2862dbbd450414411cbb2e720b9e46d45077f4787783069d18cd5396",
     # recorded before the solve returned its kept nodes in place of axis levels
-    "unit-1d": "ad2b09eb5edc9767890f1d1f0d48db5a158ef8d9b22a6cd433bceed3dc8cf79e",
-    "unit-5d": "65d852bd8f7d17e9e96f668aaf7372e6e630ad4746c6b4a7c99e90ca50a527e4",
+    "unit-1d": "ec7a5e318dc818bb4a7b92c14c707f7b58dab726a8d80bbc77a4205533c4da66",
+    "unit-5d": "290fe6c901df76d234ac0d03f515c8a09534233ae413e6531b7810a4843473e7",
     # recorded before each evaluation slid both halves in one stack
-    "deep-3d": "151579417336c0b3b48f5c3a9b1f89e0f5ddc267a3870ef9a14dfd15b8c65661",
-    "grid-zeros-3d": "99a7c3e1fef4c7af5aee113b8cd28e907c0d634f0bfc7c88df0f9322cc49c058",
+    "deep-3d": "b2671b27a8ebef845f0f10e74ab146e739acd31e2e9e58f48aec2d698d038b97",
+    "grid-zeros-3d": "aee924d2dc48bf85b612b2816d1233b23bdd95ec88329981729e4dc89ebdca58",
     # recorded before each half was split once per component, not per evaluation
-    "odd-4d": "0656f593b3f677ac8e258f344c05adda2cbfff44445f31f054cf46cb8b7270a7",
+    "odd-4d": "33397fb84d3a83b03f3cf3e04856bbc7326771783cf978bed1d52050526ad689",
 }
 
 

@@ -37,6 +37,7 @@ from yaoyao.verify import (
 
 CFG = SolverConfig()
 SYS2 = CoordinateSystem.standard(2)
+CENTER_TOL = 1e-9  # the absolute center tolerance the solve checks scale
 
 ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
 SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -413,8 +414,8 @@ def test_halfspace_checks_reject_a_cloud_of_another_dimension(square_tree, check
 class TestSymmetry:
     def test_square_fixture(self):
         rep = check_symmetry(SQUARE, (0.5, 0.5), CFG)
-        assert rep.passed and rep.stats["max_deviation"] <= 50 * CFG.residual_tol
-        assert rep.tolerances == {"max_abs": 50 * CFG.residual_tol} and rep.seed is None
+        assert rep.passed and rep.stats["max_deviation"] <= 50 * CENTER_TOL
+        assert rep.tolerances == {"max_abs": 50 * CENTER_TOL} and rep.seed is None
 
     def test_symmetrized_cloud_2d(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [3, 1]), 150, seed=44)
@@ -467,7 +468,7 @@ class TestContinuity:
         rep = check_continuity(cloud, gamma, [0.2, 0.05], CFG, count=256, seed=99)
         assert rep.passed
         d = dict(zip(rep.stats["eps"], rep.stats["distances"]))
-        assert d[0.05] <= d[0.2] + 10 * CFG.residual_tol
+        assert d[0.05] <= d[0.2] + 10 * CENTER_TOL
 
     def test_symmetric_perturbation_leaves_center(self):
         z = (0.5, 0.5)
@@ -475,9 +476,10 @@ class TestContinuity:
         gamma = MeasureSpec("finite-atoms", {"points": [[0.25, 0.5], [0.75, 0.5]],
                                              "weights": [1.0, 1.0]})
         rep = check_continuity(cloud, gamma, [0.1], CFG, count=2, seed=3)
-        assert rep.stats["distances"][0] <= 100 * CFG.residual_tol
+        assert rep.stats["distances"][0] <= 100 * CENTER_TOL
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    # 1 / eps overflows below about 5.6e-309
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 5e-324, 5e-309])
     def test_eps_checked_before_any_solve(self, monkeypatch, bad):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=1)
         monkeypatch.setattr(verify, "compute_center_partition", None)  # a solve would raise
