@@ -36,7 +36,11 @@ class _InputError(Exception):
 def _system_file(path) -> CoordinateSystem:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("coordinate system document must be a JSON object")
     for key in ("matrix", "offset"):
+        if key not in doc:
+            raise ValueError(f"coordinate system document is missing key {key!r}")
         if _holds_bool(doc[key]):
             raise ValueError(f"{key!r} must not hold true or false")
     return CoordinateSystem(doc["matrix"], doc["offset"])

@@ -244,6 +244,11 @@ def _node_to_json(axes: np.ndarray, i: int):
     }
 
 
+def _numbers(value) -> bool:
+    """Whether a JSON value is a list of numbers."""
+    return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
+
+
 def _axes_from_json(root, n: int) -> np.ndarray:
     """The axis table of a nested document, read one level at a time, so the
     table is built only from nodes the document holds."""
@@ -258,7 +263,7 @@ def _axes_from_json(root, n: int) -> np.ndarray:
             if missing:
                 raise PartitionFormatError(f"node is missing keys {sorted(missing)}")
             axis = node["axis"]
-            if not isinstance(axis, list) or not all(isinstance(v, (int, float)) for v in axis):
+            if not _numbers(axis):
                 raise PartitionFormatError("node axis must be a list of numbers")
             if len(axis) != n:
                 raise PartitionFormatError(f"axis at depth {depth} has wrong length")
@@ -299,8 +304,13 @@ def deserialize(doc: dict) -> PartitionTree:
     for key in ("dim", "system", "center", "root"):
         if _holds_bool(doc[key]):
             raise PartitionFormatError(f"{key!r} must not hold true or false")
+    if not _numbers(doc["center"]):
+        raise PartitionFormatError("center must be a list of numbers")
     try:
-        system = CoordinateSystem(doc["system"]["matrix"], doc["system"]["offset"])
+        matrix, offset = doc["system"]["matrix"], doc["system"]["offset"]
+        if not (isinstance(matrix, list) and all(map(_numbers, matrix)) and _numbers(offset)):
+            raise ValueError("matrix and offset must be lists of numbers")
+        system = CoordinateSystem(matrix, offset)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PartitionFormatError(f"bad coordinate system: {exc}") from exc
     if system.dimension != doc["dim"]:

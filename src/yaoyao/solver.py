@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -92,7 +93,7 @@ class DegenerateInputError(BracketNotFoundError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The root step failed to converge within the configured iteration budget.
+    """The root step failed to converge within its fixed step budget.
 
     Carries the same ``coordinate`` / ``records`` (the root's dicts, keyed as
     in ``meta.root_trace``) as BracketNotFoundError from an axis solve."""
@@ -101,51 +102,39 @@ class NonConvergenceError(RuntimeError):
     records: tuple = ()
 
 
+_BRACKET_HALF_WIDTH = 1.0
+_BRACKET_GROWTH = 2.0
+_MAX_BRACKET_EXPANSIONS = 60
+_MAX_BISECTIONS = 200  # root steps per component, interpolated or midpoint
+_MAX_DIMENSION = 8  # the solve's cost grows as 2^n
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets for the center solve.
+    """The center solve's one tolerance.
 
     root_tol is the target width of the final sign-change bracket (axis
     coordinate units): a root step ends when g hits 0 exactly, at the start
     point too, or the bracket is at most root_tol wide (or no float lies
-    strictly inside it).  Brackets expand from +-bracket_half_width around
-    the start by factor bracket_growth, at most max_bracket_expansions times.
-    max_bisections caps the root steps (interpolation or midpoint) per
-    coordinate; midpoints take over before it runs out, so it never fails
-    where bisection alone would finish.  The three budgets are integers.
+    strictly inside it).  A root step needs only a sign change, so its bracket
+    (+-1, doubled at most 60 times) and its 200 steps are constants.
     """
 
     root_tol: float = 1e-10
-    bracket_half_width: float = 1.0
-    bracket_growth: float = 2.0
-    max_bracket_expansions: int = 60
-    max_bisections: int = 200
-    max_dimension: int = 8
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # a huge int raises OverflowError
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            budget = name.startswith("max_")  # the three budgets
-            if isinstance(value, bool) or budget and not isinstance(value, int):
-                raise ValueError(f"{name} must be " + ("an integer" if budget else "a number"))
-        for name in ("root_tol", "bracket_half_width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.bracket_growth <= 1:
-            raise ValueError("bracket_growth must be > 1")
-        if self.max_bracket_expansions < 0:
-            raise ValueError("max_bracket_expansions must be >= 0")
-        if self.max_bisections < 1:
-            raise ValueError("max_bisections must be >= 1")
-        if not 1 <= self.max_dimension <= 12:
-            raise ValueError("max_dimension must lie in 1..12 (cost grows as 2^n)")
+        if isinstance(self.root_tol, bool) or not isinstance(self.root_tol, numbers.Real):
+            raise ValueError("root_tol must be a number")
+        if not (math.isfinite(self.root_tol) and self.root_tol > 0):  # a huge int overflows
+            raise ValueError("root_tol must be finite and > 0")
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("solver config document must be a JSON object")
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
@@ -166,7 +155,7 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
     """Root of g near t0; returns (root, bracket, expansions, iterations, residual).
 
     If g(t0) == 0, the root is t0.  Otherwise the bracket
-    [t0 - h, t0 + h] grows geometrically until a sign change appears (left
+    [t0 - h, t0 + h], h = 1, doubles until a sign change appears (left
     endpoint probed first), then safeguarded Illinois regula-falsi steps
     (interpolated points kept root_tol/2 inside, every 4th step a midpoint,
     only midpoints once the budget is what bisection still needs) narrow it
@@ -188,10 +177,9 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
             "yaoyao.measures.regularize"
         )
 
-    h = cfg.bracket_half_width
+    h = _BRACKET_HALF_WIDTH
     a = b = fa = fb = None
-    expansions = 0
-    for expansions in range(cfg.max_bracket_expansions + 1):
+    for expansions in range(_MAX_BRACKET_EXPANSIONS + 1):
         for side in (-1.0, 1.0):
             if rising and side * f0 > 0.0:
                 continue  # g keeps the sign of f0 on this side
@@ -204,11 +192,11 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
                 break
         if a is not None:
             break
-        h *= cfg.bracket_growth
+        h *= _BRACKET_GROWTH
     else:
         raise BracketNotFoundError(
-            f"no sign change within {cfg.max_bracket_expansions} expansions "
-            f"(final half-width {h / cfg.bracket_growth:.3g})"
+            f"no sign change within {_MAX_BRACKET_EXPANSIONS} expansions "
+            f"(final half-width {h / _BRACKET_GROWTH:.3g})"
         )
 
     # Illinois regula falsi: when an end moves again after the last
@@ -219,10 +207,10 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
     bracket = (a, b)
     low_sign = math.copysign(1.0, fa)
     moved = 0  # end moved by the last interpolated step: -1 for a, +1 for b
-    for iterations in range(1, cfg.max_bisections + 1):
+    for iterations in range(1, _MAX_BISECTIONS + 1):
         m = 0.5 * (a + b)
         interpolated = False
-        budget = cfg.max_bisections - iterations + 1
+        budget = _MAX_BISECTIONS - iterations + 1
         need = math.ceil(math.log2(b - a) - math.log2(cfg.root_tol)) + 1
         if iterations % 4 and budget > need:
             t = a + (b - a) * (fa / (fa - fb))
@@ -247,7 +235,7 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
         if b - a <= cfg.root_tol or not a < 0.5 * (a + b) < b:
             return m, bracket, expansions, iterations, abs(fm)
     raise NonConvergenceError(
-        f"root step did not converge in {cfg.max_bisections} iterations"
+        f"root step did not converge in {_MAX_BISECTIONS} iterations"
     )
 
 
@@ -372,20 +360,17 @@ def compute_center_partition(
     because the benchmark (bench/workloads.py) passes workers=1; it goes
     with the next change to the benchmark.
 
-    Raises ValueError for a coordinate beyond ±2^1022, BracketNotFoundError /
-    NonConvergenceError for degenerate inputs, and DegenerateInputError (a
-    BracketNotFoundError) when a residual cannot move.
+    Raises ValueError before any solve for a dimension above 8 or a coordinate
+    beyond ±2^1022, BracketNotFoundError / NonConvergenceError for degenerate
+    inputs, and DegenerateInputError when a residual cannot move.
     """
     cfg = cfg or SolverConfig()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if cloud.dimension != system.dimension:
         raise ValueError("cloud and coordinate system dimensions differ")
-    if cloud.dimension > cfg.max_dimension:
-        raise ValueError(
-            f"dimension {cloud.dimension} exceeds configured maximum "
-            f"{cfg.max_dimension}"
-        )
+    if cloud.dimension > _MAX_DIMENSION:
+        raise ValueError(f"dimension {cloud.dimension} exceeds the maximum {_MAX_DIMENSION}")
     if max(cloud.points.max(), -cloud.points.min()) > 2.0**1022:  # keeps midpoints finite
         raise ValueError("coordinates must lie within ±2^1022; rescale the points")
     n = cloud.dimension

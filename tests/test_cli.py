@@ -196,12 +196,30 @@ class TestCenter:
             f"error: bad coordinate system file: '{key}' must not hold true or false"]
         assert not out.exists()
 
-    def test_dimension_above_config_maximum_exits_2(self, workdir, capsys):
-        cfgfile = workdir / "cfg.json"
-        cfgfile.write_text(json.dumps({"max_dimension": 1}))
-        code = main(["center", str(workdir / "asym.csv"), "--config", str(cfgfile)])
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "coordinate system document must be a JSON object"),
+        ('"abc"', "coordinate system document must be a JSON object"),
+        ('{"matrix": [[1, 0], [0, 1]]}', "coordinate system document is missing key 'offset'"),
+        ('{"offset": [0, 0]}', "coordinate system document is missing key 'matrix'"),
+    ])
+    def test_system_document_shape_exits_2(self, workdir, capsys, text, message):
+        (workdir / "sys.json").write_text(text)
+        code = main(["center", str(workdir / "asym.csv"), "--system", str(workdir / "sys.json")])
         assert code == 2
-        assert_one_error_line(capsys)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad coordinate system file: {message}"]
+
+    def test_dimension_above_maximum_exits_2(self, workdir, capsys):
+        pts, out = workdir / "nine.csv", workdir / "part.json"
+        rows = np.random.default_rng(9).random((32, 9)).tolist()
+        pts.write_text(",".join(f"x{i}" for i in range(1, 10)) + "\n"
+                       + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        code = main(["center", str(pts), "-o", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: cannot center: dimension 9 exceeds the maximum 8"]
 
     @pytest.mark.parametrize("name, text", [
         ("missing.json", None),
@@ -221,8 +239,6 @@ class TestCenter:
 
     @pytest.mark.parametrize("text, message", [
         ('{"root_tol": true}', "root_tol must be a number"),
-        ('{"bracket_growth": false}', "bracket_growth must be a number"),
-        ('{"max_bisections": true}', "max_bisections must be an integer"),
     ])
     def test_boolean_config_value_exits_2(self, workdir, capsys, text, message):
         # true would pass as root_tol 1.0, 10^10 times the default
@@ -231,12 +247,33 @@ class TestCenter:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: bad solver config file: {message}"]
 
+    @pytest.mark.parametrize("text", ['"abc"', "5", "null", "[1, 2]"])
+    def test_config_document_must_be_an_object(self, workdir, capsys, text):
+        (workdir / "cfg.json").write_text(text)
+        code = main(["center", str(workdir / "asym.csv"), "--config", str(workdir / "cfg.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad solver config file: solver config document must be a JSON object"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("bracket_half_width", 1.0), ("bracket_growth", 2.0), ("max_bracket_expansions", 60),
+        ("max_bisections", 200), ("max_dimension", 8),
+    ])
+    def test_removed_config_key_exits_2(self, workdir, capsys, key, value):
+        # the bracket, the budgets and the dimension cap are fixed; naming one
+        # is an error even at the value the solver uses
+        (workdir / "cfg.json").write_text(json.dumps({key: value}))
+        code = main(["center", str(workdir / "asym.csv"), "--config", str(workdir / "cfg.json")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad solver config file: unknown solver config keys: ['{key}']"]
+
     def test_solver_failure_exits_3(self, workdir, capsys):
+        # every point lies on the cut plane x1 = 0: DegenerateInputError
+        # before any bracket expansion
         degenerate = workdir / "flat.csv"
         degenerate.write_text("x1,x2\n0,0\n0,1\n0,2\n")
-        cfgfile = workdir / "cfg.json"
-        cfgfile.write_text(json.dumps({"max_bracket_expansions": 4}))
-        code = main(["center", str(degenerate), "--config", str(cfgfile)])
+        code = main(["center", str(degenerate)])
         assert code == 3
         assert "solver failed" in capsys.readouterr().err
 
@@ -404,6 +441,16 @@ class TestVerify:
         assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad partition file: invalid JSON: ")
+
+    def test_string_center_exits_2(self, workdir, capsys):
+        part = self.make_partition(workdir)
+        doc = json.loads(part.read_text())
+        doc["center"] = [repr(v) for v in doc["center"]]
+        part.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(part), str(workdir / "asym.csv")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad partition file: center must be a list of numbers"]
 
     @pytest.mark.parametrize("command", ["verify", "plot"])
     def test_partition_not_utf8_exits_2(self, workdir, capsys, command):
@@ -585,9 +632,7 @@ class TestNumbersOutOfRange:
         ('{"root_tol": NaN}', "root_tol must be finite"),
         ('{"root_tol": Infinity}', "root_tol must be finite"),
         ('{"residual_tol": 1e-9}', "unknown solver config keys: ['residual_tol']"),
-        ('{"bracket_growth": Infinity}', "bracket_growth must be finite"),
         ('{"root_tol": BIG}', "too large"),
-        ('{"max_bisections": BIG}', "too large"),
     ])
     def test_config_file(self, workdir, capsys, text, message):
         write_with_big(workdir / "cfg.json", text)

@@ -206,6 +206,11 @@ class TestTreeInvariants:
         ("keys", r"node is missing keys \['pos'\]"),
         ("axis", "node axis must be a list of numbers"),
         ("dim", "'dim' does not match the coordinate system"),
+        # numpy would read "0.0" as 0.0 and load the standard tree
+        ("center", "^center must be a list of numbers$"),
+        ("nested-center", "^center must be a list of numbers$"),
+        ("matrix", "^bad coordinate system: matrix and offset must be lists of numbers$"),
+        ("offset", "^bad coordinate system: matrix and offset must be lists of numbers$"),
     ])
     def test_malformed_document_rejected(self, where, message):
         doc = standard_doc(2)
@@ -215,6 +220,14 @@ class TestTreeInvariants:
             del doc["root"]["neg"]["pos"]
         elif where == "axis":
             doc["root"]["pos"]["axis"] = ["0", 1.0]
+        elif where == "center":
+            doc["center"] = ["0.0", "0.0"]
+        elif where == "nested-center":
+            doc["center"] = [[0.0], [0.0]]
+        elif where == "matrix":
+            doc["system"]["matrix"][1][1] = "1"
+        elif where == "offset":
+            doc["system"]["offset"] = ["0", 0.0]
         else:
             doc["dim"] = 3
         with pytest.raises(PartitionFormatError, match=message):
@@ -646,7 +659,7 @@ class TestLevelOrderTable:
 # sha256 of locate_points' label bytes on 8192 gaussian points, the center and
 # 256 facet and 256 fuzz-edge points of a synthetic tree, recorded while the
 # walk still ran on the (N, n) table of points (n = 1, 5, 8) or on the whole
-# (n, N) table at once (n = 12, the largest max_dimension the solver takes,
+# (n, N) table at once (n = 12, the largest dimension the solver once took,
 # whose fuzz sums eight lanes of squares and then 4 leftover terms)
 LOCATE_GOLDEN = {
     1: "7fde0ea2892843c1100f86ce5b4465e784128f32122ba4d61a4b3d6d973d789b",
@@ -675,7 +688,7 @@ class TestPointLocation:
     @given(st.integers(1, 8), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_walk_matches_region_scan(self, n, seed):
-        # n = 8 is the default max_dimension, and the first n at which the row
+        # n = 8 is the solver's dimension cap, and the first n at which the row
         # norm in membership_tolerance no longer sums squares left to right
         rng = np.random.default_rng(seed)
         tree = random_tree(rng, n)

@@ -45,59 +45,59 @@ def root_solve(cloud, cfg=CFG):
 class TestSolverConfig:
     def test_defaults(self):
         assert CFG.root_tol == 1e-10
-        assert CFG.max_dimension == 8
+        assert set(SolverConfig.__dataclass_fields__) == {"root_tol"}
 
     def test_json_round_trip(self):
-        doc = SolverConfig(root_tol=1e-8, max_bisections=75).to_json()
+        doc = SolverConfig(root_tol=1e-8).to_json()
+        assert doc == {"root_tol": 1e-8}
         cfg = SolverConfig.from_json(doc)
-        assert cfg.root_tol == 1e-8 and cfg.max_bisections == 75
-        assert cfg == SolverConfig(root_tol=1e-8, max_bisections=75)
-        # the config is recorded in a tree's meta, so 3 must not become 3.0
-        assert json.dumps(SolverConfig.from_json({"bracket_growth": 3}).to_json()["bracket_growth"]) == "3"
+        assert cfg.root_tol == 1e-8
+        assert cfg == SolverConfig(root_tol=1e-8)
+        # the config is recorded in a tree's meta, so 1 must not become 1.0
+        assert json.dumps(SolverConfig.from_json({"root_tol": 1}).to_json()["root_tol"]) == "1"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(root_tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(max_dimension=13)
-        with pytest.raises(ValueError):
             SolverConfig.from_json({"bogus": 1})
 
-    @pytest.mark.parametrize("field", ["root_tol", "bracket_half_width",
-                                       "bracket_growth", "max_bisections"])
+    @pytest.mark.parametrize("field", ["root_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SolverConfig(**{field: value})
 
     @pytest.mark.parametrize("doc, message", [
-        ({"max_bisections": 10.5}, "max_bisections must be an integer"),
-        ({"max_bracket_expansions": 2.5}, "max_bracket_expansions must be an integer"),
-        ({"max_dimension": 3.0}, "max_dimension must be an integer"),
-        ({"max_bisections": True}, "max_bisections must be an integer"),
-        ({"max_bisections": 0}, "max_bisections must be >= 1"),
-        ({"max_bisections": -1}, "max_bisections must be >= 1"),
-        ({"max_bracket_expansions": -1}, "max_bracket_expansions must be >= 0"),
-        ({"max_dimension": 0}, "max_dimension must lie in 1..12"),
-        ({"max_dimension": False}, "max_dimension must be an integer"),
         ({"root_tol": True}, "root_tol must be a number"),
-        ({"bracket_half_width": 0.0}, "bracket_half_width must be > 0"),
-        ({"bracket_half_width": True}, "bracket_half_width must be a number"),
-        ({"bracket_growth": True}, "bracket_growth must be a number"),
-        ({"bracket_growth": 1.0}, "bracket_growth must be > 1"),
-        ({"bracket_growth": 0.5}, "bracket_growth must be > 1"),
+        ({"root_tol": False}, "root_tol must be a number"),
+        ({"root_tol": "1e-10"}, "root_tol must be a number"),
+        ({"root_tol": [1e-10]}, "root_tol must be a number"),
+        ({"root_tol": 0.0}, "root_tol must be finite and > 0"),
+        ({"root_tol": -1e-10}, "root_tol must be finite and > 0"),
     ])
-    def test_budgets_checked_at_construction(self, doc, message):
+    def test_root_tol_checked(self, doc, message):
         with pytest.raises(ValueError, match=message):
             SolverConfig.from_json(doc)
-
-    def test_smallest_budgets_accepted(self):
-        cfg = SolverConfig(max_bracket_expansions=0, max_bisections=1, max_dimension=1)
-        assert cfg.to_json()["max_bisections"] == 1
 
     def test_removed_memoize_key_is_unknown(self):
         with pytest.raises(ValueError, match="unknown solver config keys"):
             SolverConfig.from_json({"memoize": False})
+
+    # the root step's bracket and budgets and the dimension cap are constants
+    @pytest.mark.parametrize("key", ["bracket_half_width", "bracket_growth",
+                                     "max_bracket_expansions", "max_bisections",
+                                     "max_dimension"])
+    def test_removed_key_is_unknown(self, key):
+        # whatever the value: a huge integer is not converted, a string not read
+        for value in (1, 10**400, "x"):
+            with pytest.raises(ValueError, match=rf"unknown solver config keys: \['{key}'\]"):
+                SolverConfig.from_json({key: value})
+
+    @pytest.mark.parametrize("doc", ["abc", 5, None, [1, 2], ["root_tol"]])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="^solver config document must be a JSON object$"):
+            SolverConfig.from_json(doc)
 
 
 class TestBracketAndBisect:
@@ -114,16 +114,23 @@ class TestBracketAndBisect:
         assert root == 0.25
 
     def test_no_sign_change_raises(self):
-        cfg = SolverConfig(max_bracket_expansions=8)
-        with pytest.raises(BracketNotFoundError):
-            solver._bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0, cfg)
+        # a constant g: the fixed bracket doubles 60 times from +-1 and stops
+        with pytest.raises(BracketNotFoundError,
+                           match=r"^no sign change within 60 expansions \(final half-width 1.15e\+18\)$"):
+            solver._bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0, CFG)
 
     def test_exhausted_budget_raises(self):
-        # one midpoint step halves the bracket [0, 1] around 0.3 to [0, 0.5],
-        # far wider than root_tol
-        cfg = SolverConfig(max_bisections=1)
-        with pytest.raises(NonConvergenceError, match="did not converge in 1 iterations"):
-            solver._bracket_and_bisect(lambda t: t - 0.3, 0.0, cfg)
+        # a sign step at 1e-300 in the bracket [0, 1]: no float bracket is
+        # 5e-324 wide there, and bisection needs about 1000 steps to reach
+        # adjacent floats, past the fixed 200
+        def g(t):
+            return -1.0 if t < 1e-300 else 1.0
+
+        with pytest.raises(NonConvergenceError, match="^root step did not converge in 200 iterations$"):
+            solver._bracket_and_bisect(g, 0.0, SolverConfig(root_tol=5e-324))
+        # the default root_tol ends the same step in 11 steps
+        _, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0, CFG)
+        assert bracket == (0.0, 1.0) and iterations == 11
 
     def test_large_scale_root(self):
         root, *_ = solver._bracket_and_bisect(lambda t: t - 1.0e7, 0.0, CFG)
@@ -135,20 +142,22 @@ class TestBracketAndBisect:
         root, *_ = solver._bracket_and_bisect(lambda t: -1.0 if t < r else 1.0, 0.0, CFG)
         assert abs(root - r) <= np.spacing(r)
 
-    def test_budget_guard_on_wide_bracket(self):
+    def test_budget_guard_on_wide_bracket(self, monkeypatch):
         # interpolation off a huge far-end value only creeps root_tol/2 per
-        # step, and bisection needs 75 of the default 200 steps on a 2^40
-        # bracket; the guard switches to midpoints in time
+        # step, and bisection needs 75 of the 200 steps on a 2^40 bracket; the
+        # guard switches to midpoints in time.  From +-1 a bracket only gets
+        # 2^40 wide around a root beyond 2^39, where adjacent floats end the
+        # step first, so the first half-width is patched
+        monkeypatch.setattr(solver, "_BRACKET_HALF_WIDTH", 2.0**40)
         r = -0.37
-        cfg = SolverConfig(bracket_half_width=2.0**40)
 
         def g(t):
             return 2e-9 if t >= r else -1e300
 
-        root, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0, cfg)
+        root, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0, CFG)
         assert bracket == (-2.0**40, 0.0)
-        assert abs(root - r) <= cfg.root_tol
-        assert iterations <= cfg.max_bisections
+        assert abs(root - r) <= CFG.root_tol
+        assert iterations <= solver._MAX_BISECTIONS
 
 
 class TestLastEvaluatedPoint:
@@ -396,9 +405,11 @@ class TestComputeCenterPartition:
         with pytest.raises(ValueError, match="cloud and coordinate system dimensions differ"):
             compute_center_partition(SQUARE, SYS3, CFG)
 
-    def test_dimension_cap(self):
-        cloud = WeightedPointCloud.from_points(np.zeros((3, 9)))
-        with pytest.raises(ValueError):
+    def test_dimension_cap(self, monkeypatch):
+        # the 9-D cloud is rejected before its root split, so before any solve
+        monkeypatch.setattr(solver, "split_at_median", lambda cloud: pytest.fail("split"))
+        cloud = WeightedPointCloud.from_points(np.arange(27.0).reshape(3, 9))
+        with pytest.raises(ValueError, match="^dimension 9 exceeds the maximum 8$"):
             compute_center_partition(cloud, CoordinateSystem.standard(9), CFG)
 
     @pytest.mark.parametrize("pts", [
@@ -436,11 +447,12 @@ class TestComputeCenterPartition:
         res, _, _ = evaluate_axis_residual(low, high, alpha, v, CFG)
         assert np.max(np.abs(res)) <= CENTER_TOL + 1e-12
 
-    def test_bracket_parameters_do_not_move_the_center(self):
+    def test_bracket_parameters_do_not_move_the_center(self, monkeypatch):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 200, seed=23)
         a = compute_center_partition(cloud, SYS2, CFG)
-        wide = SolverConfig(bracket_half_width=7.0, bracket_growth=3.0)
-        b = compute_center_partition(cloud, SYS2, wide)
+        monkeypatch.setattr(solver, "_BRACKET_HALF_WIDTH", 7.0)
+        monkeypatch.setattr(solver, "_BRACKET_GROWTH", 3.0)
+        b = compute_center_partition(cloud, SYS2, CFG)
         tol = 10 * max(CFG.root_tol, CENTER_TOL)
         assert np.max(np.abs(a.center - b.center)) <= tol
 
@@ -469,12 +481,11 @@ class TestComputeCenterPartition:
     def test_degenerate_first_coordinate_raises(self):
         # all mass on one hyperplane: the residual never changes sign, and
         # however small it is, no power-of-two scale of it gets a tree
-        cfg = SolverConfig(max_bracket_expansions=6)
         for pts in ([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 1e-12]]):
             for scale in (1.0, 2.0**40):
                 cloud = WeightedPointCloud.from_points(np.array(pts) * scale)
                 with pytest.raises(DegenerateInputError):
-                    compute_center_partition(cloud, SYS2, cfg)
+                    compute_center_partition(cloud, SYS2, CFG)
 
     def test_frozen_residual_fails_before_expanding(self, monkeypatch):
         # every point has x1 == alpha, so no axis moves either half
@@ -630,23 +641,23 @@ def _golden_clouds():
 
 # sha256 of the indented partition JSON, recorded before the solver ran on
 # plain arrays with medians by selection; any byte drift fails here.  All
-# eleven were re-recorded when residual_tol left SolverConfig: each document
-# lost only its meta.config line "residual_tol": 1e-09, and no tree moved
+# eleven were re-recorded each time fields left SolverConfig: every document
+# lost only those meta.config lines, and no tree moved
 GOLDEN = {
-    "unit-2d": "13815e16c4fe1e634153258b548b303b71bd2c382a7d969c09af04366a45f222",
-    "unit-3d": "cfc5a5dba158ba4f6f128b6b6494ccf9e0b1ded705a41210f66b0513c14b12a9",
-    "unit-4d": "b7f778ce15d8cf270a3ccac4e3f41e2d964c0a815b4ed9e05cfa15e43b6d486c",
-    "odd-3d": "8ab5615d90caa84c164777bd870086e82707d0ab7e8961120edb855ff1568a35",
-    "tied-weighted-2d": "4a23e1a436e66e0ef481f1bdf44178f051c0741e238e326b3a8b783223eca4a0",
-    "eighth-2d": "8312a1cd2862dbbd450414411cbb2e720b9e46d45077f4787783069d18cd5396",
+    "unit-2d": "125cd4ce4c50dda104b3640bc8b2948f8f67df72d4c9342ab30fca6020db1d3f",
+    "unit-3d": "2328f1fa9555282aec98e0148b61aca41dbd5199aa5aa716bd6f5e1bb68f5b7b",
+    "unit-4d": "ab9e47f213876976a00aca0df930df27a2721382993bd71e3dac28278de98576",
+    "odd-3d": "d31d2b6ca6761b709207069f54482b590a06e0b118e500b9b2c10389fdced9e9",
+    "tied-weighted-2d": "5cfc52e176cd9296e524393b10e35b2e156c5890712d7fbe6f82e4f5ef4454d3",
+    "eighth-2d": "dcbef86702ebbbf7ce5b47a24e85e08b55add7378bfc302eba4fe30f7ed7c981",
     # recorded before the solve returned its kept nodes in place of axis levels
-    "unit-1d": "ec7a5e318dc818bb4a7b92c14c707f7b58dab726a8d80bbc77a4205533c4da66",
-    "unit-5d": "290fe6c901df76d234ac0d03f515c8a09534233ae413e6531b7810a4843473e7",
+    "unit-1d": "da69039032e1e5332fc1c16eca2ecd2841cf1c569d290e7531fd82e605944eef",
+    "unit-5d": "ae58df1f5a28ad4c027e3c2f9d45c400417eab9d747b87ace20882e707375128",
     # recorded before each evaluation slid both halves in one stack
-    "deep-3d": "b2671b27a8ebef845f0f10e74ab146e739acd31e2e9e58f48aec2d698d038b97",
-    "grid-zeros-3d": "aee924d2dc48bf85b612b2816d1233b23bdd95ec88329981729e4dc89ebdca58",
+    "deep-3d": "0ca43f5270d09a4e7d4bfd1e557e1a002caeef079b5af847e619f81d7d4b317a",
+    "grid-zeros-3d": "6b964b31dc31eb9425ebf71f973a8abb81dd1ce1a187ebbe9bf2bcbfd7045747",
     # recorded before each half was split once per component, not per evaluation
-    "odd-4d": "33397fb84d3a83b03f3cf3e04856bbc7326771783cf978bed1d52050526ad689",
+    "odd-4d": "da4fead5ff40a1526f4fea22d25e43eda72386710370280bfd899e291be1aba1",
 }
 
 
