@@ -13,7 +13,6 @@ import numpy as np
 
 from yaoyao import (
     CoordinateSystem,
-    SolverConfig,
     WeightedPointCloud,
     compute_center_partition,
     evaluate_axis_residual,
@@ -22,18 +21,17 @@ from yaoyao import (
 )
 
 cloud = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
-cfg = SolverConfig()
 
 # watch the residual change sign exactly as the hand computation predicts
 alpha, low, high = split_at_median(cloud)
 print(f"cut value alpha = {alpha}")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-    res, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, np.array([1.0, t]), cfg)
+    res, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, np.array([1.0, t]))
     print(f"  t = {t:4.2f}:  low median {x_neg[0]:5.2f}   "
           f"high median {x_pos[0]:5.2f}   residual {res[0]:+5.2f}")
 
 # the solver finds the same root and assembles the full partition
-tree = compute_center_partition(cloud, CoordinateSystem.standard(2), cfg)
+tree = compute_center_partition(cloud, CoordinateSystem.standard(2))
 print(f"\ncenter    = {tree.center}")
 print(f"root axis = {tree.axes[0]}")
 

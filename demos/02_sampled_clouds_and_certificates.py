@@ -16,7 +16,6 @@ from yaoyao import (
     CoordinateSystem,
     HalfSpace,
     MeasureSpec,
-    SolverConfig,
     compute_center_partition,
     halfspace_contains_region,
     regions,
@@ -27,7 +26,7 @@ from yaoyao.verify import check_avoidance, check_depth, check_equipartition
 
 spec = MeasureSpec.uniform_box([0, 0, 0], [2, 1, 1])
 cloud = sample(spec, 2048, seed=7)
-tree = compute_center_partition(cloud, CoordinateSystem.standard(3), SolverConfig())
+tree = compute_center_partition(cloud, CoordinateSystem.standard(3))
 print(f"center of 2048 sampled points: {np.round(tree.center, 6)}")
 
 rep = check_equipartition(tree, cloud)

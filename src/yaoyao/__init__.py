@@ -42,7 +42,6 @@ from .solver import (
     BracketNotFoundError,
     DegenerateInputError,
     NonConvergenceError,
-    SolverConfig,
     compute_center_partition,
     evaluate_axis_residual,
 )

@@ -19,7 +19,6 @@ from .geometry import CoordinateSystem, _holds_bool
 from .solver import (
     BracketNotFoundError,
     NonConvergenceError,
-    SolverConfig,
     compute_center_partition,
 )
 
@@ -43,7 +42,7 @@ def _system_file(path) -> CoordinateSystem:
             raise ValueError(f"coordinate system document is missing key {key!r}")
         if _holds_bool(doc[key]):
             raise ValueError(f"{key!r} must not hold true or false")
-    return CoordinateSystem(doc["matrix"], doc["offset"])
+    return partition._system(doc["matrix"], doc["offset"])
 
 
 def _load_system(path, dimension) -> CoordinateSystem:
@@ -81,11 +80,9 @@ def cmd_sample(args) -> int:
 def cmd_center(args) -> int:
     cloud = _read(measures.read_csv, args.points, "points")
     system = _load_system(args.system, cloud.dimension)
-    cfg = SolverConfig() if args.config is None else _read(
-        SolverConfig.load, args.config, "solver config")
     coords = _to_system_coords(cloud, system)
     try:
-        tree = compute_center_partition(coords, system, cfg)
+        tree = compute_center_partition(coords, system)
     except ValueError as exc:
         raise _InputError(f"cannot center: {exc}") from exc
     except (BracketNotFoundError, NonConvergenceError) as exc:
@@ -304,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("center", help="compute the center and partition")
     p.add_argument("points", help="input CSV (x1,...,xn[,w])")
     p.add_argument("--system", help="coordinate system JSON (matrix + offset)")
-    p.add_argument("--config", help="solver config JSON")
     p.add_argument("-o", "--out", help="partition JSON output path")
     p.set_defaults(func=cmd_center)
 

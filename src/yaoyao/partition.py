@@ -249,6 +249,14 @@ def _numbers(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, (int, float)) for v in value)
 
 
+def _system(matrix, offset) -> CoordinateSystem:
+    """The coordinate system of a document's matrix and offset, which must be
+    lists (of lists) of numbers: numpy would read a string as a number."""
+    if not (isinstance(matrix, list) and all(map(_numbers, matrix)) and _numbers(offset)):
+        raise ValueError("matrix and offset must be lists of numbers")
+    return CoordinateSystem(matrix, offset)
+
+
 def _axes_from_json(root, n: int) -> np.ndarray:
     """The axis table of a nested document, read one level at a time, so the
     table is built only from nodes the document holds."""
@@ -307,10 +315,7 @@ def deserialize(doc: dict) -> PartitionTree:
     if not _numbers(doc["center"]):
         raise PartitionFormatError("center must be a list of numbers")
     try:
-        matrix, offset = doc["system"]["matrix"], doc["system"]["offset"]
-        if not (isinstance(matrix, list) and all(map(_numbers, matrix)) and _numbers(offset)):
-            raise ValueError("matrix and offset must be lists of numbers")
-        system = CoordinateSystem(matrix, offset)
+        system = _system(doc["system"]["matrix"], doc["system"]["offset"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PartitionFormatError(f"bad coordinate system: {exc}") from exc
     if system.dimension != doc["dim"]:

@@ -37,17 +37,15 @@ float products and differences round monotonically, and an order statistic
 is monotone in every value.  So its root step probes only the side that can
 hold the root.  (A sorting median sums weights in sorted order; it can fall.)
 
-Everything here is a pure function of (inputs, config) and runs in the
-caller's thread.
+Everything here is a pure function of its inputs and runs in the caller's
+thread.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +61,6 @@ from .partition import PartitionTree
 from .geometry import CoordinateSystem
 
 __all__ = [
-    "SolverConfig",
     "BracketNotFoundError",
     "DegenerateInputError",
     "NonConvergenceError",
@@ -107,60 +104,32 @@ _BRACKET_GROWTH = 2.0
 _MAX_BRACKET_EXPANSIONS = 60
 _MAX_BISECTIONS = 200  # root steps per component, interpolated or midpoint
 _MAX_DIMENSION = 8  # the solve's cost grows as 2^n
+_ROOT_TOL = 1e-10  # target width of a root's final bracket, in axis-slope units
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The center solve's one tolerance.
-
-    root_tol is the target width of the final sign-change bracket (axis
-    coordinate units): a root step ends when g hits 0 exactly, at the start
-    point too, or the bracket is at most root_tol wide (or no float lies
-    strictly inside it).  A root step needs only a sign change, so its bracket
-    (+-1, doubled at most 60 times) and its 200 steps are constants.
-    """
-
-    root_tol: float = 1e-10
-
-    def __post_init__(self):
-        if isinstance(self.root_tol, bool) or not isinstance(self.root_tol, numbers.Real):
-            raise ValueError("root_tol must be a number")
-        if not (math.isfinite(self.root_tol) and self.root_tol > 0):  # a huge int overflows
-            raise ValueError("root_tol must be finite and > 0")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SolverConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("solver config document must be a JSON object")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown solver config keys: {sorted(unknown)}")
-        return cls(**doc)
-
-    @classmethod
-    def load(cls, path) -> "SolverConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+    """Holds nothing, and compute_center_partition ignores it.  It stays only
+    because the benchmark (bench/workloads.py) builds one and passes it; it
+    goes with the next change to the benchmark."""
 
 
 def _opposite(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
-def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
-                        rising: bool = False):
+def _bracket_and_bisect(g, t0: float, frozen: bool = False, rising: bool = False):
     """Root of g near t0; returns (root, bracket, expansions, iterations, residual).
 
     If g(t0) == 0, the root is t0.  Otherwise the bracket
     [t0 - h, t0 + h], h = 1, doubles until a sign change appears (left
     endpoint probed first), then safeguarded Illinois regula-falsi steps
-    (interpolated points kept root_tol/2 inside, every 4th step a midpoint,
+    (interpolated points kept _ROOT_TOL/2 inside, every 4th step a midpoint,
     only midpoints once the budget is what bisection still needs) narrow it
-    as SolverConfig describes; the root is the last evaluated point.  Among
-    several roots in the bracket, the step rule's limit is the canonical one.
+    until g hits 0 exactly or the bracket is at most _ROOT_TOL wide (or no
+    float lies strictly inside it); the root is the last evaluated point.
+    Among several roots in the bracket, the step rule's limit is the
+    canonical one.
 
     frozen declares that g cannot move (a constant), so a nonzero start value
     raises DegenerateInputError without any expansion.  rising declares g
@@ -211,10 +180,10 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
         m = 0.5 * (a + b)
         interpolated = False
         budget = _MAX_BISECTIONS - iterations + 1
-        need = math.ceil(math.log2(b - a) - math.log2(cfg.root_tol)) + 1
+        need = math.ceil(math.log2(b - a) - math.log2(_ROOT_TOL)) + 1
         if iterations % 4 and budget > need:
             t = a + (b - a) * (fa / (fa - fb))
-            t = min(max(t, a + 0.5 * cfg.root_tol), b - 0.5 * cfg.root_tol)
+            t = min(max(t, a + 0.5 * _ROOT_TOL), b - 0.5 * _ROOT_TOL)
             if a < t < b:
                 m, interpolated = t, True
         fm = g(m)
@@ -232,14 +201,14 @@ def _bracket_and_bisect(g, t0: float, cfg: SolverConfig, frozen: bool = False,
                 fa *= 0.5
             if interpolated:
                 moved = 1
-        if b - a <= cfg.root_tol or not a < 0.5 * (a + b) < b:
+        if b - a <= _ROOT_TOL or not a < 0.5 * (a + b) < b:
             return m, bracket, expansions, iterations, abs(fm)
     raise NonConvergenceError(
         f"root step did not converge in {_MAX_BISECTIONS} iterations"
     )
 
 
-def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig, ks=...):
+def _solve(points: np.ndarray, weights: np.ndarray, m: int, ks=...):
     """First m center coordinates of (points, weights) and the node that fixed
     them; returns (center, node).  node is None at a leaf (m = 1), otherwise
     (v, records, neg, pos): the local axis v (length m, v[0] = 1), a dict per
@@ -250,7 +219,7 @@ def _solve(points: np.ndarray, weights: np.ndarray, m: int, cfg: SolverConfig, k
         return np.array([_quantile(points[:, 0], weights, 0.5, ks)]), None
     alpha, rows, cut, w = _split(points, weights, ks)
     stack = np.take(points, rows, axis=0)
-    return _solve_split(_node(alpha, stack[:, 0], cut, w), stack[:, 1:], m, cfg)
+    return _solve_split(_node(alpha, stack[:, 0], cut, w), stack[:, 1:], m)
 
 
 def _node(alpha: float, first: np.ndarray, cut: int, w: np.ndarray):
@@ -263,7 +232,7 @@ def _node(alpha: float, first: np.ndarray, cut: int, w: np.ndarray):
     return alpha, reach, halves, not reach.any(), all(ks is not None for *_, ks in halves)
 
 
-def _solve_split(node, tail: np.ndarray, m: int, cfg: SolverConfig):
+def _solve_split(node, tail: np.ndarray, m: int):
     """_solve after a split, given its _node and tail, the stack's coordinates 2..m.
 
     Components v_2..v_m are solved in turn; component k needs child prefix
@@ -290,15 +259,15 @@ def _solve_split(node, tail: np.ndarray, m: int, cfg: SolverConfig):
             v[_k - 1] = t
             slid = _slide(tail[:, :_k - 1], reach, v[1:_k])
             if _k == 2:  # the children are leaves: medians, no split
-                neg, pos = (_solve(slid[rows], w, 1, cfg, ks) for rows, w, ks in halves)
+                neg, pos = (_solve(slid[rows], w, 1, ks) for rows, w, ks in halves)
             else:
-                neg, pos = (_solve_split(child, np.take(slid[rows, 1:], kept, axis=0), _k - 1, cfg)
+                neg, pos = (_solve_split(child, np.take(slid[rows, 1:], kept, axis=0), _k - 1)
                             for rows, kept, child in children)
             return float(neg[0][_k - 2] - pos[0][_k - 2])
 
         try:
             _, bracket, expansions, iterations, residual = _bracket_and_bisect(
-                g, 0.0, cfg, frozen, rising=k == 2 and selected)
+                g, 0.0, frozen, rising=k == 2 and selected)
         except (BracketNotFoundError, NonConvergenceError) as exc:
             exc.coordinate = k
             exc.records = tuple(records)
@@ -310,7 +279,7 @@ def _solve_split(node, tail: np.ndarray, m: int, cfg: SolverConfig):
 
 
 def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
-                           alpha: float, v, cfg: SolverConfig):
+                           alpha: float, v):
     """Residual x_neg - x_pos at a fixed normalized axis, plus both child centers.
 
     Both halves are projected along v into the cut plane and each projected
@@ -327,7 +296,7 @@ def evaluate_axis_residual(low: WeightedPointCloud, high: WeightedPointCloud,
     # an overflowing slide is reported by _slide as a ValueError
     with np.errstate(over="ignore"):
         x_neg, x_pos = (_solve(_slide(h.points[:, 1:], h.points[:, 0] - alpha, v[1:]),
-                               h.weights, low.dimension - 1, cfg)[0] for h in (low, high))
+                               h.weights, low.dimension - 1)[0] for h in (low, high))
     return x_neg - x_pos, x_neg, x_pos
 
 
@@ -343,7 +312,7 @@ def _cloud_digest(cloud: WeightedPointCloud) -> str:
 def compute_center_partition(
     cloud: WeightedPointCloud,
     system: CoordinateSystem,
-    cfg: SolverConfig | None = None,
+    _config: SolverConfig | None = None,
     workers: int = 1,
 ) -> PartitionTree:
     """Center and full equal-mass cone partition for a cloud in a given frame.
@@ -355,16 +324,16 @@ def compute_center_partition(
     not checked: ``verify.check_equipartition`` judges it, as the CLI's
     ``center`` does before it writes a tree.
 
-    workers must be >= 1 and has no effect: the solve runs in the caller's
-    thread, and the tree is the same bytes for every value.  It stays only
-    because the benchmark (bench/workloads.py) passes workers=1; it goes
-    with the next change to the benchmark.
+    _config and workers have no effect: the solve runs in the caller's thread
+    with fixed constants, and the tree is the same bytes for every value
+    (workers must be >= 1).  Both stay only because the benchmark
+    (bench/workloads.py) passes SolverConfig() and workers=1; they go with
+    the next change to the benchmark.
 
     Raises ValueError before any solve for a dimension above 8 or a coordinate
     beyond ±2^1022, BracketNotFoundError / NonConvergenceError for degenerate
     inputs, and DegenerateInputError when a residual cannot move.
     """
-    cfg = cfg or SolverConfig()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if cloud.dimension != system.dimension:
@@ -375,13 +344,13 @@ def compute_center_partition(
         raise ValueError("coordinates must lie within ±2^1022; rescale the points")
     n = cloud.dimension
     if n == 1:
-        center, root = _solve(cloud.points, cloud.weights, 1, cfg)
+        center, root = _solve(cloud.points, cloud.weights, 1)
     else:
         # the root split goes through the public (benchmark-traced) split_at_median
         alpha, low, high = split_at_median(cloud)
         stack = np.concatenate([low.points, high.points])
         node = _node(alpha, stack[:, 0], low.size, np.concatenate([low.weights, high.weights]))
-        center, root = _solve_split(node, stack[:, 1:], n, cfg)
+        center, root = _solve_split(node, stack[:, 1:], n)
     kept, level = [], [root]  # the internal nodes in level order, left (-) to right (+)
     for _ in range(n - 1):
         kept += level
@@ -392,7 +361,6 @@ def compute_center_partition(
     axes[len(kept):, n - 1] = 1.0  # the leaves
     gaps = [float(np.max(np.abs(neg[0] - pos[0]))) for *_, neg, pos in kept]
     meta = {
-        "config": cfg.to_json(),
         "input_digest": _cloud_digest(cloud),
         "max_residual": max([0.0] + [r["residual"] for _, records, *_ in kept for r in records]),
         "max_center_gap": max([0.0] + gaps),

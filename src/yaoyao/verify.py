@@ -36,7 +36,7 @@ from .measures import (
     weighted_quantile,
 )
 from .partition import PartitionTree, locate_points
-from .solver import SolverConfig, compute_center_partition
+from .solver import compute_center_partition
 
 __all__ = [
     "CheckReport",
@@ -176,19 +176,17 @@ def check_depth(tree: PartitionTree, cloud: WeightedPointCloud, count: int,
     )
 
 
-def check_symmetry(cloud: WeightedPointCloud, z,
-                   cfg: SolverConfig | None = None) -> CheckReport:
+def check_symmetry(cloud: WeightedPointCloud, z) -> CheckReport:
     """The center of a centrally symmetric cloud sits at its symmetry point.
 
     The cloud is symmetrized about z first, and the center must lie within
     50 * 1e-9 of z in every coordinate.  Nothing is drawn, so the
     report carries no seed.
     """
-    cfg = cfg or SolverConfig()
     z = np.asarray(z, dtype=float)
     tol = 50.0 * _CENTER_TOL
     system = CoordinateSystem.standard(cloud.dimension)
-    tree = compute_center_partition(symmetrize(cloud, z), system, cfg)
+    tree = compute_center_partition(symmetrize(cloud, z), system)
     dev = float(np.max(np.abs(tree.center - z)))
     return CheckReport(
         "symmetry",
@@ -200,8 +198,7 @@ def check_symmetry(cloud: WeightedPointCloud, z,
     )
 
 
-def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear,
-                            cfg: SolverConfig | None = None) -> CheckReport:
+def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear) -> CheckReport:
     """Center coordinates 1..k survive any map that rewrites only later
     coordinates as functions of the first k.
 
@@ -209,7 +206,6 @@ def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear,
     k columns unchanged (validated) and read nothing beyond them (caller's
     responsibility, unobservable from one application).
     """
-    cfg = cfg or SolverConfig()
     if not 1 <= k <= cloud.dimension:
         raise ValueError("k must lie in 1..dimension")
     sheared_pts = np.asarray(shear(cloud.points.copy()), dtype=float)
@@ -219,10 +215,10 @@ def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear,
         raise ValueError("shear must not touch the first k coordinates")
     sheared = WeightedPointCloud(sheared_pts, cloud.weights, cloud.ids)
     system = CoordinateSystem.standard(cloud.dimension)
-    before = compute_center_partition(cloud, system, cfg).center
-    after = compute_center_partition(sheared, system, cfg).center
+    before = compute_center_partition(cloud, system).center
+    after = compute_center_partition(sheared, system).center
     dev = float(np.max(np.abs(before[:k] - after[:k])))
-    tol = 10.0 * max(cfg.root_tol, _CENTER_TOL)
+    tol = 10.0 * _CENTER_TOL
     return CheckReport(
         "prefix-dependence",
         dev <= tol,
@@ -234,7 +230,7 @@ def check_prefix_dependence(cloud: WeightedPointCloud, k: int, shear,
 
 
 def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
-                     eps_list, cfg: SolverConfig | None = None, *,
+                     eps_list, *,
                      count: int = 256, seed: int = 0) -> CheckReport:
     """Centers of cloud + eps * background drift back as eps shrinks.
 
@@ -244,19 +240,18 @@ def check_continuity(cloud: WeightedPointCloud, background: MeasureSpec,
     to 10 * 1e-9) and below 0.5 * sqrt(eps) * data scale.  Every 1 / eps must
     be finite.
     """
-    cfg = cfg or SolverConfig()
     eps_list = [float(e) for e in eps_list]
     # NaN fails both; below about 5.6e-309, 1 / eps overflows
     if not eps_list or not all(0.0 < e < math.inf and 1.0 / e < math.inf for e in eps_list):
         raise ValueError("eps values must be finite and > 0, with 1 / eps finite")
     eps_list.sort(reverse=True)
     system = CoordinateSystem.standard(cloud.dimension)
-    base_center = compute_center_partition(cloud, system, cfg).center
+    base_center = compute_center_partition(cloud, system).center
     scale = float(np.max(np.ptp(cloud.points, axis=0)))
     distances = []
     for eps in eps_list:
         mixed = regularize(cloud, background, 1.0 / eps, count, seed)
-        center = compute_center_partition(mixed, system, cfg).center
+        center = compute_center_partition(mixed, system).center
         distances.append(float(np.linalg.norm(center - base_center)))
     slack = 10.0 * _CENTER_TOL
     monotone = all(

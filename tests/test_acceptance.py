@@ -20,7 +20,7 @@ from yaoyao.geometry import (
 )
 from yaoyao.measures import MeasureSpec, WeightedPointCloud, sample, seeded_generator, symmetrize
 from yaoyao.partition import regions, serialize, witness_region
-from yaoyao.solver import SolverConfig, compute_center_partition
+from yaoyao.solver import compute_center_partition
 from yaoyao.verify import (
     _halfspace_draws,
     check_avoidance,
@@ -32,8 +32,7 @@ from yaoyao.verify import (
     oracle_center_2d,
 )
 
-CFG = SolverConfig()
-DELTA_V = CFG.root_tol
+DELTA_V = 1e-10
 DELTA_T = 1e-9
 
 ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
@@ -57,14 +56,14 @@ def seeded_trees():
     out = []
     for n, count, spec, seed in SEEDED:
         cloud = sample(spec, count, seed)
-        tree = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
+        tree = compute_center_partition(cloud, CoordinateSystem.standard(n))
         out.append((n, count, cloud, tree))
     return out
 
 
 def test_criterion_1_hand_fixture():
     t0 = time.perf_counter()
-    tree = compute_center_partition(ASYMMETRIC, CoordinateSystem.standard(2), CFG)
+    tree = compute_center_partition(ASYMMETRIC, CoordinateSystem.standard(2))
     elapsed = time.perf_counter() - t0
     center_err = float(np.max(np.abs(tree.center - [1.5, 1.5])))
     axis_err = float(np.max(np.abs(tree.axes[0] - [1.0, 0.5])))
@@ -76,9 +75,9 @@ def test_criterion_1_hand_fixture():
 def test_criterion_2_symmetry():
     t0 = time.perf_counter()
     cloud2 = sample(MeasureSpec.uniform_box([0, 0], [3, 1]), 301, seed=51)
-    rep2 = check_symmetry(cloud2, (1.0, 2.0), CFG)
+    rep2 = check_symmetry(cloud2, (1.0, 2.0))
     cloud3 = sample(MeasureSpec.uniform_box([-1, -1, -1], [2, 1, 1]), 251, seed=52)
-    rep3 = check_symmetry(cloud3, (0.0, 0.0, 0.0), CFG)
+    rep3 = check_symmetry(cloud3, (0.0, 0.0, 0.0))
     elapsed = time.perf_counter() - t0
     dev = max(rep2.stats["max_deviation"], rep3.stats["max_deviation"])
     ok = rep2.passed and rep3.passed and dev <= 50 * DELTA_T and elapsed < 30.0
@@ -142,7 +141,7 @@ def test_criterion_6_oracle_equivalence():
     worst = 0.0
     for seed in range(50):
         cloud = sample(box, 128, seed=seed)
-        tree = compute_center_partition(cloud, sys2, CFG)
+        tree = compute_center_partition(cloud, sys2)
         gap = float(np.max(np.abs(oracle_center_2d(cloud) - tree.center)))
         worst = max(worst, gap)
     elapsed = time.perf_counter() - t0
@@ -157,7 +156,7 @@ def test_criterion_7_prefix_dependence():
         pts[:, 2] += np.sin(pts[:, 0] + pts[:, 1])
         return pts
 
-    rep = check_prefix_dependence(cloud, 2, shear, CFG)
+    rep = check_prefix_dependence(cloud, 2, shear)
     tol = 10 * max(DELTA_V, DELTA_T)
     report(7, "prefix dependence", rep.passed,
            f"prefix deviation {rep.stats['prefix_deviation']:.2e} vs {tol:.0e}")
@@ -166,7 +165,7 @@ def test_criterion_7_prefix_dependence():
 def test_criterion_8_continuity():
     cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 512, seed=81)
     gamma = MeasureSpec.gaussian([2.0, 2.0])
-    rep = check_continuity(cloud, gamma, [0.2, 0.1, 0.05], CFG, count=256, seed=82)
+    rep = check_continuity(cloud, gamma, [0.2, 0.1, 0.05], count=256, seed=82)
     assert rep.tolerances["rate_constant"] == 0.5
     dists = ", ".join(f"{d:.4f}" for d in rep.stats["distances"])
     report(8, "continuity", rep.passed,
@@ -175,8 +174,8 @@ def test_criterion_8_continuity():
 
 def test_criterion_9_representations(seeded_trees):
     fixture_trees = [
-        compute_center_partition(SQUARE, CoordinateSystem.standard(2), CFG),
-        compute_center_partition(ASYMMETRIC, CoordinateSystem.standard(2), CFG),
+        compute_center_partition(SQUARE, CoordinateSystem.standard(2)),
+        compute_center_partition(ASYMMETRIC, CoordinateSystem.standard(2)),
     ] + [tree for _, _, _, tree in seeded_trees]
     rng = np.random.default_rng(900)
     disagreements = 0
@@ -221,8 +220,8 @@ def test_criterion_10_determinism(tmp_path, run_cli):
         outs.append(out.read_bytes())
     cloud = sample(MeasureSpec.uniform_box([0, 0], [2, 2]), 128, seed=11)
     sys2 = CoordinateSystem.standard(2)
-    t1 = compute_center_partition(cloud, sys2, CFG)
-    t2 = compute_center_partition(cloud, sys2, CFG)
+    t1 = compute_center_partition(cloud, sys2)
+    t2 = compute_center_partition(cloud, sys2)
     library_equal = serialize(t1) == serialize(t2) and t1 == t2
     cli_equal = len(set(outs)) == 1
     report(10, "determinism", cli_equal and library_equal,

@@ -32,9 +32,8 @@ from yaoyao.partition import (
     serialize,
     witness_region,
 )
-from yaoyao.solver import SolverConfig, compute_center_partition
+from yaoyao.solver import compute_center_partition
 
-CFG = SolverConfig()
 SYS2 = CoordinateSystem.standard(2)
 
 ASYMMETRIC = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 3)])
@@ -158,18 +157,18 @@ def fuzz_edge_points(rng, tree, count):
 
 @pytest.fixture(scope="module")
 def square_tree():
-    return compute_center_partition(SQUARE, SYS2, CFG)
+    return compute_center_partition(SQUARE, SYS2)
 
 
 @pytest.fixture(scope="module")
 def asym_tree():
-    return compute_center_partition(ASYMMETRIC, SYS2, CFG)
+    return compute_center_partition(ASYMMETRIC, SYS2)
 
 
 @pytest.fixture(scope="module")
 def tree_3d():
     cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 128, seed=77)
-    return compute_center_partition(cloud, CoordinateSystem.standard(3), CFG)
+    return compute_center_partition(cloud, CoordinateSystem.standard(3))
 
 
 def standard_doc(n):
@@ -890,5 +889,4 @@ class TestSerialization:
     def test_meta_survives(self, asym_tree):
         doc = json.loads(json.dumps(serialize(asym_tree)))
         again = deserialize(doc)
-        assert again.meta["input_digest"] == asym_tree.meta["input_digest"]
-        assert again.meta["config"] == asym_tree.meta["config"]
+        assert again.meta == asym_tree.meta

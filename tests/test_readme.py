@@ -1,10 +1,10 @@
 """README's examples run as written."""
 
-import json
 import re
+import shlex
 from pathlib import Path
 
-from yaoyao import SolverConfig
+from yaoyao.cli import build_parser
 from yaoyao.geometry import halfspace_contains_region
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -25,6 +25,16 @@ def test_library_quick_start_runs():
     assert halfspace_contains_region(scope["h"], scope["regs"][scope["signs"]])
 
 
-def test_solver_config_block_loads():
-    doc = json.loads(_block_after("**Solver config JSON**", "json"))
-    assert SolverConfig.from_json(doc) == SolverConfig()
+def test_command_line_block_parses():
+    # optional parts in brackets are spelled out, comments dropped, and a
+    # wrapped line joined to its command, so a flag the CLI lost fails here
+    commands = []
+    for line in _block_after("## Command line", "bash").splitlines():
+        line = line.split("#")[0].replace("[", " ").replace("]", " ")
+        if line.startswith("yaoyao "):
+            commands.append(line)
+        elif line.strip():
+            commands[-1] += line
+    assert [c.split()[1] for c in commands] == ["sample", "center", "verify", "plot"]
+    for command in commands:
+        build_parser().parse_args(shlex.split(command)[1:])

@@ -19,12 +19,10 @@ from yaoyao.solver import (
     BracketNotFoundError,
     DegenerateInputError,
     NonConvergenceError,
-    SolverConfig,
     compute_center_partition,
     evaluate_axis_residual,
 )
 
-CFG = SolverConfig()
 CENTER_TOL = 1e-9  # absolute child-center agreement the solves below reach
 SYS2 = CoordinateSystem.standard(2)
 SYS3 = CoordinateSystem.standard(3)
@@ -35,115 +33,58 @@ SHIFTED = WeightedPointCloud.from_points([(0, 0), (1, 2), (2, 1), (3, 2.2)])
 SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-def root_solve(cloud, cfg=CFG):
+def root_solve(cloud):
     """Root axis and root trace of the full solve: the axis solve on the halves
     split_at_median(cloud) gives."""
-    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), cfg)
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension))
     return tree.axes[0], tree.meta["root_trace"]
-
-
-class TestSolverConfig:
-    def test_defaults(self):
-        assert CFG.root_tol == 1e-10
-        assert set(SolverConfig.__dataclass_fields__) == {"root_tol"}
-
-    def test_json_round_trip(self):
-        doc = SolverConfig(root_tol=1e-8).to_json()
-        assert doc == {"root_tol": 1e-8}
-        cfg = SolverConfig.from_json(doc)
-        assert cfg.root_tol == 1e-8
-        assert cfg == SolverConfig(root_tol=1e-8)
-        # the config is recorded in a tree's meta, so 1 must not become 1.0
-        assert json.dumps(SolverConfig.from_json({"root_tol": 1}).to_json()["root_tol"]) == "1"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(root_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig.from_json({"bogus": 1})
-
-    @pytest.mark.parametrize("field", ["root_tol"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_field_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            SolverConfig(**{field: value})
-
-    @pytest.mark.parametrize("doc, message", [
-        ({"root_tol": True}, "root_tol must be a number"),
-        ({"root_tol": False}, "root_tol must be a number"),
-        ({"root_tol": "1e-10"}, "root_tol must be a number"),
-        ({"root_tol": [1e-10]}, "root_tol must be a number"),
-        ({"root_tol": 0.0}, "root_tol must be finite and > 0"),
-        ({"root_tol": -1e-10}, "root_tol must be finite and > 0"),
-    ])
-    def test_root_tol_checked(self, doc, message):
-        with pytest.raises(ValueError, match=message):
-            SolverConfig.from_json(doc)
-
-    def test_removed_memoize_key_is_unknown(self):
-        with pytest.raises(ValueError, match="unknown solver config keys"):
-            SolverConfig.from_json({"memoize": False})
-
-    # the root step's bracket and budgets and the dimension cap are constants
-    @pytest.mark.parametrize("key", ["bracket_half_width", "bracket_growth",
-                                     "max_bracket_expansions", "max_bisections",
-                                     "max_dimension"])
-    def test_removed_key_is_unknown(self, key):
-        # whatever the value: a huge integer is not converted, a string not read
-        for value in (1, 10**400, "x"):
-            with pytest.raises(ValueError, match=rf"unknown solver config keys: \['{key}'\]"):
-                SolverConfig.from_json({key: value})
-
-    @pytest.mark.parametrize("doc", ["abc", 5, None, [1, 2], ["root_tol"]])
-    def test_document_must_be_an_object(self, doc):
-        with pytest.raises(ValueError, match="^solver config document must be a JSON object$"):
-            SolverConfig.from_json(doc)
 
 
 class TestBracketAndBisect:
     def test_linear(self):
-        root, *_ = solver._bracket_and_bisect(lambda t: 2 * t - 1, 0.0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: 2 * t - 1, 0.0)
         assert root == pytest.approx(0.5, abs=1e-10)
 
     def test_cubic_far_guess(self):
-        root, *_ = solver._bracket_and_bisect(lambda t: t**3, 3.0, CFG)
-        assert abs(root) <= CFG.root_tol
+        root, *_ = solver._bracket_and_bisect(lambda t: t**3, 3.0)
+        assert abs(root) <= solver._ROOT_TOL
 
     def test_immediate_root(self):
-        root, *_ = solver._bracket_and_bisect(lambda t: 0.0 * t, 0.25, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: 0.0 * t, 0.25)
         assert root == 0.25
 
     def test_no_sign_change_raises(self):
         # a constant g: the fixed bracket doubles 60 times from +-1 and stops
         with pytest.raises(BracketNotFoundError,
                            match=r"^no sign change within 60 expansions \(final half-width 1.15e\+18\)$"):
-            solver._bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0, CFG)
+            solver._bracket_and_bisect(lambda t: 1.0 + t * 0, 0.0)
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
         # a sign step at 1e-300 in the bracket [0, 1]: no float bracket is
         # 5e-324 wide there, and bisection needs about 1000 steps to reach
         # adjacent floats, past the fixed 200
         def g(t):
             return -1.0 if t < 1e-300 else 1.0
 
-        with pytest.raises(NonConvergenceError, match="^root step did not converge in 200 iterations$"):
-            solver._bracket_and_bisect(g, 0.0, SolverConfig(root_tol=5e-324))
-        # the default root_tol ends the same step in 11 steps
-        _, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0, CFG)
+        # the fixed root tolerance ends the step in 11 steps
+        _, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0)
         assert bracket == (0.0, 1.0) and iterations == 11
+        monkeypatch.setattr(solver, "_ROOT_TOL", 5e-324)
+        with pytest.raises(NonConvergenceError, match="^root step did not converge in 200 iterations$"):
+            solver._bracket_and_bisect(g, 0.0)
 
     def test_large_scale_root(self):
-        root, *_ = solver._bracket_and_bisect(lambda t: t - 1.0e7, 0.0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: t - 1.0e7, 0.0)
         assert root == pytest.approx(1.0e7, rel=1e-9)
 
     def test_root_between_adjacent_floats(self):
-        # floats near 1e9 are 1.2e-7 apart, so no bracket gets root_tol wide
+        # floats near 1e9 are 1.2e-7 apart, so no bracket gets _ROOT_TOL wide
         r = 1.0e9 + 0.123
-        root, *_ = solver._bracket_and_bisect(lambda t: -1.0 if t < r else 1.0, 0.0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: -1.0 if t < r else 1.0, 0.0)
         assert abs(root - r) <= np.spacing(r)
 
     def test_budget_guard_on_wide_bracket(self, monkeypatch):
-        # interpolation off a huge far-end value only creeps root_tol/2 per
+        # interpolation off a huge far-end value only creeps _ROOT_TOL/2 per
         # step, and bisection needs 75 of the 200 steps on a 2^40 bracket; the
         # guard switches to midpoints in time.  From +-1 a bracket only gets
         # 2^40 wide around a root beyond 2^39, where adjacent floats end the
@@ -154,9 +95,9 @@ class TestBracketAndBisect:
         def g(t):
             return 2e-9 if t >= r else -1e300
 
-        root, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0, CFG)
+        root, bracket, _, iterations, _ = solver._bracket_and_bisect(g, 0.0)
         assert bracket == (-2.0**40, 0.0)
-        assert abs(root - r) <= CFG.root_tol
+        assert abs(root - r) <= solver._ROOT_TOL
         assert iterations <= solver._MAX_BISECTIONS
 
 
@@ -172,9 +113,9 @@ class TestLastEvaluatedPoint:
     ], ids=["start", "left-probe", "right-probe", "converged"])
     def test_on_every_return_path(self, g, t0, expected):
         calls = []
-        root, *_ = solver._bracket_and_bisect(lambda t: calls.append(t) or g(t), t0, CFG)
+        root, *_ = solver._bracket_and_bisect(lambda t: calls.append(t) or g(t), t0)
         assert root == calls[-1]
-        assert root == pytest.approx(expected, abs=CFG.root_tol)
+        assert root == pytest.approx(expected, abs=solver._ROOT_TOL)
 
 
 def _piecewise_linear(knots, values):
@@ -217,10 +158,10 @@ class TestRootStepProperty:
         if decreasing:
             values = -values
         g = _piecewise_linear(knots, list(values))
-        root, *_ = solver._bracket_and_bisect(g, t0, CFG)
+        root, *_ = solver._bracket_and_bisect(g, t0)
         if root == t0 and g(t0) == 0.0:
             return
-        tol = CFG.root_tol
+        tol = solver._ROOT_TOL
         assert g(root) == 0.0 or g(root - tol) * g(root + tol) <= 0.0
 
 
@@ -240,8 +181,8 @@ class TestRisingRootStep:
         g = _piecewise_linear(knots, list(values))  # nondecreasing
         calls = []
         one_sided = solver._bracket_and_bisect(
-            lambda t: calls.append(t) or g(t), t0, CFG, rising=True)
-        assert one_sided == solver._bracket_and_bisect(g, t0, CFG)
+            lambda t: calls.append(t) or g(t), t0, rising=True)
+        assert one_sided == solver._bracket_and_bisect(g, t0)
         if g(t0) < 0.0:
             assert min(calls) >= t0
         if g(t0) > 0.0:
@@ -251,7 +192,7 @@ class TestRisingRootStep:
 class TestAxisResidual:
     def residual_at(self, t):
         alpha, low, high = split_at_median(ASYMMETRIC)
-        res, _, _ = evaluate_axis_residual(low, high, alpha, np.array([1.0, t]), CFG)
+        res, _, _ = evaluate_axis_residual(low, high, alpha, np.array([1.0, t]))
         return res[0]
 
     def test_hand_values(self):
@@ -262,22 +203,22 @@ class TestAxisResidual:
 
     def test_child_centers_returned(self):
         alpha, low, high = split_at_median(ASYMMETRIC)
-        _, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, np.array([1.0, 0.0]), CFG)
+        _, x_neg, x_pos = evaluate_axis_residual(low, high, alpha, np.array([1.0, 0.0]))
         assert x_neg[0] == pytest.approx(1.0)
         assert x_pos[0] == pytest.approx(2.0)
 
     def test_requires_normalized_axis(self):
         alpha, low, high = split_at_median(ASYMMETRIC)
         with pytest.raises(ValueError):
-            evaluate_axis_residual(low, high, alpha, np.array([2.0, 0.0]), CFG)
+            evaluate_axis_residual(low, high, alpha, np.array([2.0, 0.0]))
 
     def test_dimensions_checked(self):
         alpha, low, high = split_at_median(ASYMMETRIC)
         flat = WeightedPointCloud.from_points([[0.0], [1.0]])
         with pytest.raises(ValueError, match="halves have different dimensions"):
-            evaluate_axis_residual(low, flat, alpha, np.array([1.0, 0.0]), CFG)
+            evaluate_axis_residual(low, flat, alpha, np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="axis solve needs dimension >= 2"):
-            evaluate_axis_residual(flat, flat, 0.5, np.array([1.0]), CFG)
+            evaluate_axis_residual(flat, flat, 0.5, np.array([1.0]))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -309,7 +250,7 @@ class TestAxisResidual:
             v = np.zeros(n)
             v[:2] = 1.0, t
             try:
-                residuals.append(evaluate_axis_residual(*halves, 0.0, v, CFG)[0][0])
+                residuals.append(evaluate_axis_residual(*halves, 0.0, v)[0][0])
             except BracketNotFoundError:
                 pass  # a deeper child cannot be solved at this t
         assert all(a <= b for a, b in zip(residuals, residuals[1:]))
@@ -322,7 +263,7 @@ class TestAxisResidual:
         low = WeightedPointCloud.from_points([(-1, 0), (0, 2), (-1, 2), (-2, -1)],
                                              [0.6, 0.6, 0.2, 0.2])
         high = WeightedPointCloud.from_points([(1, 0)])
-        before, after = (evaluate_axis_residual(low, high, 0.0, [1.0, t], CFG)[0][0]
+        before, after = (evaluate_axis_residual(low, high, 0.0, [1.0, t])[0][0]
                          for t in (-0.125, 0.0))
         assert (before, after) == (0.75, 0.0)
 
@@ -331,7 +272,7 @@ class TestAxisResidual:
         cloud = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
         alpha, low, high = split_at_median(cloud)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]), CFG)
+            evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]))
 
     def test_overflowing_projection_raises_with_warnings_as_errors(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [100, 100]), 32, seed=3)
@@ -339,7 +280,7 @@ class TestAxisResidual:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]), CFG)
+                evaluate_axis_residual(low, high, alpha, np.array([1.0, 1e308]))
 
 
 class TestTriangularAxisSolve:
@@ -351,17 +292,17 @@ class TestTriangularAxisSolve:
 
     @pytest.mark.parametrize("cloud, root", [(ASYMMETRIC, 0.5), (SHIFTED, 0.3)])
     def test_linear_residual_takes_at_most_two_steps(self, cloud, root):
-        tree = compute_center_partition(cloud, SYS2, CFG)
+        tree = compute_center_partition(cloud, SYS2)
         (record,) = tree.meta["root_trace"]["records"]
         assert record["iterations"] <= 2
-        assert abs(tree.axes[0][1] - root) <= CFG.root_tol
+        assert abs(tree.axes[0][1] - root) <= solver._ROOT_TOL
 
     @pytest.mark.parametrize("seed", [301, 303])
     def test_gaussian_root_takes_few_steps(self, seed):
         # the secant reaches these roots from one side; the clamp keeps the
         # next step straddling the root instead of stalling at the endpoint
         spec = MeasureSpec.gaussian([0, 0], [[1, 0.3], [0, 2]])
-        tree = compute_center_partition(sample(spec, 2048, seed), SYS2, CFG)
+        tree = compute_center_partition(sample(spec, 2048, seed), SYS2)
         (record,) = tree.meta["root_trace"]["records"]
         assert record["iterations"] <= 10
 
@@ -387,30 +328,30 @@ class TestTriangularAxisSolve:
 class TestComputeCenterPartition:
     def test_1d_median(self):
         cloud = WeightedPointCloud.from_points([[0.0], [1.0], [2.0], [3.0]])
-        tree = compute_center_partition(cloud, CoordinateSystem.standard(1), CFG)
+        tree = compute_center_partition(cloud, CoordinateSystem.standard(1))
         assert tree.center[0] == 1.5
         assert np.array_equal(tree.axes, [[1.0]])
 
     def test_square_fixture(self):
-        tree = compute_center_partition(SQUARE, SYS2, CFG)
+        tree = compute_center_partition(SQUARE, SYS2)
         assert np.array_equal(tree.center, [0.5, 0.5])
         assert np.array_equal(tree.axes[0], [1.0, 0.0])
 
     def test_asymmetric_fixture(self):
-        tree = compute_center_partition(ASYMMETRIC, SYS2, CFG)
+        tree = compute_center_partition(ASYMMETRIC, SYS2)
         assert np.max(np.abs(tree.center - [1.5, 1.5])) <= 1e-9
         assert abs(tree.axes[0][1] - 0.5) <= 1e-9
 
     def test_system_dimension_checked(self):
         with pytest.raises(ValueError, match="cloud and coordinate system dimensions differ"):
-            compute_center_partition(SQUARE, SYS3, CFG)
+            compute_center_partition(SQUARE, SYS3)
 
     def test_dimension_cap(self, monkeypatch):
         # the 9-D cloud is rejected before its root split, so before any solve
         monkeypatch.setattr(solver, "split_at_median", lambda cloud: pytest.fail("split"))
         cloud = WeightedPointCloud.from_points(np.arange(27.0).reshape(3, 9))
         with pytest.raises(ValueError, match="^dimension 9 exceeds the maximum 8$"):
-            compute_center_partition(cloud, CoordinateSystem.standard(9), CFG)
+            compute_center_partition(cloud, CoordinateSystem.standard(9))
 
     @pytest.mark.parametrize("pts", [
         [(1e308, 0), (-1e308, 1), (1e308, 2), (-1e308, 3)],
@@ -423,19 +364,19 @@ class TestComputeCenterPartition:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"within ±2\^1022; rescale the points"):
-                compute_center_partition(cloud, SYS2, CFG)
+                compute_center_partition(cloud, SYS2)
 
     def test_coordinates_at_2_to_the_1022_solve(self):
         big = 2.0**1022
         cloud = WeightedPointCloud.from_points([(big, big), (-big, -big), (big, -big), (-big, big)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tree = compute_center_partition(cloud, SYS2, CFG)
+            tree = compute_center_partition(cloud, SYS2)
             assert check_equipartition(tree, cloud).passed
 
     def test_child_center_agreement(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 128, seed=17)
-        tree = compute_center_partition(cloud, SYS3, CFG)
+        tree = compute_center_partition(cloud, SYS3)
         assert tree.meta["max_center_gap"] <= CENTER_TOL
         assert tree.meta["max_residual"] <= CENTER_TOL
 
@@ -444,29 +385,29 @@ class TestComputeCenterPartition:
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [2, 1, 3]), 96, seed=5)
         v, _ = root_solve(cloud)
         alpha, low, high = split_at_median(cloud)
-        res, _, _ = evaluate_axis_residual(low, high, alpha, v, CFG)
+        res, _, _ = evaluate_axis_residual(low, high, alpha, v)
         assert np.max(np.abs(res)) <= CENTER_TOL + 1e-12
 
     def test_bracket_parameters_do_not_move_the_center(self, monkeypatch):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 200, seed=23)
-        a = compute_center_partition(cloud, SYS2, CFG)
+        a = compute_center_partition(cloud, SYS2)
         monkeypatch.setattr(solver, "_BRACKET_HALF_WIDTH", 7.0)
         monkeypatch.setattr(solver, "_BRACKET_GROWTH", 3.0)
-        b = compute_center_partition(cloud, SYS2, CFG)
-        tol = 10 * max(CFG.root_tol, CENTER_TOL)
+        b = compute_center_partition(cloud, SYS2)
+        tol = 10 * CENTER_TOL
         assert np.max(np.abs(a.center - b.center)) <= tol
 
     def test_deterministic_and_thread_invariant(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0, 0], [1, 1, 1]), 64, seed=2)
-        a = compute_center_partition(cloud, SYS3, CFG, workers=1)
-        b = compute_center_partition(cloud, SYS3, CFG, workers=4)
+        a = compute_center_partition(cloud, SYS3, workers=1)
+        b = compute_center_partition(cloud, SYS3, workers=4)
         assert a == b
         assert serialize(a) == serialize(b)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            compute_center_partition(SQUARE, SYS2, CFG, workers=workers)
+            compute_center_partition(SQUARE, SYS2, workers=workers)
 
     def test_id_relabeling_is_immaterial(self):
         # generic clouds have no mass ties, so labels cannot steer the greedy split
@@ -474,9 +415,9 @@ class TestComputeCenterPartition:
         rng = np.random.default_rng(7)
         perm = rng.permutation(cloud.size)
         relabeled = WeightedPointCloud(cloud.points, cloud.weights, perm)
-        a = compute_center_partition(cloud, SYS2, CFG)
-        b = compute_center_partition(relabeled, SYS2, CFG)
-        assert np.max(np.abs(a.center - b.center)) <= 10 * max(CFG.root_tol, CENTER_TOL)
+        a = compute_center_partition(cloud, SYS2)
+        b = compute_center_partition(relabeled, SYS2)
+        assert np.max(np.abs(a.center - b.center)) <= 10 * CENTER_TOL
 
     def test_degenerate_first_coordinate_raises(self):
         # all mass on one hyperplane: the residual never changes sign, and
@@ -485,7 +426,7 @@ class TestComputeCenterPartition:
             for scale in (1.0, 2.0**40):
                 cloud = WeightedPointCloud.from_points(np.array(pts) * scale)
                 with pytest.raises(DegenerateInputError):
-                    compute_center_partition(cloud, SYS2, CFG)
+                    compute_center_partition(cloud, SYS2)
 
     def test_frozen_residual_fails_before_expanding(self, monkeypatch):
         # every point has x1 == alpha, so no axis moves either half
@@ -498,7 +439,7 @@ class TestComputeCenterPartition:
             lambda *args: slides.append(float(args[2][0])) or real(*args),
         )
         with pytest.raises(DegenerateInputError, match="yaoyao.measures.regularize") as info:
-            compute_center_partition(cloud, SYS2, CFG)
+            compute_center_partition(cloud, SYS2)
         assert isinstance(info.value, BracketNotFoundError)
         assert info.value.coordinate == 2
         # only the start point t0 = 0 was evaluated, both halves in one slide
@@ -510,7 +451,7 @@ class TestComputeCenterPartition:
         cloud = WeightedPointCloud.from_points(
             [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0), (0, 1, 0), (0, 0, 3), (0, 1, 3)])
         with pytest.raises(DegenerateInputError) as info:
-            compute_center_partition(cloud, SYS3, CFG)
+            compute_center_partition(cloud, SYS3)
         assert info.value.coordinate == 3
         assert info.value.records == ({"coordinate": 2, "bracket": [0.0, 0.0], "expansions": 0,
                                        "iterations": 0, "residual": 0.0},)
@@ -527,12 +468,12 @@ class TestComputeCenterPartition:
         flags = []
         real = solver._bracket_and_bisect
 
-        def root_step(g, t0, cfg, frozen, rising):
+        def root_step(g, t0, frozen, rising):
             flags.append(rising)
-            return real(g, t0, cfg, frozen, rising=rising)
+            return real(g, t0, frozen, rising=rising)
 
         monkeypatch.setattr(solver, "_bracket_and_bisect", root_step)
-        compute_center_partition(cloud, SYS3, CFG)
+        compute_center_partition(cloud, SYS3)
         # the root node's components 2 and 3, then its children's component 2
         assert flags[:2] == rising and set(flags[2:]) == {rising[0]}
 
@@ -547,7 +488,7 @@ class TestComputeCenterPartition:
                 module, "_split",
                 lambda points, weights: splits.append(len(points)) or real(points, weights),
             )
-        compute_center_partition(SHIFTED, SYS2, CFG)
+        compute_center_partition(SHIFTED, SYS2)
         assert splits == [SHIFTED.size]
 
     @pytest.mark.parametrize("n, count, expected", [(3, 1024, 3), (4, 256, 39), (5, 128, 603)])
@@ -563,7 +504,7 @@ class TestComputeCenterPartition:
                                 lambda points, *rest: splits.append(len(points)) or real(points, *rest))
         monkeypatch.setattr(solver, "_solve_split",
                             lambda *args: sizes.append(args[2]) or real_solve_split(*args))
-        compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
+        compute_center_partition(cloud, CoordinateSystem.standard(n))
         assert len(splits) == expected == 1 + 2 * sum(m >= 3 for m in sizes)
         if n == 3:
             assert splits == [count, count // 2, count // 2]
@@ -586,17 +527,17 @@ class TestComputeCenterPartition:
             return real(tail, reach, axis_tail)
 
         monkeypatch.setattr(solver, "_slide", slide)
-        tree = compute_center_partition(cloud, SYS3, CFG)
+        tree = compute_center_partition(cloud, SYS3)
         assert any(m == 2 for _, _, m in seen)
         monkeypatch.undo()
-        assert tree == compute_center_partition(cloud, SYS3, CFG)
+        assert tree == compute_center_partition(cloud, SYS3)
 
     @pytest.mark.parametrize("n, count, seed", [(3, 48, 8), (4, 24, 9)])
     def test_prefix_solve_is_prefix_of_full_center(self, n, count, seed):
         cloud = sample(MeasureSpec.uniform_box([0] * n, [1] * n), count, seed)
-        full = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG).center
+        full = compute_center_partition(cloud, CoordinateSystem.standard(n)).center
         for m in range(1, n + 1):
-            prefix = solver._solve(cloud.points, cloud.weights, m, CFG)[0]
+            prefix = solver._solve(cloud.points, cloud.weights, m)[0]
             assert np.array_equal(prefix, full[:m])
 
     def test_weighted_cloud_center(self):
@@ -607,8 +548,8 @@ class TestComputeCenterPartition:
         weighted = WeightedPointCloud.from_points(
             [(0, 0), (1, 2), (2, 1), (3, 3)], weights=[1.0, 2.0, 1.0, 1.0]
         )
-        a = compute_center_partition(doubled, SYS2, CFG)
-        b = compute_center_partition(weighted, SYS2, CFG)
+        a = compute_center_partition(doubled, SYS2)
+        b = compute_center_partition(weighted, SYS2)
         assert np.max(np.abs(a.center - b.center)) <= 1e-9
 
 
@@ -641,33 +582,38 @@ def _golden_clouds():
 
 # sha256 of the indented partition JSON, recorded before the solver ran on
 # plain arrays with medians by selection; any byte drift fails here.  All
-# eleven were re-recorded each time fields left SolverConfig: every document
-# lost only those meta.config lines, and no tree moved
+# eleven were re-recorded each time fields left the solver config, and once
+# more when meta.config went: every document lost only those meta lines, and
+# no tree moved
 GOLDEN = {
-    "unit-2d": "125cd4ce4c50dda104b3640bc8b2948f8f67df72d4c9342ab30fca6020db1d3f",
-    "unit-3d": "2328f1fa9555282aec98e0148b61aca41dbd5199aa5aa716bd6f5e1bb68f5b7b",
-    "unit-4d": "ab9e47f213876976a00aca0df930df27a2721382993bd71e3dac28278de98576",
-    "odd-3d": "d31d2b6ca6761b709207069f54482b590a06e0b118e500b9b2c10389fdced9e9",
-    "tied-weighted-2d": "5cfc52e176cd9296e524393b10e35b2e156c5890712d7fbe6f82e4f5ef4454d3",
-    "eighth-2d": "dcbef86702ebbbf7ce5b47a24e85e08b55add7378bfc302eba4fe30f7ed7c981",
+    "unit-2d": "9d267313bffbeb53ac0a12b95e6a8407719e37f7ad288837c3ad6ac56d2bc91a",
+    "unit-3d": "0f07fde088d92be32a999cfc8d349a10710bc2994553d9468c2ed0d7adbd65b9",
+    "unit-4d": "4893a38e2a9511ceb6039009fb58ee11d8f0e1078279d9505995359ddcadfdbd",
+    "odd-3d": "ce9914fe0549e836ccf58ddcae5d75203d9ac5f373a5f5a042b803c83a791ccd",
+    "tied-weighted-2d": "fc6a84ab9a64ffd9770767c7b8614dcdf3f4b634269daeb3d7a891ea1b04856a",
+    "eighth-2d": "37fe1fc90b065fbf2f20cc446d15bbcf5b57649b2253e7ade3c7548bf3b92816",
     # recorded before the solve returned its kept nodes in place of axis levels
-    "unit-1d": "da69039032e1e5332fc1c16eca2ecd2841cf1c569d290e7531fd82e605944eef",
-    "unit-5d": "ae58df1f5a28ad4c027e3c2f9d45c400417eab9d747b87ace20882e707375128",
+    "unit-1d": "f6b9cf126401e37f30fc1124d78cd958f1b0457a9fd5afe8362a60f043a060e6",
+    "unit-5d": "77f97a2e9a76e2d3cc72b8d705fe02ed3ac1d4befe63eb8bdf26e4a13008378f",
     # recorded before each evaluation slid both halves in one stack
-    "deep-3d": "0ca43f5270d09a4e7d4bfd1e557e1a002caeef079b5af847e619f81d7d4b317a",
-    "grid-zeros-3d": "6b964b31dc31eb9425ebf71f973a8abb81dd1ce1a187ebbe9bf2bcbfd7045747",
+    "deep-3d": "84a33c874445fa252903089d3b964d50ffd536850ef57d981c33ffa6b5673e63",
+    "grid-zeros-3d": "a53c616a26a7bac3838454b233d89cadfa75eda2cd623d53482d68e9660ceb83",
     # recorded before each half was split once per component, not per evaluation
-    "odd-4d": "da4fead5ff40a1526f4fea22d25e43eda72386710370280bfd899e291be1aba1",
+    "odd-4d": "4b5c8911b6b65108b8eeb37a00e2cedb099079e7099c78e05ea44b3fc4b09113",
 }
 
 
-# workers has no effect on the solve; the bytes must not depend on it
-@pytest.mark.parametrize("name, cloud, workers", [
-    pytest.param(name, cloud, workers,
-                 id=f"{name}-cloud{i}" + ("" if workers == 1 else f"-workers{workers}"))
-    for workers in (1, 2) for i, (name, cloud) in enumerate(_golden_clouds())
+# the ignored config and workers have no effect on the solve; the bytes must
+# not depend on them.  "-bench" is the call form of bench/workloads.py
+_CALLS = {"": ((), {}), "-workers2": ((), {"workers": 2}),
+          "-bench": ((solver.SolverConfig(),), {"workers": 1})}
+
+
+@pytest.mark.parametrize("name, cloud, args, kwargs", [
+    pytest.param(name, cloud, args, kwargs, id=f"{name}-cloud{i}{call}")
+    for call, (args, kwargs) in _CALLS.items() for i, (name, cloud) in enumerate(_golden_clouds())
 ])
-def test_partition_bytes_are_golden(name, cloud, workers):
+def test_partition_bytes_are_golden(name, cloud, args, kwargs):
     if name in ("odd-3d", "odd-4d"):
         # the root split divides one point's weight, so both subtrees carry
         # unequal weights and take the sorting median
@@ -676,7 +622,7 @@ def test_partition_bytes_are_golden(name, cloud, workers):
     if name in ("tied-weighted-2d", "grid-zeros-3d"):
         alpha, _, _ = split_at_median(cloud)
         assert np.count_nonzero(cloud.points[:, 0] == alpha) > 1
-    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension), CFG,
-                                    workers=workers)
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(cloud.dimension),
+                                    *args, **kwargs)
     doc = json.dumps(serialize(tree), indent=2).encode()
     assert hashlib.sha256(doc).hexdigest() == GOLDEN[name]

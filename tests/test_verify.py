@@ -24,7 +24,7 @@ from yaoyao.measures import (
     weighted_quantile,
 )
 from yaoyao.partition import PartitionTree, locate_points, regions, witness_region
-from yaoyao.solver import SolverConfig, compute_center_partition
+from yaoyao.solver import compute_center_partition
 from yaoyao.verify import (
     check_avoidance,
     check_continuity,
@@ -35,7 +35,6 @@ from yaoyao.verify import (
     oracle_center_2d,
 )
 
-CFG = SolverConfig()
 SYS2 = CoordinateSystem.standard(2)
 CENTER_TOL = 1e-9  # the absolute center tolerance the solve checks scale
 
@@ -45,12 +44,12 @@ SQUARE = WeightedPointCloud.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 @pytest.fixture(scope="module")
 def square_tree():
-    return compute_center_partition(SQUARE, SYS2, CFG)
+    return compute_center_partition(SQUARE, SYS2)
 
 
 @pytest.fixture(scope="module")
 def asym_tree():
-    return compute_center_partition(ASYMMETRIC, SYS2, CFG)
+    return compute_center_partition(ASYMMETRIC, SYS2)
 
 
 class TestEquipartition:
@@ -76,7 +75,7 @@ class TestEquipartition:
 
     def test_seeded_uniform_box(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 4096, seed=101)
-        tree = compute_center_partition(cloud, SYS2, CFG)
+        tree = compute_center_partition(cloud, SYS2)
         rep = check_equipartition(tree, cloud)
         assert rep.passed
         assert rep.stats["max_relative_deviation"] <= 1e-6
@@ -91,13 +90,13 @@ class TestEquipartition:
         base = WeightedPointCloud.from_points(np.random.default_rng(2).standard_normal((1024, n)))
         cloud = WeightedPointCloud.from_points(base.points * scale + offset)
         system = CoordinateSystem.standard(n)
-        tree = compute_center_partition(base, system, CFG)
+        tree = compute_center_partition(base, system)
         # the base partition, scaled; the 2-D 4e307 cloud is past what the solver takes
         trees = [PartitionTree(system, tree.center * scale + offset, tree.axes, {})]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if np.max(np.abs(cloud.points)) <= 2.0**1022:
-                trees.append(compute_center_partition(cloud, system, CFG))
+                trees.append(compute_center_partition(cloud, system))
             for t in trees:
                 rep = check_equipartition(t, cloud)
                 assert rep.passed and rep.stats["max_relative_deviation"] == 0.0
@@ -256,7 +255,7 @@ class TestDepth:
 
     def test_gaussian_cloud(self):
         cloud = sample(MeasureSpec.gaussian([0.0, 0.0]), 20_000, seed=12)
-        tree = compute_center_partition(cloud, SYS2, CFG)
+        tree = compute_center_partition(cloud, SYS2)
         rep = check_depth(tree, cloud, 1000, seed=13)
         assert rep.passed
 
@@ -265,7 +264,7 @@ class TestDepth:
         rng = np.random.default_rng(21)
         cloud = WeightedPointCloud.from_points(rng.uniform(0.0, 1.0, (3000, 2)),
                                                rng.uniform(0.1, 3.0, 3000))
-        return cloud, compute_center_partition(cloud, SYS2, CFG)
+        return cloud, compute_center_partition(cloud, SYS2)
 
     def test_same_seed_same_report(self, weighted):
         cloud, tree = weighted
@@ -331,7 +330,7 @@ DRAWS_GOLDEN = {
 @pytest.mark.parametrize("n, kind", sorted(DRAWS_GOLDEN))
 def test_halfspace_draws_match_the_golden_stream(n, kind):
     cloud = sample(MeasureSpec.uniform_box([0.0] * n, [1.0 + k for k in range(n)]), 300, seed=31)
-    tree = compute_center_partition(cloud, CoordinateSystem.standard(n), CFG)
+    tree = compute_center_partition(cloud, CoordinateSystem.standard(n))
     normals, offsets = verify._halfspace_draws(seeded_generator(32), tree, cloud, 400)
     digest = hashlib.sha256(normals.tobytes() + offsets.tobytes()).hexdigest()
     assert digest == DRAWS_GOLDEN[n, kind]
@@ -360,7 +359,7 @@ class TestHalfspaceDraws:
     @pytest.fixture(scope="class")
     def fitted(self):
         cloud = sample(MeasureSpec.gaussian([0.0, 0.0, 0.0]), 500, seed=33)
-        return compute_center_partition(cloud, CoordinateSystem.standard(3), CFG), cloud
+        return compute_center_partition(cloud, CoordinateSystem.standard(3)), cloud
 
     @pytest.mark.parametrize("shift", [0.0, 5.0], ids=["cloud", "center-outside"])
     def test_unit_normals_holding_the_center(self, fitted, shift):
@@ -413,13 +412,13 @@ def test_halfspace_checks_reject_a_cloud_of_another_dimension(square_tree, check
 
 class TestSymmetry:
     def test_square_fixture(self):
-        rep = check_symmetry(SQUARE, (0.5, 0.5), CFG)
+        rep = check_symmetry(SQUARE, (0.5, 0.5))
         assert rep.passed and rep.stats["max_deviation"] <= 50 * CENTER_TOL
         assert rep.tolerances == {"max_abs": 50 * CENTER_TOL} and rep.seed is None
 
     def test_symmetrized_cloud_2d(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [3, 1]), 150, seed=44)
-        rep = check_symmetry(cloud, (1.0, 2.0), CFG)
+        rep = check_symmetry(cloud, (1.0, 2.0))
         assert rep.passed
 
 
@@ -431,19 +430,19 @@ class TestPrefixDependence:
             pts[:, 2] += np.sin(pts[:, 0])
             return pts
 
-        rep = check_prefix_dependence(cloud, 2, shear, CFG)
+        rep = check_prefix_dependence(cloud, 2, shear)
         assert rep.passed
         assert rep.stats["prefix_deviation"] == 0.0  # byte-for-byte same prefix math
 
     def test_identity_shear(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 64, seed=22)
-        rep = check_prefix_dependence(cloud, 2, lambda p: p, CFG)
+        rep = check_prefix_dependence(cloud, 2, lambda p: p)
         assert rep.passed
 
     def test_k_zero_illegal(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=23)
         with pytest.raises(ValueError):
-            check_prefix_dependence(cloud, 0, lambda p: p, CFG)
+            check_prefix_dependence(cloud, 0, lambda p: p)
 
     def test_shear_touching_prefix_rejected(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=24)
@@ -453,19 +452,19 @@ class TestPrefixDependence:
             return pts
 
         with pytest.raises(ValueError):
-            check_prefix_dependence(cloud, 1, bad, CFG)
+            check_prefix_dependence(cloud, 1, bad)
 
     def test_shear_changing_the_shape_rejected(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=24)
         with pytest.raises(ValueError, match="shear must preserve the array shape"):
-            check_prefix_dependence(cloud, 1, lambda p: p[:, :1], CFG)
+            check_prefix_dependence(cloud, 1, lambda p: p[:, :1])
 
 
 class TestContinuity:
     def test_qualitative_decay(self):
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 512, seed=1)
         gamma = MeasureSpec.gaussian([2.0, 2.0])
-        rep = check_continuity(cloud, gamma, [0.2, 0.05], CFG, count=256, seed=99)
+        rep = check_continuity(cloud, gamma, [0.2, 0.05], count=256, seed=99)
         assert rep.passed
         d = dict(zip(rep.stats["eps"], rep.stats["distances"]))
         assert d[0.05] <= d[0.2] + 10 * CENTER_TOL
@@ -475,7 +474,7 @@ class TestContinuity:
         cloud = symmetrize(sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 101, seed=2), z)
         gamma = MeasureSpec("finite-atoms", {"points": [[0.25, 0.5], [0.75, 0.5]],
                                              "weights": [1.0, 1.0]})
-        rep = check_continuity(cloud, gamma, [0.1], CFG, count=2, seed=3)
+        rep = check_continuity(cloud, gamma, [0.1], count=2, seed=3)
         assert rep.stats["distances"][0] <= 100 * CENTER_TOL
 
     # 1 / eps overflows below about 5.6e-309
@@ -484,7 +483,7 @@ class TestContinuity:
         cloud = sample(MeasureSpec.uniform_box([0, 0], [1, 1]), 16, seed=1)
         monkeypatch.setattr(verify, "compute_center_partition", None)  # a solve would raise
         with pytest.raises(ValueError, match="eps values must be finite and > 0"):
-            check_continuity(cloud, MeasureSpec.gaussian([0.5, 0.5]), [0.2, bad], CFG)
+            check_continuity(cloud, MeasureSpec.gaussian([0.5, 0.5]), [0.2, bad])
 
 
 def scanned_center_2d(cloud):
@@ -557,7 +556,7 @@ class TestOracle2D:
         box = MeasureSpec.uniform_box([-1, -2], [2, 1])
         for seed in range(10):
             cloud = sample(box, 128, seed=seed)
-            tree = compute_center_partition(cloud, SYS2, CFG)
+            tree = compute_center_partition(cloud, SYS2)
             got = oracle_center_2d(cloud)
             assert np.max(np.abs(got - tree.center)) <= 1e-8, f"seed {seed}"
 
